@@ -64,6 +64,7 @@ from .gamow_expansion import (
 )
 from .decay_analysis import (
     DecayCurve,
+    DecayPlan,
     RegimeReport,
     fit_exponential,
     fit_tail_exponent,
@@ -73,4 +74,4 @@ from .decay_analysis import (
     regime_report,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

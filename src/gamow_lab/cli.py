@@ -4,25 +4,42 @@ curves, and regime reports, emitted as regression-diffable CSV/JSON.
 Output conventions: CSV with a header row, 17 significant digits, '.'
 decimal separator, LF line endings; JSON in UTF-8 with stable key order.
 Every output embeds the resolved run configuration and package version.
-Files are written atomically (temp file + rename).  Exit codes: 0 success,
-1 usage error, 2 pole-audit failure, 3 quadrature failure.
+Files are written atomically (temp file + rename).
+
+Exit codes:
+  0  success
+  1  usage error (bad arguments, profile, time grid or policy, or a
+     well outside a command's range)
+  2  pole enumeration failure (CountMismatch, NoConvergence, WrongQuadrant)
+  3  quadrature failure (QuadratureNotConverged)
+  4  any other numerical failure (a GamowLabError, e.g. NoCrossing)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .decay_analysis import geometric_times, nonescape_curve, regime_report
-from .exceptions import CountMismatch, QuadratureNotConverged
+from .decay_analysis import (
+    DIRECT_TIME_LIMIT,
+    geometric_times,
+    nonescape_curve,
+    regime_report,
+)
+from .exceptions import (
+    CountMismatch,
+    GamowLabError,
+    NoConvergence,
+    QuadratureNotConverged,
+    WrongQuadrant,
+)
 from .gamow_expansion import crossover_time, evolve_rotated
 from .potential_model import WellParameters, asymptotic_pole_seed
 from .profiles import parse_profile
@@ -32,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_POLE_AUDIT = 2
 EXIT_QUADRATURE = 3
+EXIT_NUMERICS = 4
 
 _FMT = "%.17g"
 
@@ -49,8 +67,6 @@ class RunConfig:
     policy: str = "auto"
     out: str = "."
     format: str = "csv"
-    threads: int = field(
-        default_factory=lambda: int(os.environ.get("GAMOW_LAB_THREADS", "0")))
     version: str = __version__
 
     def as_dict(self) -> dict:
@@ -115,11 +131,7 @@ def _parse_times(spec: str) -> np.ndarray:
 
 def cmd_poles(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
-    try:
-        poles = resonances(w, config.k_max)
-    except CountMismatch as exc:
-        print(f"pole audit failed: {exc}", file=sys.stderr)
-        return EXIT_POLE_AUDIT
+    poles = resonances(w, config.k_max)
     rows = []
     for r in poles:
         try:
@@ -149,18 +161,13 @@ def cmd_evolve(config: RunConfig) -> int:
     for t in times:
         rows = []
         states = {}
-        try:
-            if config.policy in ("direct", "both", "auto"):
-                states["direct"] = evolve_direct(p, float(t), grid, w)
-            if config.policy in ("rotated", "both") or (
-                    config.policy == "auto" and False):
-                states["rotated"] = evolve_rotated(p, float(t), grid, w).total
-        except QuadratureNotConverged as exc:
-            print(f"quadrature failure at t={t}: {exc}", file=sys.stderr)
-            return EXIT_QUADRATURE
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+        early = t < DIRECT_TIME_LIMIT * w.a ** 2
+        if config.policy in ("direct", "both") or (
+                config.policy == "auto" and early):
+            states["direct"] = evolve_direct(p, float(t), grid, w)
+        if config.policy in ("rotated", "both") or (
+                config.policy == "auto" and not early):
+            states["rotated"] = evolve_rotated(p, float(t), grid, w).total
         for method, ws in states.items():
             for x, v in zip(ws.x, ws.psi):
                 rows.append([float(x), float(v.real), float(v.imag),
@@ -180,16 +187,8 @@ def cmd_evolve(config: RunConfig) -> int:
 def cmd_survival(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
     p = parse_profile(config.profile, a=config.a)
-    try:
-        times = _parse_times(config.times)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        curve = nonescape_curve(p, times, w, policy=config.policy)
-    except QuadratureNotConverged as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
+    times = _parse_times(config.times)
+    curve = nonescape_curve(p, times, w, policy=config.policy)
     rows = [[float(t), float(P), m]
             for t, P, m in zip(curve.times, curve.P, curve.methods)]
     path = _emit(config, "survival", ["t", "P", "method"], rows)
@@ -211,11 +210,7 @@ def cmd_survival(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
     p = parse_profile(config.profile, a=config.a)
-    try:
-        poles = resonances(w, config.k_max)
-    except CountMismatch as exc:
-        print(f"pole audit failed: {exc}", file=sys.stderr)
-        return EXIT_POLE_AUDIT
+    poles = resonances(w, config.k_max)
     rep = regime_report(p, w)
     cross = crossover_time(p, w)
     payload = {
@@ -301,6 +296,17 @@ def main(argv: list[str] | None = None) -> int:
             "report": cmd_report,
         }[config.command]
         return handler(config)
+    except (CountMismatch, NoConvergence, WrongQuadrant) as exc:
+        print(f"pole enumeration failed ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
+        return EXIT_POLE_AUDIT
+    except QuadratureNotConverged as exc:
+        print(f"quadrature failure: {exc}", file=sys.stderr)
+        return EXIT_QUADRATURE
+    except GamowLabError as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICS
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

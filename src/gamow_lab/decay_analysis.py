@@ -15,30 +15,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
+from numpy.polynomial import legendre
 from scipy.optimize import brentq
 
+from . import gamow_expansion
 from .exceptions import (
     GridTooCoarse,
     NoCrossing,
     WindowBeforeCrossover,
     WindowTooSmall,
 )
-from .gamow_expansion import crossover_time, evolve_rotated, nonescape_asymptote
+from .gamow_expansion import crossover_time, nonescape_asymptote
 from .potential_model import WellParameters
 from .profiles import InitialProfile
 from .spectral_evolution import (
     WaveState,
     evolve_direct,
-    norm_inside,
+    pole_cutoff,
     resonances,
-    well_grid,
 )
 
 #: below this time (units a^2) the rotated route is expensive; go direct
 DIRECT_TIME_LIMIT = 0.02
 #: default geometric sampling density for fits
 POINTS_PER_DECADE = 25
+#: Gauss-Legendre nodes in x on [0, a] for P(t)
+X_NODES = 128
+#: rotated-route times evaluated together (bounds the workspace)
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -110,19 +114,59 @@ def geometric_times(start: float, stop: float,
     return np.geomspace(start, stop, n)
 
 
-def _refined_norm(make_state, w: WellParameters, tol: float = 1e-8) -> float:
-    """Simpson norm on [0, a], doubling the grid until the value settles."""
-    n = 257
-    prev = None
-    while True:
-        ws = make_state(well_grid(w, n))
-        val = norm_inside(ws, w)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        if n >= 2049:
-            return val
-        prev = val
-        n = 2 * n - 1
+class DecayPlan:
+    """What P(t) needs from one profile and well, computed once per curve.
+
+    P(t) = sum_j w_j |psi(x_j, t)|^2 on a fixed Gauss-Legendre rule in x
+    (psi is entire on [0, a]).  The rotated route serves times in
+    [t_min, t_max]: it keeps the residue modes c_n sin(k_n x_j) of the
+    poles below pole_cutoff(w, t_min) and the background's ray
+    rule (see RayBackground), so each time costs two small matrix
+    products; both are built on the first rotated request only.  The
+    direct route runs one evolve_direct per time on the x rule.
+    """
+
+    def __init__(self, p: InitialProfile, w: WellParameters,
+                 t_min: float, t_max: float):
+        self.p, self.w = p, w
+        self.t_min, self.t_max = t_min, t_max
+        x, wx = legendre.leggauss(X_NODES)
+        self.x = 0.5 * w.a * (x + 1.0)
+        self.wx = 0.5 * w.a * wx
+        self._rotated = None
+
+    def direct(self, t: float) -> float:
+        psi = evolve_direct(self.p, t, self.x, self.w).psi
+        return float(self.wx @ np.abs(psi) ** 2)
+
+    def rotated(self, times) -> np.ndarray:
+        """P at each time in [t_min, t_max] from residues plus background,
+        in blocks of times; raises QuadratureNotConverged when the
+        background's error estimate exceeds 1e-10 (absolute, on psi)."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if np.any(times < self.t_min) or np.any(times > self.t_max):
+            raise ValueError("times outside the plan's range")
+        if self._rotated is None:
+            self._rotated = self._rotated_parts()
+        energies, modes, background = self._rotated
+        P = np.empty(times.shape)
+        for i in range(0, times.size, TIME_BLOCK):
+            tb = times[i:i + TIME_BLOCK]
+            psi, _ = background.at(tb)
+            psi += np.exp(-1j * np.outer(tb, energies)) @ modes
+            P[i:i + tb.size] = (np.abs(psi) ** 2) @ self.wx
+        return P
+
+    def _rotated_parts(self):
+        p, w = self.p, self.w
+        poles = resonances(w, pole_cutoff(w, self.t_min))
+        k = np.array([r.k for r in poles], dtype=complex)
+        coef = np.array([gamow_expansion.residue_prefactor(r, p, w)
+                         for r in poles], dtype=complex)
+        modes = coef[:, None] * np.sin(np.outer(k, self.x))
+        background = gamow_expansion.ray_background(self.x, p, w,
+                                                     self.t_min, self.t_max)
+        return k * k, modes, background
 
 
 def nonescape_curve(p: InitialProfile, times, w: WellParameters,
@@ -132,30 +176,32 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
     ``policy``: 'auto' (direct below t = 0.02 a^2, rotated beyond),
     'direct', 'rotated', or 'asymptotic' (closed-form tail overlay).
     The t = 0 point is always taken from the (normalized) profile itself.
+    One DecayPlan serves all times.
     """
+    if policy not in ("auto", "direct", "rotated", "asymptotic"):
+        raise ValueError(f"unknown policy {policy!r}")
     times = np.asarray(times, dtype=float)
-    P = np.empty(times.shape)
-    methods = []
-    for i, t in enumerate(times):
-        if t == 0.0:
-            P[i] = 1.0
-            methods.append("direct")
-            continue
-        if policy == "asymptotic":
-            P[i] = nonescape_asymptote(t, p, w)
-            methods.append("asymptotic")
-            continue
-        if policy == "direct" or (policy == "auto"
-                                  and t < DIRECT_TIME_LIMIT * w.a ** 2):
-            P[i] = _refined_norm(
-                lambda g, t=t: evolve_direct(p, t, g, w), w)
-            methods.append("direct")
-        elif policy in ("rotated", "auto"):
-            P[i] = _refined_norm(
-                lambda g, t=t: evolve_rotated(p, t, g, w).total, w)
-            methods.append("rotated")
+    if np.any(times < 0.0):
+        raise ValueError("times must be >= 0")
+    P = np.ones(times.shape)
+    methods = np.full(times.shape, "direct", dtype=object)
+    later = times > 0.0
+    if policy == "asymptotic":
+        P[later] = nonescape_asymptote(times[later], p, w)
+        methods[later] = "asymptotic"
+    elif np.any(later):
+        if policy == "auto":
+            direct = later & (times < DIRECT_TIME_LIMIT * w.a ** 2)
         else:
-            raise ValueError(f"unknown policy {policy!r}")
+            direct = later & (policy == "direct")
+        rotated = later & ~direct
+        span = times[rotated] if np.any(rotated) else times[later]
+        plan = DecayPlan(p, w, span.min(), span.max())
+        for i in np.flatnonzero(direct):
+            P[i] = plan.direct(times[i])
+        if np.any(rotated):
+            P[rotated] = plan.rotated(times[rotated])
+            methods[rotated] = "rotated"
     return DecayCurve(times=times, P=np.maximum(P, 0.0),
                       methods=tuple(methods), w=w, profile=p)
 

@@ -34,8 +34,8 @@ from .potential_model import (
     coefficient_A_bar,
 )
 from .profiles import InitialProfile, overlap_transform
-from .quadrature import adaptive_gl
-from .spectral_evolution import WaveState, resonances
+from .quadrature import panel_nodes
+from .spectral_evolution import WaveState, pole_cutoff, resonances
 
 _ROT = np.exp(-1j * math.pi / 4.0)
 
@@ -143,58 +143,112 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     return tuple(terms)
 
 
-def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
-                        tol: float = 1e-12):
-    """45-degree rotated background I(x, t) for t > 0.
+#: Gauss-Legendre orders of the ray rule: main rule and error control
+_RAY_MAIN = 16
+_RAY_CONTROL = 12
+#: ray panels: the first is [0, _RAY_START / sqrt(t_max)], then each edge
+#: is _RAY_RATIO times the one before, until panels are _RAY_PANEL / a long
+_RAY_START = 0.5
+_RAY_RATIO = 1.5
+_RAY_PANEL = 2.0
+#: f is evaluated on this many ray nodes at a time (bounds the workspace)
+_RAY_BLOCK = 128
 
-    Substituting k = e^{-i pi/4} u / sqrt(t) gives a Gaussian-damped,
-    pole-free integrand handled by adaptive Gauss-Legendre.  ``x`` may be a
-    scalar or a grid; tolerance is absolute.
+
+def _ray_edges(w: WellParameters, t_min: float, t_max: float) -> np.ndarray:
+    """Panel edges in s on the ray k = e^{-i pi/4} s for t in [t_min, t_max].
+
+    On the ray exp(-i k^2 t) = exp(-s^2 t).  The first panel is
+    [0, 0.5/sqrt(t_max)], on which exp(-s^2 t_max) is a smooth bump; the
+    panels then grow geometrically, at most to 2/a (f varies on the scale
+    1/a), up to where the Gaussian at t_min has beaten the
+    exp(sqrt(2) a s) growth of f by e^-40.
     """
-    if not (t > 0.0):
-        raise ValueError("background integral requires t > 0 (no rotation at t = 0)")
-    if t < 0.02 * w.a ** 2:
+    if not (0.0 < t_min <= t_max):
+        raise ValueError("need 0 < t_min <= t_max")
+    c = math.sqrt(2.0) * w.a / math.sqrt(t_min)
+    top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
+    widest = _RAY_PANEL / w.a
+    edges = [0.0, min(_RAY_START / math.sqrt(t_max), widest, top)]
+    while edges[-1] < top:
+        step = min(edges[-1] * (_RAY_RATIO - 1.0), widest)
+        edges.append(min(edges[-1] + step, top))
+    return np.asarray(edges)
+
+
+@dataclass(frozen=True)
+class RayBackground:
+    """Background integral on the 45-degree ray, for all t of one range.
+
+    With k = e^{-i pi/4} s the background is
+    I(x, t) = sum_j exp(-s_j^2 t) F_j(x), F_j(x) = w_j e^{-i pi/4}
+    f(e^{-i pi/4} s_j, x), so f is evaluated once and each time costs one
+    matrix product.  The control rule (lower order, same panels) gives the
+    error estimate.
+    """
+
+    s2: np.ndarray       # (n_s,) squared main nodes
+    F: np.ndarray        # (n_s, n_x) weighted integrand on the main rule
+    s2_ctrl: np.ndarray
+    F_ctrl: np.ndarray
+
+    def at(self, times, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+        """I(x, t) with shape (n_t, n_x), and the error estimate per time
+        (largest |main - control| over x).  ``tol`` is absolute; an
+        estimate above 100 tol raises QuadratureNotConverged.  The work
+        space grows like n_t n_s, so long time grids are passed in blocks.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        main = _gauss_sum(self.s2, self.F, times)
+        ctrl = _gauss_sum(self.s2_ctrl, self.F_ctrl, times)
+        err = np.max(np.abs(main - ctrl), axis=1)
+        if np.any(err > 100.0 * tol):
+            raise QuadratureNotConverged(
+                f"rotated background error estimate {err.max():.3e}",
+                estimate=float(err.max()))
+        return main, err
+
+
+def _gauss_sum(s2: np.ndarray, F: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_j exp(-s_j^2 t) F_j for each t; the real Gaussians multiply the
+    interleaved re/im parts of F in one real product."""
+    return (np.exp(-np.outer(times, s2)) @ F.view(np.float64)).view(complex)
+
+
+def ray_background(x, p: InitialProfile, w: WellParameters, t_min: float,
+                   t_max: float) -> RayBackground:
+    """Evaluate f on the ray rule for [t_min, t_max] at the points x."""
+    if t_min < 0.02 * w.a ** 2:
         warnings.warn(
             "rotated background at t < 0.02 a^2: the transform grows like "
             "exp(k a / sqrt(2)) before the Gaussian damping wins, so the "
             "quadrature cost rises sharply; prefer the direct route here",
-            RuntimeWarning, stacklevel=2)
-    x = np.asarray(x, dtype=float)
-    sqt = math.sqrt(t)
-    # upper limit: overcome the e^{(x+a)|Im k|} growth of f along the ray
-    c = math.sqrt(2.0) * w.a / sqt
-    upper = 0.5 * (c + math.sqrt(c * c + 4.0 * 40.0))
-
-    def f_rot(u):
-        k = _ROT * u / sqt
-        vals = integrand_f(k, x, p, w)
-        damp = np.exp(-u * u)
-        return (damp * _ROT / sqt)[:, None] * vals.reshape(u.size, -1)
-
-    val, err = adaptive_gl(f_rot, 0.0, upper, tol=tol, order=16)
-    if err > 100.0 * tol:
-        raise QuadratureNotConverged(
-            f"rotated background error estimate {err:.3e}", estimate=err)
-    val = np.asarray(val).reshape(np.shape(x) if np.ndim(x) else (1,))
-    return val if np.ndim(x) else complex(val[0])
+            RuntimeWarning, stacklevel=3)
+    x = np.asarray(x, dtype=float).ravel()
+    edges = _ray_edges(w, t_min, t_max)
+    parts = []
+    for order in (_RAY_MAIN, _RAY_CONTROL):
+        s, ws = panel_nodes(edges, order)
+        F = np.empty((s.size, x.size), dtype=complex)
+        for i in range(0, s.size, _RAY_BLOCK):
+            sl = slice(i, i + _RAY_BLOCK)
+            F[sl] = integrand_f(_ROT * s[sl], x, p, w) * (_ROT * ws[sl])[:, None]
+        parts += [s * s, F]
+    return RayBackground(*parts)
 
 
-def rotated_pole_cutoff(w: WellParameters, t: float) -> float:
-    """Pole cutoff so dropped residues are below ~1e-15 of the initial norm.
+def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
+                        tol: float = 1e-12):
+    """45-degree rotated background I(x, t) for t > 0.
 
-    A pole at k decays like exp(-2 Re(k) |Im(k)| t) with
-    |Im(k)| ~ ln(1 + 2ka/lam) / (2a); solve the exponent = 35 for k,
-    with a floor at 40/a.
+    The ray rule of :func:`ray_background` at the single time t.  ``x`` may
+    be a scalar or a grid; ``tol`` is absolute, and an error estimate above
+    100 tol raises QuadratureNotConverged.
     """
     if not (t > 0.0):
-        raise ValueError("t must be positive")
-    k = 40.0 / w.a
-    for _ in range(60):
-        expo = k * math.log1p(2.0 * k * w.a / w.lam) * t / w.a
-        if expo >= 35.0:
-            break
-        k *= 1.3
-    return max(k, 40.0 / w.a)
+        raise ValueError("background integral requires t > 0 (no rotation at t = 0)")
+    val, _ = ray_background(x, p, w, t, t).at(t, tol)
+    return val[0].reshape(np.shape(x)) if np.ndim(x) else complex(val[0, 0])
 
 
 def evolve_rotated(p: InitialProfile, t: float, grid, w: WellParameters,
@@ -203,7 +257,7 @@ def evolve_rotated(p: InitialProfile, t: float, grid, w: WellParameters,
     if not (t > 0.0):
         raise ValueError("rotated representation requires t > 0")
     if k_max is None:
-        k_max = rotated_pole_cutoff(w, t)
+        k_max = pole_cutoff(w, t)
     grid = np.asarray(grid, dtype=float)
     terms = residue_terms(p, w, k_max)
     background = background_integral(grid, t, p, w)

@@ -94,15 +94,6 @@ class Resonance:
             raise WrongQuadrant(f"root {k} has nonpositive width")
 
 
-@dataclass(frozen=True)
-class ScatteringPair:
-    """A(k), B(k) evaluated at one wavenumber."""
-
-    A: complex
-    B: complex
-    k: complex
-
-
 def _denominator(k, w):
     """D(k) = ka + lam e^{ika} sin(ka); poles of A and B are its zeros."""
     ka = np.asarray(k) * w.a
@@ -162,10 +153,6 @@ def coefficient_B(k, w: WellParameters):
     if np.isscalar(k) or np.ndim(k) == 0:
         return complex(out)
     return out
-
-
-def scattering_pair(k, w: WellParameters) -> ScatteringPair:
-    return ScatteringPair(A=coefficient_A(k, w), B=coefficient_B(k, w), k=k)
 
 
 def quantization_residual(k, w: WellParameters):

@@ -133,12 +133,3 @@ def adaptive_gl(f, a: float, b: float, tol: float, order: int = 16,
     err = sum(r[3] for r in results)
     return value, err
 
-
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n (odd) equispaced nodes of spacing h."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)

@@ -88,16 +88,38 @@ def resonances(w: WellParameters, k_max: float) -> tuple[Resonance, ...]:
     return _cached_poles(w.lam, w.a, k_max)
 
 
+def pole_cutoff(w: WellParameters, t: float) -> float:
+    """Pole cutoff so the poles above it have decayed below ~1e-15 of the
+    initial norm by time t; both routes drop them.
+
+    A pole at k decays like exp(-2 Re(k) |Im(k)| t).  From
+    e^{2ika} = 1 - 2ika/lam, |Im(k)| ~ ln(1 + (2ka/lam)^2) / (4a): about
+    (ka/lam)^2 / a below ka = lam and ln(2ka/lam) / (2a) above it.  Solve
+    the exponent = 35 for k, with a floor at 40/a.
+    """
+    if not (t > 0.0):
+        raise ValueError("t must be positive")
+    k = DEFAULT_KMAX / w.a
+    for _ in range(60):
+        expo = k * math.log1p((2.0 * k * w.a / w.lam) ** 2) * t / (2.0 * w.a)
+        if expo >= 35.0:
+            break
+        k *= 1.3
+    return k
+
+
 def direct_cutoff(w: WellParameters, t: float) -> float:
     """Spectral cutoff for the real-axis route.
 
     For t > 0, chosen so the endpoint-correction expansion parameter
-    (internal oscillation rate over 2 k_max t) stays small; at t = 0 a much
-    larger cutoff compensates for the absence of phase damping.
+    (internal oscillation rate over 2 k_max t) stays small, and above every
+    resonance spike that has not yet decayed (the endpoint correction
+    assumes a smooth envelope); at t = 0 a much larger cutoff compensates
+    for the absence of phase damping.
     """
     if t == 0.0:
         return T0_KMAX / w.a
-    return max(DEFAULT_KMAX / w.a, 60.0 * w.a / abs(t))
+    return max(pole_cutoff(w, abs(t)), 60.0 * w.a / abs(t))
 
 
 def _spectral_nodes(w: WellParameters, t: float, k_max: float, order: int):

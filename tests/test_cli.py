@@ -3,15 +3,30 @@
 import json
 import math
 import os
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gamow_lab
+from gamow_lab import cli
 from gamow_lab.cli import (
+    EXIT_NUMERICS,
     EXIT_OK,
+    EXIT_POLE_AUDIT,
+    EXIT_QUADRATURE,
     EXIT_USAGE,
     _parse_times,
     main,
+)
+from gamow_lab.exceptions import (
+    CountMismatch,
+    NoConvergence,
+    NoCrossing,
+    QuadratureNotConverged,
+    WindowTooSmall,
+    WrongQuadrant,
 )
 
 
@@ -112,6 +127,17 @@ class TestEvolve:
         assert rc == EXIT_USAGE
 
 
+class TestEvolveAuto:
+    def test_auto_switches_at_direct_time_limit(self, tmp_path):
+        rc = main(["evolve", "--lambda", "100", "--profile", "box:1",
+                   "--times", "0,1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        for name, method in (("evolve_t0.csv", "direct"),
+                             ("evolve_t1.csv", "rotated")):
+            _, header, rows = read_csv(tmp_path / name)
+            assert {r[header.index("method")] for r in rows} == {method}
+
+
 class TestSurvival:
     def test_outputs(self, tmp_path):
         rc = main(["survival", "--lambda", "100", "--profile", "box:1",
@@ -125,6 +151,49 @@ class TestSurvival:
         assert rep["gamma1_exact"] > 0.0
         assert rep["gamma_fit"] == pytest.approx(rep["gamma1_exact"],
                                                  rel=0.02)
+
+
+class TestExitCodes:
+    def test_short_time_pole_audit_failure(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["survival", "--lambda", "10", "--profile", "box:1",
+                   "--times", "0.001:0.01:5", "--out", str(out)])
+        assert rc == EXIT_POLE_AUDIT
+        assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.parametrize("exc, code", [
+        (CountMismatch("x"), EXIT_POLE_AUDIT),
+        (NoConvergence("x"), EXIT_POLE_AUDIT),
+        (WrongQuadrant("x"), EXIT_POLE_AUDIT),
+        (QuadratureNotConverged("x", estimate=1.0), EXIT_QUADRATURE),
+        (NoCrossing("x"), EXIT_NUMERICS),
+        (WindowTooSmall("x"), EXIT_NUMERICS),
+    ])
+    def test_library_errors_map_to_codes(self, tmp_path, monkeypatch, exc,
+                                         code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "nonescape_curve", fail)
+        rc = main(["survival", "--lambda", "10", "--profile", "box:1",
+                   "--times", "1,2", "--out", str(tmp_path)])
+        assert rc == code
+        assert os.listdir(tmp_path) == []
+
+
+class TestVersion:
+    def test_matches_pyproject(self):
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert gamow_lab.__version__ == version
+
+    def test_config_echo(self, tmp_path):
+        main(["poles", "--lambda", "10", "--kmax", "16",
+              "--out", str(tmp_path)])
+        config, _, _ = read_csv(tmp_path / "poles.csv")
+        assert config["version"] == gamow_lab.__version__
+        assert "threads" not in config
 
 
 class TestUsageErrors:

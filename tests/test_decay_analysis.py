@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gamow_lab import gamow_expansion
 from gamow_lab.decay_analysis import (
     DecayCurve,
     POINTS_PER_DECADE,
@@ -81,6 +82,69 @@ class TestDecayCurve:
         p_dir = nonescape_curve(box_mode(1), t, w, policy="direct")
         p_rot = nonescape_curve(box_mode(1), t, w, policy="rotated")
         assert p_dir.P[0] == pytest.approx(p_rot.P[0], rel=1e-6)
+
+
+class TestDecayPlan:
+    def test_setup_independent_of_point_count(self, monkeypatch):
+        calls = {"integrand_f": 0, "residue_prefactor": 0}
+
+        def counted(name):
+            fn = getattr(gamow_expansion, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gamow_expansion, name, counted(name))
+        counts = []
+        for n in (5, 50):
+            for name in calls:
+                calls[name] = 0
+            nonescape_curve(box_mode(1), np.geomspace(0.02, 1e3, n), W10)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert min(counts[0].values()) > 0
+
+    @pytest.mark.parametrize("w", [W10, W100], ids=["lam10", "lam100"])
+    def test_direct_and_rotated_agree(self, w):
+        times = np.array([0.02, 0.05, 0.5])
+        p_dir = nonescape_curve(box_mode(1), times, w, policy="direct")
+        p_rot = nonescape_curve(box_mode(1), times, w, policy="rotated")
+        assert p_dir.methods == ("direct",) * 3
+        assert p_rot.methods == ("rotated",) * 3
+        assert np.max(np.abs(p_dir.P - p_rot.P)) < 1e-9
+
+    @pytest.mark.parametrize("w", [W10, W100], ids=["lam10", "lam100"])
+    def test_one_call_matches_single_points(self, w):
+        times = np.geomspace(0.02, 1e5, 15)
+        curve = nonescape_curve(truncated_gaussian(0.5, 0.08), times, w)
+        single = [nonescape_curve(truncated_gaussian(0.5, 0.08), [t], w).P[0]
+                  for t in times]
+        assert np.allclose(curve.P, single, rtol=1e-12, atol=0.0)
+
+    def test_width_scaling(self):
+        # P depends on t / a^2 only: a well twice as wide decays four
+        # times slower
+        times = np.array([0.05, 2.0, 300.0])
+        ref = nonescape_curve(box_mode(1), times, WellParameters(lam=30.0))
+        got = nonescape_curve(box_mode(1, a=2.0), 4.0 * times,
+                              WellParameters(lam=30.0, a=2.0))
+        assert np.allclose(got.P, ref.P, rtol=1e-10, atol=0.0)
+
+    def test_direct_only_call_needs_no_rotated_setup(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rotated set-up on a direct-only call")
+
+        monkeypatch.setattr(gamow_expansion, "ray_background", forbidden)
+        monkeypatch.setattr(gamow_expansion, "residue_prefactor", forbidden)
+        curve = nonescape_curve(box_mode(1), [0.0, 0.019], W10)
+        assert curve.methods == ("direct", "direct")
+
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown policy"):
+            nonescape_curve(box_mode(1), [1.0], W10, policy="both")
 
 
 class TestFluxDerivative:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gamow_lab.exceptions import ResidueMismatch
+from gamow_lab.exceptions import QuadratureNotConverged, ResidueMismatch
 from gamow_lab.gamow_expansion import (
     asymptotic_background,
     background_integral,
@@ -16,6 +16,7 @@ from gamow_lab.gamow_expansion import (
     gram_matrix,
     integrand_f,
     nonescape_asymptote,
+    ray_background,
     residue_C,
     residue_terms,
     residue_weight,
@@ -114,6 +115,28 @@ class TestBackgroundIntegral:
         with pytest.warns(RuntimeWarning):
             background_integral(0.5, 0.01, box_mode(1), W10)
 
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(QuadratureNotConverged) as info:
+            background_integral(0.5, 5.0, box_mode(1), W10, tol=1e-30)
+        assert info.value.estimate > 1e-28
+
+    def test_error_estimate_small(self):
+        # the control rule agrees with the main rule far below the default
+        # tolerance over the whole range of one ray rule
+        times = np.geomspace(0.02, 1e6, 9)
+        bg = ray_background(np.linspace(0.0, 1.0, 9), box_mode(1), W100,
+                            times[0], times[-1])
+        values, err = bg.at(times)
+        assert np.all(err < 1e-12)
+        assert np.all(err <= 1e-10 * np.max(np.abs(values), axis=1))
+
+    def test_range_rule_matches_single_time_rule(self):
+        x = np.linspace(0.1, 1.0, 4)
+        bg = ray_background(x, box_mode(3), W30, 0.05, 1e4)
+        for t in (0.05, 3.0, 1e4):
+            single = background_integral(x, t, box_mode(3), W30)
+            assert np.allclose(bg.at(t)[0][0], single, rtol=1e-11, atol=0.0)
+
 
 class TestEvolveRotated:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -144,7 +167,8 @@ class TestEvolveRotated:
         assert P_full == pytest.approx(expect, rel=0.01)
 
     def test_rejects_t_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^rotated representation requires t > 0$"):
             evolve_rotated(box_mode(1), 0.0, well_grid(W100, 65), W100)
 
     def test_total_is_background_plus_residues(self):

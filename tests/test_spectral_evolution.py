@@ -16,6 +16,7 @@ from gamow_lab.spectral_evolution import (
     continuum_eigenfunction,
     evolve_direct,
     norm_inside,
+    pole_cutoff,
     resonances,
     spectral_tail_mass,
     unitarity_audit,
@@ -111,6 +112,20 @@ class TestEvolveDirect:
     def test_long_time_warning(self):
         with pytest.warns(RuntimeWarning):
             evolve_direct(box_mode(1), 60.0, well_grid(W10, 65), W10)
+
+
+class TestPoleCutoff:
+    @pytest.mark.parametrize("lam", [10.0, 100.0, 250.0])
+    def test_dropped_poles_have_decayed(self, lam):
+        # below k a = lam the poles are narrow, |Im k| a ~ (k a / lam)^2
+        w = WellParameters(lam=lam)
+        for t in (0.02, 0.3, 3.26, 30.0):
+            k_max = pole_cutoff(w, t)
+            dropped = [r for r in resonances(w, 2.0 * k_max)
+                       if r.k.real >= k_max]
+            assert dropped
+            assert max(math.exp((r.k * r.k).imag * t)
+                       for r in dropped) < 1e-14
 
 
 class TestNormInside:
