@@ -51,15 +51,15 @@ from .spectral_evolution import (
     well_grid,
 )
 from .gamow_expansion import (
-    ResidueTerm,
+    Residues,
     RotatedDecomposition,
+    RotatedExpansion,
     asymptotic_background,
     background_integral,
     crossover_time,
     evolve_rotated,
     integrand_f,
     nonescape_asymptote,
-    residue_C,
     verify_residue,
 )
 from .decay_analysis import (

@@ -63,8 +63,8 @@ class RunConfig:
     a: float
     profile: str | None = None
     times: str | None = None
-    k_max: float = 40.0
-    policy: str = "auto"
+    k_max: float | None = None  # poles and report only, in units of 1/a
+    policy: str | None = None   # evolve and survival only
     out: str = "."
     format: str = "csv"
     version: str = __version__
@@ -131,7 +131,7 @@ def _parse_times(spec: str) -> np.ndarray:
 
 def cmd_poles(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
-    poles = resonances(w, config.k_max)
+    poles = resonances(w, config.k_max / w.a)
     rows = []
     for r in poles:
         try:
@@ -210,7 +210,7 @@ def cmd_survival(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
     p = parse_profile(config.profile, a=config.a)
-    poles = resonances(w, config.k_max)
+    poles = resonances(w, config.k_max / w.a)
     rep = regime_report(p, w)
     cross = crossover_time(p, w)
     payload = {
@@ -247,15 +247,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=False, times=False):
+    def common(sp, profile=False, times=False, policies=None):
         sp.add_argument("--lambda", dest="lam", type=float, required=True,
                         help="dimensionless barrier strength")
         sp.add_argument("--width", type=float, default=1.0,
                         help="well width a (default 1)")
-        sp.add_argument("--kmax", type=float, default=40.0,
-                        help="spectral/pole cutoff in units of 1/a")
-        sp.add_argument("--policy", default="auto",
-                        choices=["direct", "rotated", "both", "auto"])
+        # a command takes either a pole cutoff or a method policy
+        if policies is None:
+            sp.add_argument("--kmax", type=float, default=40.0,
+                            help="pole cutoff in units of 1/a (default 40)")
+        else:
+            sp.add_argument("--policy", default="auto", choices=policies)
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--format", default="csv", choices=["csv", "json"])
         if profile:
@@ -268,9 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("poles", help="resonance pole table"))
     common(sub.add_parser("evolve", help="wavefunction snapshots"),
-           profile=True, times=True)
+           profile=True, times=True,
+           policies=["direct", "rotated", "both", "auto"])
     common(sub.add_parser("survival", help="nonescape probability curve"),
-           profile=True, times=True)
+           profile=True, times=True,
+           policies=["auto", "direct", "rotated", "asymptotic"])
     common(sub.add_parser("report", help="aggregate regime report"),
            profile=True)
     return ap
@@ -287,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
         command=ns.command, lam=ns.lam, a=ns.width,
         profile=getattr(ns, "profile", None),
         times=getattr(ns, "times", None),
-        k_max=ns.kmax, policy=ns.policy, out=ns.out, format=ns.format)
+        k_max=getattr(ns, "kmax", None), policy=getattr(ns, "policy", None),
+        out=ns.out, format=ns.format)
     try:
         handler = {
             "poles": cmd_poles,

@@ -18,20 +18,23 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.optimize import brentq
 
-from . import gamow_expansion
 from .exceptions import (
     GridTooCoarse,
     NoCrossing,
     WindowBeforeCrossover,
     WindowTooSmall,
 )
-from .gamow_expansion import crossover_time, nonescape_asymptote
+from .gamow_expansion import (
+    RotatedExpansion,
+    crossover_time,
+    nonescape_asymptote,
+)
 from .potential_model import WellParameters
 from .profiles import InitialProfile
 from .spectral_evolution import (
+    DEFAULT_KMAX,
     WaveState,
     evolve_direct,
-    pole_cutoff,
     resonances,
 )
 
@@ -119,11 +122,9 @@ class DecayPlan:
 
     P(t) = sum_j w_j |psi(x_j, t)|^2 on a fixed Gauss-Legendre rule in x
     (psi is entire on [0, a]).  The rotated route serves times in
-    [t_min, t_max]: it keeps the residue modes c_n sin(k_n x_j) of the
-    poles below pole_cutoff(w, t_min) and the background's ray
-    rule (see RayBackground), so each time costs two small matrix
-    products; both are built on the first rotated request only.  The
-    direct route runs one evolve_direct per time on the x rule.
+    [t_min, t_max] from one RotatedExpansion on the x rule (residue modes
+    and the background's ray rule), built on the first rotated request
+    only.  The direct route runs one evolve_direct per time on the x rule.
     """
 
     def __init__(self, p: InitialProfile, w: WellParameters,
@@ -147,26 +148,13 @@ class DecayPlan:
         if np.any(times < self.t_min) or np.any(times > self.t_max):
             raise ValueError("times outside the plan's range")
         if self._rotated is None:
-            self._rotated = self._rotated_parts()
-        energies, modes, background = self._rotated
+            self._rotated = RotatedExpansion(self.x, self.p, self.w,
+                                             self.t_min, self.t_max)
         P = np.empty(times.shape)
         for i in range(0, times.size, TIME_BLOCK):
             tb = times[i:i + TIME_BLOCK]
-            psi, _ = background.at(tb)
-            psi += np.exp(-1j * np.outer(tb, energies)) @ modes
-            P[i:i + tb.size] = (np.abs(psi) ** 2) @ self.wx
+            P[i:i + tb.size] = (np.abs(self._rotated.psi(tb)) ** 2) @ self.wx
         return P
-
-    def _rotated_parts(self):
-        p, w = self.p, self.w
-        poles = resonances(w, pole_cutoff(w, self.t_min))
-        k = np.array([r.k for r in poles], dtype=complex)
-        coef = np.array([gamow_expansion.residue_prefactor(r, p, w)
-                         for r in poles], dtype=complex)
-        modes = coef[:, None] * np.sin(np.outer(k, self.x))
-        background = gamow_expansion.ray_background(self.x, p, w,
-                                                     self.t_min, self.t_max)
-        return k * k, modes, background
 
 
 def nonescape_curve(p: InitialProfile, times, w: WellParameters,
@@ -249,27 +237,23 @@ def fit_tail_exponent(curve: DecayCurve, window,
     The window must lie entirely beyond the exponential-to-power-law
     crossover (computed from the curve's parameters when not supplied).
     Returns (exponent, max log residual)."""
-    lo, hi = window
+    lo, _ = window
     if crossover is None:
         crossover = crossover_time(curve.profile, curve.w)["t_star"]
     if lo < crossover:
         raise WindowBeforeCrossover(
             f"window starts at {lo:g}, before the crossover {crossover:g}")
+    slope, _, resid, _ = _tail_fit(curve, window)
+    return slope, resid
+
+
+def _tail_fit(curve: DecayCurve, window):
+    """Tail fit returning (s, intercept, max residual, 2-sigma halfwidth)."""
+    lo, hi = window
     mask = (curve.times >= lo) & (curve.times <= hi) & (curve.P > 0.0)
     if int(np.sum(mask)) < 8:
         raise WindowTooSmall(
             f"tail fit needs >= 8 usable points, got {int(np.sum(mask))}")
-    x = np.log(curve.times[mask])
-    y = np.log(curve.P[mask])
-    slope, icept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + icept)
-    return float(slope), float(np.max(np.abs(resid)))
-
-
-def _fit_tail_full(curve: DecayCurve, window, crossover: float):
-    """Tail fit returning (s, intercept, max residual, 2-sigma halfwidth)."""
-    lo, hi = window
-    mask = (curve.times >= lo) & (curve.times <= hi) & (curve.P > 0.0)
     x = np.log(curve.times[mask])
     y = np.log(curve.P[mask])
     slope, icept = np.polyfit(x, y, 1)
@@ -284,7 +268,7 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
     if not w.metastable:
         raise ValueError("regime analysis requires the metastable regime "
                          "(lam >= 10)")
-    r1 = resonances(w, 40.0 / w.a)[0]
+    r1 = resonances(w, DEFAULT_KMAX / w.a)[0]
     tau1, gamma1 = r1.tau, r1.gamma
 
     exp_window = (tau1, 5.0 * tau1)
@@ -292,12 +276,12 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
                                 policy="rotated")
     gamma_fit, c_fit, exp_resid = fit_exponential(curve_exp, exp_window)
 
-    t_star = crossover_time(p, w)["t_star"]
+    cross = crossover_time(p, w)
+    t_star = cross["t_star"]
     tail_window = (10.0 * t_star, 100.0 * t_star)
     curve_tail = nonescape_curve(p, geometric_times(*tail_window), w,
                                  policy="rotated")
-    s_fit, s_icept, tail_resid, s_half = _fit_tail_full(
-        curve_tail, tail_window, t_star)
+    s_fit, s_icept, tail_resid, s_half = _tail_fit(curve_tail, tail_window)
 
     # measured crossover: intersection of the two fitted straight lines
     def gap(t):
@@ -322,5 +306,5 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
         log10_P_at_t_star=log10_p_star,
         gamma1_exact=gamma1,
         tau1=tau1,
-        crossover_estimate=10.0 * tau1 * math.log(w.lam),
+        crossover_estimate=cross["rule_of_thumb"],
     )

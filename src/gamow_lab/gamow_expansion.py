@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .exceptions import NoCrossing, QuadratureNotConverged, ResidueMismatch
@@ -33,39 +32,34 @@ from .potential_model import (
     coefficient_A,
     coefficient_A_bar,
 )
-from .profiles import InitialProfile, overlap_transform
+from .profiles import InitialProfile, overlap_transform, sine_overlap
 from .quadrature import panel_nodes
-from .spectral_evolution import WaveState, pole_cutoff, resonances
+from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
 
 _ROT = np.exp(-1j * math.pi / 4.0)
 
 
 @dataclass(frozen=True)
-class ResidueTerm:
-    """One Gamow-pole contribution C(k_n, x) exp(-i k_n^2 t)."""
+class Residues:
+    """Gamow-pole contributions C_n(x) exp(-i k_n^2 t) of the poles below a
+    cutoff, as arrays over the poles.
 
-    resonance: Resonance
-    prefactor: complex  # C(k_n, x) = prefactor * sin(k_n x)
-    weight: float       # c_n = int_0^a |C(k_n, x)|^2 dx
+    C_n(x) = prefactors[n] sin(k_n x), and weights[n] = c_n =
+    int_0^a |C_n(x)|^2 dx (raw residue weights, no renormalization).
+    """
 
-    def coefficient(self, x) -> np.ndarray:
-        return self.prefactor * np.sin(self.resonance.k * np.asarray(x))
+    poles: tuple[Resonance, ...]
+    prefactors: np.ndarray  # (n_poles,) complex
+    weights: np.ndarray     # (n_poles,) real
 
+    @property
+    def k(self) -> np.ndarray:
+        """The poles' complex wavenumbers, shape (n_poles,)."""
+        return np.array([r.k for r in self.poles], dtype=complex)
 
-@dataclass(frozen=True)
-class RotatedDecomposition:
-    """Background integral plus residue sum; total equals their pointwise sum."""
-
-    background: np.ndarray
-    residues: tuple[ResidueTerm, ...]
-    total: WaveState
-
-    def residue_sum(self, t: float) -> np.ndarray:
-        acc = np.zeros_like(self.background)
-        for term in self.residues:
-            kn = term.resonance.k
-            acc = acc + term.coefficient(self.total.x) * np.exp(-1j * kn * kn * t)
-        return acc
+    def modes(self, x) -> np.ndarray:
+        """C_n(x_j) with shape (n_poles, n_x)."""
+        return self.prefactors[:, None] * np.sin(np.outer(self.k, x))
 
 
 def integrand_f(k, x, p: InitialProfile, w: WellParameters):
@@ -77,23 +71,18 @@ def integrand_f(k, x, p: InitialProfile, w: WellParameters):
     return scal.reshape(scal.shape + (1,) * np.ndim(x)) * osc
 
 
-def residue_prefactor(r: Resonance, p: InitialProfile, w: WellParameters) -> complex:
-    """Pole strength of C(k_n, x) = -2 pi i Res_{k_n} f(k, x) / sin(k_n x).
+def residue_prefactor(k, p: InitialProfile, w: WellParameters):
+    """Pole strength of C(k_n, x) = -2 pi i Res_{k_n} f(k, x) / sin(k_n x),
+    at one pole wavenumber or an array of them.
 
     With A = N/D, N = -2ika and D'(k) = a (1 + lam e^{2ika}), the residue of
     f picks up N(k_n)/D'(k_n) in place of A.
     """
-    kn = r.k
-    N = -2j * kn * w.a
-    Dp = w.a * (1.0 + w.lam * np.exp(2j * kn * w.a))
-    phi = overlap_transform(p, kn)
-    abar = coefficient_A_bar(kn, w)
-    return complex(-1j * phi * abar * N / Dp)
-
-
-def residue_C(r: Resonance, x, p: InitialProfile, w: WellParameters):
-    """Residue coefficient C(k_n, x) on [0, a]."""
-    return residue_prefactor(r, p, w) * np.sin(r.k * np.asarray(x))
+    k = np.asarray(k, dtype=complex)
+    N = -2j * k * w.a
+    Dp = w.a * (1.0 + w.lam * np.exp(2j * k * w.a))
+    out = -1j * overlap_transform(p, k) * coefficient_A_bar(k, w) * N / Dp
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
@@ -112,7 +101,7 @@ def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
     ring = r.k + radius * np.exp(1j * theta)
     dk = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n_nodes)
     contour = -np.sum(integrand_f(ring, x, p, w).ravel() * dk)
-    analytic = residue_prefactor(r, p, w) * np.sin(r.k * x)
+    analytic = residue_prefactor(r.k, p, w) * np.sin(r.k * x)
     rel = abs(contour - analytic) / abs(analytic)
     if rel > rtol:
         raise ResidueMismatch(
@@ -121,26 +110,19 @@ def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
     return float(rel)
 
 
-def residue_weight(r: Resonance, p: InitialProfile, w: WellParameters,
-                   n_nodes: int = 513) -> float:
-    """c_n = int_0^a |C(k_n, x)|^2 dx (raw residue weight, no renormalization)."""
-    x = np.linspace(0.0, w.a, n_nodes)
-    c = residue_C(r, x, p, w)
-    return float(simpson(np.abs(c) ** 2, x=x))
-
-
 def residue_terms(p: InitialProfile, w: WellParameters,
-                  k_max: float) -> tuple[ResidueTerm, ...]:
-    """All residue terms for poles below k_max (all lie in the sector
-    -pi/4 < arg k < 0; enumerate_poles enforces that)."""
-    terms = []
-    for r in resonances(w, k_max):
-        terms.append(ResidueTerm(
-            resonance=r,
-            prefactor=residue_prefactor(r, p, w),
-            weight=residue_weight(r, p, w),
-        ))
-    return tuple(terms)
+                  k_max: float) -> Residues:
+    """Residues of the poles below k_max (all lie in the sector
+    -pi/4 < arg k < 0; enumerate_poles enforces that).
+
+    |sin(k x)|^2 = sin(conj(k) x) sin(k x), so each weight is |prefactor|^2
+    times a closed-form sine overlap.
+    """
+    poles = resonances(w, k_max)
+    k = np.array([r.k for r in poles], dtype=complex)
+    prefactors = residue_prefactor(k, p, w)
+    weights = (np.abs(prefactors) ** 2 * sine_overlap(np.conj(k), k, w.a)).real
+    return Residues(poles=poles, prefactors=prefactors, weights=weights)
 
 
 #: Gauss-Legendre orders of the ray rule: main rule and error control
@@ -237,6 +219,48 @@ def ray_background(x, p: InitialProfile, w: WellParameters, t_min: float,
     return RayBackground(*parts)
 
 
+class RotatedExpansion:
+    """psi(x_j, t) = sum_n C_n(x_j) exp(-i k_n^2 t) + I(x_j, t) at fixed
+    points x_j for every t in [t_min, t_max].
+
+    Holds the residues of the poles below pole_cutoff(w, t_min), their
+    modes C_n(x_j) and the background's ray rule (see RayBackground), all
+    computed once, so each time costs two small matrix products.
+    """
+
+    def __init__(self, x, p: InitialProfile, w: WellParameters,
+                 t_min: float, t_max: float):
+        x = np.asarray(x, dtype=float).ravel()
+        self.residues = residue_terms(p, w, pole_cutoff(w, t_min))
+        k = self.residues.k
+        self.energies = k * k
+        self.mode_values = self.residues.modes(x)
+        self.ray = ray_background(x, p, w, t_min, t_max)
+
+    def residue_sum(self, times) -> np.ndarray:
+        """sum_n C_n(x_j) exp(-i k_n^2 t) with shape (n_t, n_x)."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return np.exp(-1j * np.outer(times, self.energies)) @ self.mode_values
+
+    def psi(self, times) -> np.ndarray:
+        """psi with shape (n_t, n_x); raises QuadratureNotConverged as
+        RayBackground.at does."""
+        return self.ray.at(times)[0] + self.residue_sum(times)
+
+
+@dataclass(frozen=True)
+class RotatedDecomposition:
+    """Background integral plus residue sum at one time; total equals their
+    pointwise sum."""
+
+    background: np.ndarray
+    expansion: RotatedExpansion
+    total: WaveState
+
+    def residue_sum(self, t: float) -> np.ndarray:
+        return self.expansion.residue_sum(t)[0]
+
+
 def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
                         tol: float = 1e-12):
     """45-degree rotated background I(x, t) for t > 0.
@@ -251,22 +275,18 @@ def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
     return val[0].reshape(np.shape(x)) if np.ndim(x) else complex(val[0, 0])
 
 
-def evolve_rotated(p: InitialProfile, t: float, grid, w: WellParameters,
-                   k_max: float | None = None) -> RotatedDecomposition:
+def evolve_rotated(p: InitialProfile, t: float, grid,
+                   w: WellParameters) -> RotatedDecomposition:
     """Gamow expansion of psi(x, t) for t > 0: residues plus background."""
     if not (t > 0.0):
         raise ValueError("rotated representation requires t > 0")
-    if k_max is None:
-        k_max = pole_cutoff(w, t)
     grid = np.asarray(grid, dtype=float)
-    terms = residue_terms(p, w, k_max)
-    background = background_integral(grid, t, p, w)
-    total = background.astype(complex).copy()
-    for term in terms:
-        kn = term.resonance.k
-        total += term.coefficient(grid) * np.exp(-1j * kn * kn * t)
-    ws = WaveState(x=grid, psi=total, t=t, method="rotated")
-    return RotatedDecomposition(background=background, residues=terms, total=ws)
+    expansion = RotatedExpansion(grid, p, w, t, t)
+    background = expansion.ray.at(t)[0][0]
+    ws = WaveState(x=grid, psi=background + expansion.residue_sum(t)[0], t=t,
+                   method="rotated")
+    return RotatedDecomposition(background=background, expansion=expansion,
+                                total=ws)
 
 
 def asymptotic_background(x, t: float, p: InitialProfile,
@@ -300,8 +320,7 @@ def nonescape_asymptote(t, p: InitialProfile, w: WellParameters):
     return float(out) if out.ndim == 0 else out
 
 
-def crossover_time(p: InitialProfile, w: WellParameters,
-                   k_max: float = 40.0) -> dict:
+def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
     """Intersection t* of the leading exponential branch c1 e^{-t/tau1}
     with the power-law tail, plus the order-of-magnitude rule-of-thumb estimate 10 tau1 ln(lam).
 
@@ -311,10 +330,9 @@ def crossover_time(p: InitialProfile, w: WellParameters,
     if not w.metastable:
         raise ValueError("crossover estimate requires the metastable regime "
                          "(lam >= 10)")
-    terms = residue_terms(p, w, k_max)
-    first = terms[0]
-    tau1 = first.resonance.tau
-    c1 = first.weight
+    residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
+    tau1 = residues.poles[0].tau
+    c1 = float(residues.weights[0])
 
     def diff(t):
         return (math.log(c1) - t / tau1
@@ -333,18 +351,15 @@ def crossover_time(p: InitialProfile, w: WellParameters,
     }
 
 
-def gram_matrix(p: InitialProfile, w: WellParameters, k_max: float = 40.0,
-                n_terms: int = 3, n_nodes: int = 513) -> np.ndarray:
-    """Normalized Gram matrix of the residue functions C(k_n, .).
+def gram_matrix(p: InitialProfile, w: WellParameters,
+                n_terms: int = 3) -> np.ndarray:
+    """Normalized Gram matrix of the first residue functions C(k_n, .).
 
     Off-diagonal magnitudes quantify how close the Gamow functions are to
     orthogonal (they are only approximately so)."""
-    terms = residue_terms(p, w, k_max)[:n_terms]
-    x = np.linspace(0.0, w.a, n_nodes)
-    funcs = [t.coefficient(x) for t in terms]
-    g = np.empty((len(funcs), len(funcs)), dtype=complex)
-    for i, fi in enumerate(funcs):
-        for j, fj in enumerate(funcs):
-            g[i, j] = simpson(np.conj(fi) * fj, x=x)
+    residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
+    k, c = residues.k[:n_terms], residues.prefactors[:n_terms]
+    g = (np.conj(c)[:, None] * c[None, :]
+         * sine_overlap(np.conj(k)[:, None], k[None, :], w.a))
     d = np.sqrt(np.real(np.diag(g)))
     return g / np.outer(d, d)

@@ -106,6 +106,23 @@ def _denominator_bar(k, w):
     return ka + w.lam * np.exp(-1j * ka) * np.sin(ka)
 
 
+def _like_input(k, out):
+    """``out`` as a Python complex when ``k`` is a scalar, else the array."""
+    if np.isscalar(k) or np.ndim(k) == 0:
+        return complex(out)
+    return out
+
+
+def _coefficient(k, ka, num, den, limit, name: str):
+    """num/den with the removable value ``limit`` where |ka| is tiny;
+    raises PoleProximity where den vanishes elsewhere."""
+    small = np.abs(ka) < _SMALL_KA
+    if np.any(~small & (np.abs(den) < _DENOM_FLOOR)):
+        raise PoleProximity(f"{name} evaluated at a pole of the denominator")
+    return _like_input(k, np.where(small, limit,
+                                   num / np.where(small, 1.0, den)))
+
+
 def coefficient_A(k, w: WellParameters):
     """Interior scattering amplitude A(k) = -2ika / (ka + lam e^{ika} sin ka).
 
@@ -113,14 +130,8 @@ def coefficient_A(k, w: WellParameters):
     removable and evaluates to -2i/(1 + lam).
     """
     ka = np.asarray(k, dtype=complex) * w.a
-    den = _denominator(ka / w.a, w)
-    small = np.abs(ka) < _SMALL_KA
-    if np.any(~small & (np.abs(den) < _DENOM_FLOOR)):
-        raise PoleProximity("A(k) evaluated at a pole of the denominator")
-    out = np.where(small, -2j / (1.0 + w.lam), -2j * ka / np.where(small, 1.0, den))
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out
+    return _coefficient(k, ka, -2j * ka, _denominator(ka / w.a, w),
+                        -2j / (1.0 + w.lam), "A(k)")
 
 
 def coefficient_A_bar(k, w: WellParameters):
@@ -131,28 +142,15 @@ def coefficient_A_bar(k, w: WellParameters):
     and below the 45-degree rotated contour.
     """
     ka = np.asarray(k, dtype=complex) * w.a
-    den = _denominator_bar(ka / w.a, w)
-    small = np.abs(ka) < _SMALL_KA
-    if np.any(~small & (np.abs(den) < _DENOM_FLOOR)):
-        raise PoleProximity("Abar(k) evaluated at a pole of the denominator")
-    out = np.where(small, 2j / (1.0 + w.lam), 2j * ka / np.where(small, 1.0, den))
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out
+    return _coefficient(k, ka, 2j * ka, _denominator_bar(ka / w.a, w),
+                        2j / (1.0 + w.lam), "Abar(k)")
 
 
 def coefficient_B(k, w: WellParameters):
     """Exterior reflection amplitude B(k) = -Dbar(k)/D(k); |B| = 1 for real k."""
     ka = np.asarray(k, dtype=complex) * w.a
-    den = _denominator(ka / w.a, w)
-    small = np.abs(ka) < _SMALL_KA
-    if np.any(~small & (np.abs(den) < _DENOM_FLOOR)):
-        raise PoleProximity("B(k) evaluated at a pole of the denominator")
-    num = _denominator_bar(ka / w.a, w)
-    out = np.where(small, -1.0 + 0j, -num / np.where(small, 1.0, den))
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out
+    return _coefficient(k, ka, -_denominator_bar(ka / w.a, w),
+                        _denominator(ka / w.a, w), -1.0 + 0j, "B(k)")
 
 
 def quantization_residual(k, w: WellParameters):
@@ -161,25 +159,17 @@ def quantization_residual(k, w: WellParameters):
     F(k) = 0 exactly at the poles of A and B, and D(k) = e^{ika} F(k).
     """
     ka = np.asarray(k, dtype=complex) * w.a
-    out = ka * np.cos(ka) + (w.lam - 1j * ka) * np.sin(ka)
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out
+    return _like_input(k, ka * np.cos(ka) + (w.lam - 1j * ka) * np.sin(ka))
 
 
 def quantization_derivative(k, w: WellParameters):
     """dF/dk, used by the Newton refinement."""
     a = w.a
     ka = np.asarray(k, dtype=complex) * a
-    out = (
-        a * np.cos(ka)
-        - ka * a * np.sin(ka)
-        - 1j * a * np.sin(ka)
-        + (w.lam - 1j * ka) * a * np.cos(ka)
-    )
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out
+    return _like_input(k, a * np.cos(ka)
+                       - ka * a * np.sin(ka)
+                       - 1j * a * np.sin(ka)
+                       + (w.lam - 1j * ka) * a * np.cos(ka))
 
 
 def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:

@@ -145,7 +145,7 @@ def overlap_transform(p: InitialProfile, k):
     if p.kind == "box_mode":
         kn = p.mode * np.pi / p.a
         amp = math.sqrt(2.0 / p.a)
-        out = amp * (_sinc_diff(k - kn, p.a) - _sinc_diff(k + kn, p.a))
+        out = amp * sine_overlap(k, kn, p.a)
     else:
         # nodes: (m,), k chunked to bound the outer-product workspace
         coef = p._weights * p._values
@@ -157,6 +157,12 @@ def overlap_transform(p: InitialProfile, k):
             out[i:i + step] = np.sin(np.multiply.outer(blk, p._nodes)) @ coef
         out = out.reshape(k.shape)
     return complex(out[0]) if scalar else out
+
+
+def sine_overlap(p, q, a):
+    """int_0^a sin(p x) sin(q x) dx in closed form, at real or complex p, q
+    (broadcast against each other)."""
+    return _sinc_diff(p - q, a) - _sinc_diff(p + q, a)
 
 
 def _sinc_diff(q, a):

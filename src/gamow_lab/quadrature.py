@@ -106,10 +106,8 @@ def adaptive_gl(f, a: float, b: float, tol: float, order: int = 16,
         v_lo = np.tensordot(w_lo, np.asarray(f(n_lo)), axes=(0, 0))
         return v_hi, float(np.max(np.abs(v_hi - v_lo)))
 
-    acc = None
     results = []
-    for depth in range(max_depth):
-        new_panels = []
+    for _ in range(max_depth):
         for lo, hi in panels:
             val, err = _panel_val(lo, hi)
             results.append((lo, hi, val, err))

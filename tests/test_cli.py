@@ -78,6 +78,17 @@ class TestPoles:
         _, _, rows = read_csv(tmp_path / "poles.csv")
         assert rows == []
 
+    def test_kmax_in_units_of_inverse_width(self, tmp_path):
+        columns = []
+        for width in ("1", "2"):
+            out = tmp_path / width
+            rc = main(["poles", "--lambda", "100", "--kmax", "16",
+                       "--width", width, "--out", str(out)])
+            assert rc == EXIT_OK
+            _, header, rows = read_csv(out / "poles.csv")
+            columns.append([r[header.index("re_ka")] for r in rows])
+        assert columns[1] == columns[0]
+
     def test_json_format(self, tmp_path):
         rc = main(["poles", "--lambda", "100", "--kmax", "16",
                    "--out", str(tmp_path), "--format", "json"])
@@ -205,6 +216,11 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert main(["poles"]) == EXIT_USAGE
+
+    def test_no_kmax_where_it_does_nothing(self, tmp_path):
+        assert main(["evolve", "--lambda", "100", "--profile", "box:1",
+                     "--times", "1", "--kmax", "5",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 class TestDeterminism:

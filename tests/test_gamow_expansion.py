@@ -17,13 +17,12 @@ from gamow_lab.gamow_expansion import (
     integrand_f,
     nonescape_asymptote,
     ray_background,
-    residue_C,
+    residue_prefactor,
     residue_terms,
-    residue_weight,
     verify_residue,
 )
 from gamow_lab.potential_model import WellParameters, coefficient_A
-from gamow_lab.profiles import box_mode, overlap_transform
+from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.spectral_evolution import (
     evolve_direct,
     norm_inside,
@@ -60,8 +59,8 @@ class TestIntegrandF:
 
 class TestResidues:
     def test_zero_at_wall(self):
-        r1 = resonances(W100, 4.0)[0]
-        assert residue_C(r1, 0.0, box_mode(1), W100) == 0.0
+        residues = residue_terms(box_mode(1), W100, 4.0)
+        assert residues.modes([0.0])[0, 0] == 0.0
 
     def test_contour_self_check(self):
         r1 = resonances(W100, 4.0)[0]
@@ -79,8 +78,20 @@ class TestResidues:
             verify_residue(r1, box_mode(1), W100, rtol=1e-18)
 
     def test_first_weight_near_unity(self):
-        c1 = residue_weight(resonances(W100, 4.0)[0], box_mode(1), W100)
+        c1 = residue_terms(box_mode(1), W100, 4.0).weights[0]
         assert c1 == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("p", [box_mode(1), truncated_gaussian(0.5, 0.06)],
+                             ids=["box", "gauss"])
+    def test_arrays_match_per_pole_reference(self, p):
+        # one array call reproduces the per-pole prefactors, and the
+        # closed-form weights match a high-order quadrature of |C_n|^2
+        residues = residue_terms(p, W30, 80.0)
+        single = [residue_prefactor(r.k, p, W30) for r in residues.poles]
+        assert np.allclose(residues.prefactors, single, rtol=1e-14, atol=1e-15)
+        x, wx = np.polynomial.legendre.leggauss(1024)
+        quad = np.abs(residues.modes(0.5 * (x + 1.0))) ** 2 @ (0.5 * wx)
+        assert np.allclose(residues.weights, quad, rtol=1e-11, atol=0.0)
 
     def test_gram_offdiagonals_small(self):
         g = gram_matrix(box_mode(1), W100, n_terms=3)
@@ -156,12 +167,12 @@ class TestEvolveRotated:
         t = 5.0 * tau1(w)
         grid = well_grid(w, 257)
         dec = evolve_rotated(p, t, grid, w)
-        term = dec.residues[0]
-        kn = term.resonance.k
-        psi1 = term.coefficient(grid) * np.exp(-1j * kn * kn * t)
+        residues = dec.expansion.residues
+        kn = residues.k[0]
+        psi1 = dec.expansion.mode_values[0] * np.exp(-1j * kn * kn * t)
         from gamow_lab.spectral_evolution import WaveState
         P1 = norm_inside(WaveState(x=grid, psi=psi1, t=t, method="rotated"), w)
-        expect = term.weight * math.exp(-t / term.resonance.tau)
+        expect = residues.weights[0] * math.exp(-t / residues.poles[0].tau)
         assert P1 == pytest.approx(expect, rel=0.01)
         P_full = norm_inside(dec.total, w)
         assert P_full == pytest.approx(expect, rel=0.01)
@@ -178,9 +189,20 @@ class TestEvolveRotated:
         rebuilt = dec.background + dec.residue_sum(t)
         assert np.allclose(rebuilt, dec.total.psi, rtol=0, atol=1e-15)
 
+    def test_residue_sum_rounding(self):
+        # the pole sum reaches |k_n^2 t| ~ 4e3 here; against phases and a
+        # sum in extended precision, psi keeps to the rounding of its terms
+        w, t = W100, 1.0
+        dec = evolve_rotated(box_mode(3), t, well_grid(w, 65), w)
+        k = dec.expansion.residues.k.astype(np.clongdouble)
+        phase = np.exp(-1j * (k * k) * np.longdouble(t))
+        ref = (dec.background.astype(np.clongdouble)
+               + phase @ dec.expansion.mode_values.astype(np.clongdouble))
+        assert np.max(np.abs(dec.total.psi - ref)) < 1e-14
+
     def test_sector_discipline(self):
-        for term in residue_terms(box_mode(1), W10, 40.0):
-            assert -math.pi / 4 < cmath.phase(term.resonance.k) < 0
+        for kn in residue_terms(box_mode(1), W10, 40.0).k:
+            assert -math.pi / 4 < cmath.phase(kn) < 0
 
 
 class TestAsymptotics:
@@ -240,3 +262,11 @@ class TestCrossover:
     def test_requires_metastable(self):
         with pytest.raises(ValueError):
             crossover_time(box_mode(1), WellParameters(lam=2.0))
+
+    def test_width_scaling(self):
+        # times scale with a^2; the pole cutoff is in units of 1/a, so a
+        # narrow well still has its first pole
+        ref = crossover_time(box_mode(1), W30)
+        got = crossover_time(box_mode(1, a=0.05), WellParameters(30.0, 0.05))
+        assert got["t_star"] == pytest.approx(0.05 ** 2 * ref["t_star"],
+                                              rel=1e-10)
