@@ -38,6 +38,7 @@ from .exceptions import (
     GamowLabError,
     NoConvergence,
     QuadratureNotConverged,
+    SeedOutOfRegime,
     WrongQuadrant,
 )
 from .gamow_expansion import crossover_time, evolve_rotated
@@ -102,7 +103,7 @@ def _json_text(config: RunConfig, payload: dict) -> str:
 
 
 def _emit(config: RunConfig, name: str, header: list[str],
-          rows: list[list], payload_keys: list[str] | None = None) -> str:
+          rows: list[list]) -> str:
     """Write a table under the configured directory in csv or json form."""
     os.makedirs(config.out, exist_ok=True)
     if config.format == "csv":
@@ -123,10 +124,7 @@ def _parse_times(spec: str) -> np.ndarray:
             raise ValueError("time spec must be start:stop:points-per-decade")
         start, stop, ppd = float(parts[0]), float(parts[1]), int(parts[2])
         return geometric_times(start, stop, ppd)
-    vals = np.asarray([float(v) for v in spec.split(",")])
-    if vals.size == 0:
-        raise ValueError("empty time grid")
-    return vals
+    return np.asarray([float(v) for v in spec.split(",")])
 
 
 def cmd_poles(config: RunConfig) -> int:
@@ -136,7 +134,7 @@ def cmd_poles(config: RunConfig) -> int:
     for r in poles:
         try:
             seed_dev = abs(r.k - asymptotic_pole_seed(r.n, w)) * w.a
-        except Exception:
+        except SeedOutOfRegime:
             seed_dev = float("nan")
         rows.append([
             r.n, r.k.real * w.a, r.k.imag * w.a, r.E.real, r.gamma, r.tau,

@@ -12,10 +12,9 @@ and locates the crossover between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
 from scipy.optimize import brentq
 
 from .exceptions import (
@@ -31,6 +30,7 @@ from .gamow_expansion import (
 )
 from .potential_model import WellParameters
 from .profiles import InitialProfile
+from .quadrature import panel_nodes
 from .spectral_evolution import (
     DEFAULT_KMAX,
     WaveState,
@@ -91,21 +91,7 @@ class RegimeReport:
     crossover_estimate: float
 
     def as_dict(self) -> dict:
-        return {
-            "gamma_fit": self.gamma_fit,
-            "c_fit": self.c_fit,
-            "exp_window": list(self.exp_window),
-            "exp_residual": self.exp_residual,
-            "s_fit": self.s_fit,
-            "s_halfwidth": self.s_halfwidth,
-            "tail_window": list(self.tail_window),
-            "tail_residual": self.tail_residual,
-            "t_star_measured": self.t_star_measured,
-            "log10_P_at_t_star": self.log10_P_at_t_star,
-            "gamma1_exact": self.gamma1_exact,
-            "tau1": self.tau1,
-            "crossover_estimate": self.crossover_estimate,
-        }
+        return asdict(self)
 
 
 def geometric_times(start: float, stop: float,
@@ -131,9 +117,7 @@ class DecayPlan:
                  t_min: float, t_max: float):
         self.p, self.w = p, w
         self.t_min, self.t_max = t_min, t_max
-        x, wx = legendre.leggauss(X_NODES)
-        self.x = 0.5 * w.a * (x + 1.0)
-        self.wx = 0.5 * w.a * wx
+        self.x, self.wx = panel_nodes(np.array([0.0, w.a]), X_NODES)
         self._rotated = None
 
     def direct(self, t: float) -> float:

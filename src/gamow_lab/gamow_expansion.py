@@ -37,6 +37,8 @@ from .quadrature import panel_nodes
 from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
 
 _ROT = np.exp(-1j * math.pi / 4.0)
+#: trapezoid nodes on verify_residue's circle
+_RESIDUE_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,7 @@ def residue_prefactor(k, p: InitialProfile, w: WellParameters):
 
 
 def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
-                   x: float | None = None, n_nodes: int = 128,
-                   rtol: float = 1e-6) -> float:
+                   x: float | None = None, rtol: float = 1e-6) -> float:
     """Check the analytic residue against a small-circle contour integral.
 
     Integrates f around k_n on a circle of radius min(1e-3, |Im k_n|/10)
@@ -97,9 +98,9 @@ def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
     if x is None:
         x = 0.5 * w.a
     radius = min(1e-3 / w.a, abs(r.k.imag) / 10.0)
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
     ring = r.k + radius * np.exp(1j * theta)
-    dk = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / n_nodes)
+    dk = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / _RESIDUE_NODES)
     contour = -np.sum(integrand_f(ring, x, p, w).ravel() * dk)
     analytic = residue_prefactor(r.k, p, w) * np.sin(r.k * x)
     rel = abs(contour - analytic) / abs(analytic)

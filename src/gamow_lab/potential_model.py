@@ -36,6 +36,11 @@ POLE_TOLERANCE = 1e-12
 
 _DENOM_FLOOR = 1e-300
 _SMALL_KA = 1e-8
+#: Newton iterations refine_pole allows
+_NEWTON_ITERATIONS = 50
+#: audit contour: radius of the indent at k = 0, points per rectangle edge
+_AUDIT_INDENT = 1e-6
+_AUDIT_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -179,17 +184,20 @@ def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
     """
     if n < 1:
         raise SeedOutOfRegime(f"pole index must be >= 1, got {n}")
-    npi = n * math.pi
-    if npi >= w.lam:
+    if n * math.pi >= w.lam:
         raise SeedOutOfRegime(
             f"seed formula requires n*pi < lam (n={n}, lam={w.lam})"
         )
-    ka = npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2
-    return ka / w.a
+    return _seed(n, w)
 
 
-def refine_pole(seed: complex, w: WellParameters, n: int = 0,
-                max_iter: int = 50) -> Resonance:
+def _seed(n: int, w: WellParameters) -> complex:
+    """k_n a = n pi lam/(1+lam) - i (n pi / lam)^2, without the regime check."""
+    npi = n * math.pi
+    return (npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2) / w.a
+
+
+def refine_pole(seed: complex, w: WellParameters, n: int = 0) -> Resonance:
     """Safeguarded Newton iteration on F(k) from a seed wavenumber.
 
     Halves the step while |F| fails to decrease; converges when
@@ -198,7 +206,7 @@ def refine_pole(seed: complex, w: WellParameters, n: int = 0,
     """
     k = complex(seed)
     fval = quantization_residual(k, w)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         tol = POLE_TOLERANCE * max(1.0, abs(k * w.a))
         if abs(fval) < tol:
             break
@@ -218,7 +226,7 @@ def refine_pole(seed: complex, w: WellParameters, n: int = 0,
         k, fval = k_new, f_new
     else:
         raise NoConvergence(
-            f"no convergence after {max_iter} iterations from seed {seed}"
+            f"no convergence after {_NEWTON_ITERATIONS} iterations from seed {seed}"
         )
     res = Resonance(n=n, k=k, residual=abs(fval))
     res.validate(w)
@@ -237,16 +245,7 @@ def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
         if not np.any(bad):
             return int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
         mids = 0.5 * (path[:-1] + path[1:])
-        keep = np.empty(path.size + int(bad.sum()), dtype=complex)
-        j = 0
-        for i in range(path.size - 1):
-            keep[j] = path[i]
-            j += 1
-            if bad[i]:
-                keep[j] = mids[i]
-                j += 1
-        keep[j] = path[-1]
-        path = keep
+        path = np.insert(path, np.flatnonzero(bad) + 1, mids[bad])
     raise CountMismatch("winding-number phase tracking did not converge")
 
 
@@ -274,8 +273,7 @@ def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
         else:
             # lam too small for even one asymptotic seed: start from the
             # formula anyway (it still lands in the n=1 basin for lam >~ 4).
-            npi_ = n * math.pi
-            seed = (npi_ * w.lam / (1.0 + w.lam) - 1j * (npi_ / w.lam) ** 2) / w.a
+            seed = _seed(n, w)
         if seed.real >= k_max:
             break
         try:
@@ -303,13 +301,13 @@ def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
     return found
 
 
-def _audit_contour(k_max: float, im_max: float, indent: float = 1e-6,
-                   per_edge: int = 1024) -> np.ndarray:
+def _audit_contour(k_max: float, im_max: float) -> np.ndarray:
     """Closed rectangle boundary in the fourth quadrant, indented at 0."""
+    n = _AUDIT_POINTS
     return np.concatenate([
-        indent * np.exp(1j * np.linspace(-np.pi / 2, 0.0, 64)),
-        np.linspace(indent, k_max, per_edge),
-        k_max + 1j * np.linspace(0.0, -im_max, per_edge),
-        np.linspace(k_max, 0.0, per_edge) - 1j * im_max,
-        1j * np.linspace(-im_max, -indent, per_edge),
+        _AUDIT_INDENT * np.exp(1j * np.linspace(-np.pi / 2, 0.0, 64)),
+        np.linspace(_AUDIT_INDENT, k_max, n),
+        k_max + 1j * np.linspace(0.0, -im_max, n),
+        np.linspace(k_max, 0.0, n) - 1j * im_max,
+        1j * np.linspace(-im_max, -_AUDIT_INDENT, n),
     ])

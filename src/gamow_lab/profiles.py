@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre
 
-from .potential_model import WellParameters
+from .quadrature import panel_nodes
 
 _NORM_TOL = 1e-10
 _EDGE_TOL = 1e-8
@@ -30,9 +29,8 @@ _EDGE_TOL = 1e-8
 _GL_ORDER = 520
 
 
-def _gl_nodes(a: float, order: int = _GL_ORDER):
-    x, wts = legendre.leggauss(order)
-    return 0.5 * a * (x + 1.0), 0.5 * a * wts
+def _gl_nodes(a: float):
+    return panel_nodes(np.array([0.0, a]), _GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,7 @@ class InitialProfile:
         return out if out.ndim else complex(out)
 
     def validate(self) -> None:
-        xs, wts = self._nodes, self._weights
-        norm = float(np.sum(wts * np.abs(self._values) ** 2))
+        norm = float(np.sum(self._weights * np.abs(self._values) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"profile norm is {norm}, not 1")
         edge0 = abs(complex(np.asarray(self.amplitude(np.array([0.0])))[0]))

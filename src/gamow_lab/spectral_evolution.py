@@ -30,7 +30,14 @@ from .potential_model import (
     enumerate_poles,
 )
 from .profiles import InitialProfile, overlap_transform
-from .quadrature import merge_edges, panel_nodes, phase_budget_edges, spike_edges
+from .quadrature import (
+    adaptive_gl,
+    merge_edges,
+    panel_nodes,
+    phase_budget_edges,
+    sine_sum,
+    spike_edges,
+)
 
 #: default spectral cutoff (units of 1/a)
 DEFAULT_KMAX = 40.0
@@ -40,7 +47,10 @@ T0_KMAX = 800.0
 
 _GL_MAIN = 16
 _GL_CONTROL = 12
-_THETA_MAX = 8.0
+#: largest direct-route error estimate evolve_direct accepts (absolute)
+_QUAD_TOL = 1e-7
+#: zero padding of unitarity_audit's exterior FFT
+_FFT_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -122,27 +132,23 @@ def direct_cutoff(w: WellParameters, t: float) -> float:
     return max(pole_cutoff(w, abs(t)), 60.0 * w.a / abs(t))
 
 
-def _spectral_nodes(w: WellParameters, t: float, k_max: float, order: int):
-    """Panel nodes/weights on [0, k_max] resolving both the exp(-ik^2 t)
-    phase and every resonance spike below the cutoff."""
-    base = phase_budget_edges(k_max, abs(t), base_rate=4.0 * w.a,
-                              theta_max=_THETA_MAX)
+def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
+    """Panel edges on [0, k_max] resolving both the exp(-ik^2 t) phase and
+    every resonance spike below the cutoff."""
+    base = phase_budget_edges(k_max, abs(t), base_rate=4.0 * w.a)
     spacing = math.pi * w.lam / (1.0 + w.lam) / w.a
     extra = []
     for r in resonances(w, k_max):
         width = max(-r.k.imag, 1e-9 / w.a)
         extra.append(spike_edges(r.k.real, width, reach=0.45 * spacing))
     extra = np.concatenate(extra) if extra else np.array([])
-    edges = merge_edges(base, extra, 0.0, k_max)
-    return panel_nodes(edges, order)
+    return merge_edges(base, extra, 0.0, k_max)
 
 
-def _direct_weight(p: InitialProfile, k: np.ndarray, t: float,
-                   w: WellParameters) -> np.ndarray:
-    """c(k) = (1/2pi) exp(-i k^2 t) phi(k) |A(k)|^2 on real nodes."""
+def _spectral_weight(p: InitialProfile, k, w: WellParameters):
+    """(1/2pi) phi(k) |A(k)|^2 at real k."""
     A = coefficient_A(k, w)
-    phi = overlap_transform(p, k)
-    return np.exp(-1j * k * k * t) * phi * (A * np.conj(A)).real / (2.0 * math.pi)
+    return overlap_transform(p, k) * (A * np.conj(A)).real / (2.0 * math.pi)
 
 
 def _tail_correction(p: InitialProfile, k_max: float, t: float,
@@ -150,14 +156,9 @@ def _tail_correction(p: InitialProfile, k_max: float, t: float,
     """Two-term integration-by-parts estimate of the truncated tail
     int_{k_max}^inf f(k, x) exp(-i k^2 t) dk for t != 0."""
     h = 1e-4 / w.a
-
-    def envelope(k):
-        A = coefficient_A(k, w)
-        return overlap_transform(p, k) * (A * np.conj(A)).real / (2.0 * math.pi)
-
-    g0 = envelope(np.array([k_max]))[0]
-    gp = (envelope(np.array([k_max + h]))[0]
-          - envelope(np.array([k_max - h]))[0]) / (2.0 * h)
+    ks = np.array([k_max, k_max + h, k_max - h])
+    g0, g_hi, g_lo = _spectral_weight(p, ks, w)
+    gp = (g_hi - g_lo) / (2.0 * h)
     sin_x = np.sin(k_max * grid)
     cos_x = np.cos(k_max * grid)
     f0 = g0 * sin_x
@@ -189,13 +190,12 @@ def _kink_tail_t0(p: InitialProfile, k_max: float, grid: np.ndarray,
     return (2.0 / math.pi) * psi_prime_a * 0.5 * (J(w.a - grid) - J(w.a + grid))
 
 
-def evolve_direct(p: InitialProfile, t: float, grid, w: WellParameters,
-                  k_max: float | None = None, quad_tol: float = 1e-7,
-                  check: bool = True) -> WaveState:
+def evolve_direct(p: InitialProfile, t: float, grid,
+                  w: WellParameters) -> WaveState:
     """Evolve the initial profile to time t >= 0 on grid points in [0, a].
 
     Raises QuadratureNotConverged (with the achieved estimate) when the
-    internal error estimate exceeds ``quad_tol`` and ``check`` is set.
+    internal error estimate exceeds 1e-7.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0; the time-reversal identity "
@@ -206,10 +206,10 @@ def evolve_direct(p: InitialProfile, t: float, grid, w: WellParameters,
             "period shrinks like 1/(2kt), so cost grows linearly in t; "
             "the rotated representation is cheaper and equally accurate here",
             RuntimeWarning, stacklevel=2)
-    psi, est = _evolve_direct_raw(p, t, np.asarray(grid, dtype=float), w, k_max)
-    if check and est > quad_tol:
+    psi, est = _evolve_direct_raw(p, t, np.asarray(grid, dtype=float), w)
+    if est > _QUAD_TOL:
         raise QuadratureNotConverged(
-            f"direct spectral quadrature error estimate {est:.3e} > {quad_tol:.1e}",
+            f"direct spectral quadrature error estimate {est:.3e} > {_QUAD_TOL:.1e}",
             estimate=est,
         )
     return WaveState(x=np.asarray(grid, dtype=float), psi=psi, t=t,
@@ -217,16 +217,17 @@ def evolve_direct(p: InitialProfile, t: float, grid, w: WellParameters,
 
 
 def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
-                       w: WellParameters, k_max: float | None = None):
+                       w: WellParameters):
     """Real-axis spectral integral on [0, a]; also accepts t < 0 (used by
-    the time-reversal property check).  Returns (psi, error_estimate)."""
+    the time-reversal property check).  Returns (psi, error_estimate).
+
+    The main and control rules share one set of panels."""
     if np.any(grid < 0.0) or np.any(grid > w.a * (1.0 + 1e-12)):
         raise ValueError("direct evolution grid must lie in [0, a]")
-    if k_max is None:
-        k_max = direct_cutoff(w, t)
-
-    psi_main = _direct_sum(p, t, grid, w, k_max, _GL_MAIN)
-    psi_ctrl = _direct_sum(p, t, grid, w, k_max, _GL_CONTROL)
+    k_max = direct_cutoff(w, t)
+    edges = _spectral_edges(w, t, k_max)
+    psi_main = _direct_sum(p, t, grid, w, edges, _GL_MAIN)
+    psi_ctrl = _direct_sum(p, t, grid, w, edges, _GL_CONTROL)
     est = float(np.max(np.abs(psi_main - psi_ctrl)))
     if t != 0.0:
         psi_main = psi_main + _tail_correction(p, k_max, t, grid, w)
@@ -235,45 +236,39 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
     return psi_main, est
 
 
-def _direct_sum(p, t, grid, w, k_max, order, chunk: int = 32768):
-    nodes, weights = _spectral_nodes(w, t, k_max, order)
-    c = weights * _direct_weight(p, nodes, t, w)
-    psi = np.zeros(grid.shape, dtype=complex)
-    for i in range(0, nodes.size, chunk):
-        sl = slice(i, i + chunk)
-        psi += c[sl] @ np.sin(np.multiply.outer(nodes[sl], grid))
-    return psi
+def _direct_sum(p, t, grid, w, edges, order):
+    """(1/2pi) int e^{-ik^2 t} phi(k) |A(k)|^2 sin(kx) dk on the panels,
+    with the Gauss-Legendre rule of the given order."""
+    nodes, weights = panel_nodes(edges, order)
+    c = weights * _spectral_weight(p, nodes, w) * np.exp(-1j * nodes * nodes * t)
+    return sine_sum(c, nodes, grid)
 
 
 def spectral_tail_mass(p: InitialProfile, w: WellParameters,
-                       k_max: float, k_far: float | None = None) -> float:
+                       k_max: float) -> float:
     """Probability carried by spectral components above k_max,
 
         M_tail = int_{k_max}^inf (1/2pi) |A(k)|^2 |phi(k)|^2 dk,
 
-    time independent.  Numeric quadrature up to ``k_far`` (default
-    10 k_max; resonance spikes are broad there) plus the analytic
-    remainder from the kink envelope |phi|^2 ~ C sin^2(ka)/k^4, |A|^2 -> 4.
+    time independent.  Numeric quadrature up to k_far = 10 k_max
+    (resonance spikes are broad there) plus the analytic remainder from
+    the kink envelope |phi|^2 ~ C sin^2(ka)/k^4, |A|^2 -> 4.
     """
-    from .quadrature import adaptive_gl
-
-    if k_far is None:
-        k_far = 10.0 * k_max
+    k_far = 10.0 * k_max
 
     def dens(k):
         A = coefficient_A(k, w)
         phi = overlap_transform(p, k)
         return np.abs(A) ** 2 * np.abs(phi) ** 2 / (2.0 * math.pi)
 
-    val, _ = adaptive_gl(dens, k_max, k_far, tol=1e-13, order=16)
+    val, _ = adaptive_gl(dens, k_max, k_far, tol=1e-13)
     ks = np.linspace(0.9 * k_far, k_far, 400)
     envelope = 2.0 * float(np.mean(np.abs(overlap_transform(p, ks)) ** 2 * ks ** 4))
     remainder = (envelope / math.pi) / (3.0 * k_far ** 3)
     return float(val) + remainder
 
 
-def unitarity_audit(p: InitialProfile, t: float, w: WellParameters,
-                    k_max: float | None = None, pad: int = 8) -> dict:
+def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     """Decompose total probability at time t into inside + outside + tail.
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
@@ -286,12 +281,12 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters,
     x_hi = 2.2 k_max t + 50 a, beyond which the signal has no support and
     only the periodic image of the x < 0 continuation lives.
 
-    Returns {'inside', 'outside', 'tail', 'total', 'dk', 'x_hi'}.
+    The rule covers k up to DEFAULT_KMAX / a.  Returns {'inside',
+    'outside', 'tail', 'total', 'dk', 'x_hi'}.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    if k_max is None:
-        k_max = DEFAULT_KMAX / w.a
+    k_max = DEFAULT_KMAX / w.a
     poles = resonances(w, k_max)
     dk = min(-r.k.imag for r in poles) / 10.0
     if t > 0.0:
@@ -306,15 +301,11 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters,
 
     # interior: same rule, sine series against A(k) c(k)
     x_in = well_grid(w, 257)
-    coef = A * c
-    psi_in = np.zeros(x_in.shape, dtype=complex)
-    for i in range(0, n, 32768):
-        sl = slice(i, i + 32768)
-        psi_in += coef[sl] @ np.sin(np.multiply.outer(k[sl], x_in))
+    psi_in = sine_sum(A * c, k, x_in)
     inside = float(simpson(np.abs(psi_in) ** 2, x=x_in))
 
     # exterior: left- and right-moving pieces on the FFT grid
-    nf = 1 << int(pad * n - 1).bit_length()
+    nf = 1 << int(_FFT_PAD * n - 1).bit_length()
     cm = np.zeros(nf, dtype=complex)
     cm[:n] = c
     cp = np.zeros(nf, dtype=complex)
@@ -324,7 +315,7 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters,
     psi_out = (np.exp(-0.5j * dk * x) * np.fft.fft(cm)
                + np.exp(0.5j * dk * x) * (np.fft.ifft(cp) * nf))
     x_hi = 2.2 * k_max * t + 50.0 * w.a
-    # |psi_out|^2 is band-limited to 2 k_max < Nyquist (pad >= 8), so its
+    # |psi_out|^2 is band-limited to 2 k_max < Nyquist (padding >= 8), so its
     # sampled Fourier series is exact and the window integral over
     # [a, x_hi] can be taken in closed form per mode -- no endpoint error.
     g_hat = np.fft.fft(np.abs(psi_out) ** 2) / nf

@@ -130,7 +130,7 @@ def test_criterion_04_representation_equivalence():
         grid = well_grid(w, 65)
         for frac in (0.05, 0.2, 1.0, 5.0):
             t = frac * tau
-            d = evolve_direct(p, t, grid, w, check=False)
+            d = evolve_direct(p, t, grid, w)
             r = evolve_rotated(p, t, grid, w)
             worst = max(worst, float(np.max(np.abs(d.psi - r.total.psi))))
     dt = time.perf_counter() - t0

@@ -157,7 +157,7 @@ class TestEvolveRotated:
         p = box_mode(1)
         grid = well_grid(w, 65)
         t = tau1(w)
-        d = evolve_direct(p, t, grid, w, check=False)
+        d = evolve_direct(p, t, grid, w)
         r = evolve_rotated(p, t, grid, w)
         assert np.max(np.abs(d.psi - r.total.psi)) < 1e-6
 

@@ -5,7 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
+from gamow_lab import quadrature
 from gamow_lab.profiles import (
     box_mode,
     custom_samples,
@@ -45,6 +47,21 @@ class TestConstruction:
     def test_gaussian_normalized_and_vanishing_at_edges(self):
         p = truncated_gaussian(0.5, 0.08)
         assert abs(p(0.0)) < 1e-8 and abs(p(1.0)) < 1e-8
+
+    def test_gauss_legendre_rule_built_once(self, monkeypatch):
+        # profiles take the cached rule from quadrature.panel_nodes
+        calls = []
+        leggauss = legendre.leggauss
+
+        def counting(order):
+            calls.append(order)
+            return leggauss(order)
+
+        quadrature._gl_rule.cache_clear()
+        monkeypatch.setattr(legendre, "leggauss", counting)
+        truncated_gaussian(0.5, 0.08)
+        truncated_gaussian(0.4, 0.06)
+        assert len(calls) <= 1
 
     def test_gaussian_with_fat_tails_rejected(self):
         with pytest.raises(ValueError):

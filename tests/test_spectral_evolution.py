@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gamow_lab import spectral_evolution
 from gamow_lab.exceptions import GridTooCoarse
 from gamow_lab.potential_model import WellParameters, coefficient_A
 from gamow_lab.profiles import box_mode, truncated_gaussian
@@ -112,6 +113,18 @@ class TestEvolveDirect:
     def test_long_time_warning(self):
         with pytest.warns(RuntimeWarning):
             evolve_direct(box_mode(1), 60.0, well_grid(W10, 65), W10)
+
+    def test_one_pole_lookup_per_call(self, monkeypatch):
+        # the main and control rules share one panel layout
+        calls = []
+
+        def counting(w, k_max):
+            calls.append(k_max)
+            return resonances(w, k_max)
+
+        monkeypatch.setattr(spectral_evolution, "resonances", counting)
+        evolve_direct(box_mode(1), 0.5, well_grid(W10, 65), W10)
+        assert len(calls) == 1
 
 
 class TestPoleCutoff:
