@@ -42,9 +42,7 @@ from .profiles import (
 )
 from .spectral_evolution import (
     WaveState,
-    continuum_eigenfunction,
     evolve_direct,
-    norm_inside,
     resonances,
     spectral_tail_mass,
     unitarity_audit,
@@ -52,7 +50,6 @@ from .spectral_evolution import (
 )
 from .gamow_expansion import (
     Residues,
-    RotatedDecomposition,
     RotatedExpansion,
     asymptotic_background,
     background_integral,

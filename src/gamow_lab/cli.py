@@ -117,14 +117,18 @@ def _emit(config: RunConfig, name: str, header: list[str],
 
 
 def _parse_times(spec: str) -> np.ndarray:
-    """'start:stop:points-per-decade' (geometric) or comma-separated values."""
+    """'start:stop:points-per-decade' (geometric) or comma-separated finite
+    values."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("time spec must be start:stop:points-per-decade")
         start, stop, ppd = float(parts[0]), float(parts[1]), int(parts[2])
         return geometric_times(start, stop, ppd)
-    return np.asarray([float(v) for v in spec.split(",")])
+    times = np.asarray([float(v) for v in spec.split(",")])
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return times
 
 
 def cmd_poles(config: RunConfig) -> int:
@@ -165,7 +169,7 @@ def cmd_evolve(config: RunConfig) -> int:
             states["direct"] = evolve_direct(p, float(t), grid, w)
         if config.policy in ("rotated", "both") or (
                 config.policy == "auto" and not early):
-            states["rotated"] = evolve_rotated(p, float(t), grid, w).total
+            states["rotated"] = evolve_rotated(p, float(t), grid, w)
         for method, ws in states.items():
             for x, v in zip(ws.x, ws.psi):
                 rows.append([float(x), float(v.real), float(v.imag),
@@ -264,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if times:
             sp.add_argument("--times", required=True,
                             help="start:stop:points-per-decade (geometric) "
-                                 "or comma-separated values")
+                                 "or comma-separated finite values")
 
     common(sub.add_parser("poles", help="resonance pole table"))
     common(sub.add_parser("evolve", help="wavefunction snapshots"),

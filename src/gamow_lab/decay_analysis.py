@@ -30,20 +30,18 @@ from .gamow_expansion import (
 )
 from .potential_model import WellParameters
 from .profiles import InitialProfile
-from .quadrature import panel_nodes
 from .spectral_evolution import (
     DEFAULT_KMAX,
     WaveState,
     evolve_direct,
     resonances,
+    well_rule,
 )
 
 #: below this time (units a^2) the rotated route is expensive; go direct
 DIRECT_TIME_LIMIT = 0.02
 #: default geometric sampling density for fits
 POINTS_PER_DECADE = 25
-#: Gauss-Legendre nodes in x on [0, a] for P(t)
-X_NODES = 128
 #: rotated-route times evaluated together (bounds the workspace)
 TIME_BLOCK = 64
 
@@ -97,8 +95,8 @@ class RegimeReport:
 def geometric_times(start: float, stop: float,
                     per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
     """Geometric time grid with a fixed point density per decade."""
-    if not (0.0 < start < stop):
-        raise ValueError("need 0 < start < stop")
+    if not (0.0 < start < stop < math.inf):
+        raise ValueError("need 0 < start < stop < inf")
     n = max(int(math.ceil(per_decade * math.log10(stop / start))) + 1, 2)
     return np.geomspace(start, stop, n)
 
@@ -106,8 +104,8 @@ def geometric_times(start: float, stop: float,
 class DecayPlan:
     """What P(t) needs from one profile and well, computed once per curve.
 
-    P(t) = sum_j w_j |psi(x_j, t)|^2 on a fixed Gauss-Legendre rule in x
-    (psi is entire on [0, a]).  The rotated route serves times in
+    P(t) = sum_j w_j |psi(x_j, t)|^2 on the well rule in x
+    (spectral_evolution.well_rule).  The rotated route serves times in
     [t_min, t_max] from one RotatedExpansion on the x rule (residue modes
     and the background's ray rule), built on the first rotated request
     only.  The direct route runs one evolve_direct per time on the x rule.
@@ -117,7 +115,7 @@ class DecayPlan:
                  t_min: float, t_max: float):
         self.p, self.w = p, w
         self.t_min, self.t_max = t_min, t_max
-        self.x, self.wx = panel_nodes(np.array([0.0, w.a]), X_NODES)
+        self.x, self.wx = well_rule(w)
         self._rotated = None
 
     def direct(self, t: float) -> float:
@@ -153,6 +151,8 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
     if policy not in ("auto", "direct", "rotated", "asymptotic"):
         raise ValueError(f"unknown policy {policy!r}")
     times = np.asarray(times, dtype=float)
+    if times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite and not empty")
     if np.any(times < 0.0):
         raise ValueError("times must be >= 0")
     P = np.ones(times.shape)
@@ -214,26 +214,16 @@ def fit_exponential(curve: DecayCurve, window) -> tuple[float, float, float]:
     return float(-slope), float(math.exp(icept)), resid
 
 
-def fit_tail_exponent(curve: DecayCurve, window,
-                      crossover: float | None = None) -> tuple[float, float]:
+def fit_tail_exponent(curve: DecayCurve, window, crossover: float):
     """Least squares of ln P against ln t; expected exponent near -3.
 
     The window must lie entirely beyond the exponential-to-power-law
-    crossover (computed from the curve's parameters when not supplied).
-    Returns (exponent, max log residual)."""
-    lo, _ = window
-    if crossover is None:
-        crossover = crossover_time(curve.profile, curve.w)["t_star"]
+    crossover.  Returns (exponent, intercept, max log residual, 2-sigma
+    half-width of the exponent)."""
+    lo, hi = window
     if lo < crossover:
         raise WindowBeforeCrossover(
             f"window starts at {lo:g}, before the crossover {crossover:g}")
-    slope, _, resid, _ = _tail_fit(curve, window)
-    return slope, resid
-
-
-def _tail_fit(curve: DecayCurve, window):
-    """Tail fit returning (s, intercept, max residual, 2-sigma halfwidth)."""
-    lo, hi = window
     mask = (curve.times >= lo) & (curve.times <= hi) & (curve.P > 0.0)
     if int(np.sum(mask)) < 8:
         raise WindowTooSmall(
@@ -265,7 +255,8 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
     tail_window = (10.0 * t_star, 100.0 * t_star)
     curve_tail = nonescape_curve(p, geometric_times(*tail_window), w,
                                  policy="rotated")
-    s_fit, s_icept, tail_resid, s_half = _tail_fit(curve_tail, tail_window)
+    s_fit, s_icept, tail_resid, s_half = fit_tail_exponent(
+        curve_tail, tail_window, t_star)
 
     # measured crossover: intersection of the two fitted straight lines
     def gap(t):

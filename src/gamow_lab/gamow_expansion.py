@@ -147,8 +147,8 @@ def _ray_edges(w: WellParameters, t_min: float, t_max: float) -> np.ndarray:
     1/a), up to where the Gaussian at t_min has beaten the
     exp(sqrt(2) a s) growth of f by e^-40.
     """
-    if not (0.0 < t_min <= t_max):
-        raise ValueError("need 0 < t_min <= t_max")
+    if not (0.0 < t_min <= t_max < math.inf):
+        raise ValueError("need 0 < t_min <= t_max < inf")
     c = math.sqrt(2.0) * w.a / math.sqrt(t_min)
     top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
     widest = _RAY_PANEL / w.a
@@ -249,19 +249,6 @@ class RotatedExpansion:
         return self.ray.at(times)[0] + self.residue_sum(times)
 
 
-@dataclass(frozen=True)
-class RotatedDecomposition:
-    """Background integral plus residue sum at one time; total equals their
-    pointwise sum."""
-
-    background: np.ndarray
-    expansion: RotatedExpansion
-    total: WaveState
-
-    def residue_sum(self, t: float) -> np.ndarray:
-        return self.expansion.residue_sum(t)[0]
-
-
 def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
                         tol: float = 1e-12):
     """45-degree rotated background I(x, t) for t > 0.
@@ -277,17 +264,13 @@ def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
 
 
 def evolve_rotated(p: InitialProfile, t: float, grid,
-                   w: WellParameters) -> RotatedDecomposition:
+                   w: WellParameters) -> WaveState:
     """Gamow expansion of psi(x, t) for t > 0: residues plus background."""
     if not (t > 0.0):
         raise ValueError("rotated representation requires t > 0")
     grid = np.asarray(grid, dtype=float)
-    expansion = RotatedExpansion(grid, p, w, t, t)
-    background = expansion.ray.at(t)[0][0]
-    ws = WaveState(x=grid, psi=background + expansion.residue_sum(t)[0], t=t,
-                   method="rotated")
-    return RotatedDecomposition(background=background, expansion=expansion,
-                                total=ws)
+    psi = RotatedExpansion(grid, p, w, t, t).psi(t)[0]
+    return WaveState(x=grid, psi=psi, t=t, method="rotated")
 
 
 def asymptotic_background(x, t: float, p: InitialProfile,

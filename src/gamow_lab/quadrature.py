@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
+from .exceptions import QuadratureNotConverged
+
 #: phase advance per panel of phase_budget_edges (radians)
 _PHASE_BUDGET = 8.0
 #: growth factor of spike_edges' panels away from the peak
@@ -107,7 +109,9 @@ def adaptive_gl(f, a: float, b: float, tol: float):
     order vs order//2 difference; panels are split until the summed estimate
     is below ``tol`` (absolute, per output component).
 
-    Returns (value, error_estimate).
+    Returns (value, error_estimate); raises QuadratureNotConverged, with
+    the summed estimate of the last evaluated panels, when the rounds run
+    out or no panel is over its share of ``tol``.
     """
     edges = np.linspace(a, b, _ADAPTIVE_PANELS + 1)
     panels = [(edges[i], edges[i + 1]) for i in range(_ADAPTIVE_PANELS)]
@@ -127,19 +131,17 @@ def adaptive_gl(f, a: float, b: float, tol: float):
         results.sort(key=lambda r: -r[3])
         total_err = sum(r[3] for r in results)
         if total_err < tol:
-            break
+            return sum(r[2] for r in results), total_err
         # split the offending panels, keep the rest
-        worst, rest = [], []
-        budget = tol / max(len(results), 1)
-        for r in results:
-            (worst if r[3] > budget else rest).append(r)
+        budget = tol / len(results)
+        worst = [r for r in results if r[3] > budget]
         if not worst:
             break
+        results = [r for r in results if r[3] <= budget]
         panels = []
         for lo, hi, _, _ in worst:
             mid = 0.5 * (lo + hi)
             panels.extend([(lo, mid), (mid, hi)])
-        results = rest
-    value = sum(r[2] for r in results) if results else 0.0
-    err = sum(r[3] for r in results)
-    return value, err
+    raise QuadratureNotConverged(
+        f"adaptive quadrature error estimate {total_err:.3e} > {tol:.1e}",
+        estimate=total_err)

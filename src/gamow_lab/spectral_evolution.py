@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .exceptions import GridTooCoarse, QuadratureNotConverged
+from .exceptions import QuadratureNotConverged
 from .potential_model import (
     Resonance,
     WellParameters,
@@ -51,6 +50,8 @@ _GL_CONTROL = 12
 _QUAD_TOL = 1e-7
 #: zero padding of unitarity_audit's exterior FFT
 _FFT_PAD = 8
+#: Gauss-Legendre nodes in x on [0, a] for every int_0^a |psi|^2 dx
+X_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,16 @@ class WaveState:
             raise ValueError("wave function values must be finite")
 
 
-def well_grid(w: WellParameters, n: int = 257) -> np.ndarray:
-    """Equispaced grid on [0, a] with n nodes (odd n suits Simpson)."""
+def well_grid(w: WellParameters, n: int) -> np.ndarray:
+    """Equispaced grid on [0, a] with n nodes."""
     return np.linspace(0.0, w.a, n)
 
 
-def continuum_eigenfunction(k: float, x, w: WellParameters):
-    """Continuum eigenfunction phi_k(x) at real k > 0, energy E = k^2.
-
-    (1/sqrt(2pi)) A(k) sin(kx) inside the well, incoming plus reflected
-    plane waves outside; the interior branch is used at x = a.
-    """
-    x = np.asarray(x, dtype=float)
-    A = coefficient_A(k, w)
-    B = coefficient_B(k, w)
-    pref = 1.0 / math.sqrt(2.0 * math.pi)
-    inside = A * np.sin(k * x)
-    outside = np.exp(-1j * k * x) + B * np.exp(1j * k * x)
-    out = pref * np.where(x <= w.a, inside, outside)
-    return complex(out) if out.ndim == 0 else out
+def well_rule(w: WellParameters):
+    """The X_NODES-point Gauss-Legendre rule (nodes, weights) on [0, a]
+    that integrates |psi|^2 over the well wherever P is computed (psi is
+    entire on [0, a])."""
+    return panel_nodes(np.array([0.0, w.a]), X_NODES)
 
 
 @lru_cache(maxsize=64)
@@ -197,6 +189,8 @@ def evolve_direct(p: InitialProfile, t: float, grid,
     Raises QuadratureNotConverged (with the achieved estimate) when the
     internal error estimate exceeds 1e-7.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t < 0.0:
         raise ValueError("t must be >= 0; the time-reversal identity "
                          "psi(x,-t) = conj(psi(x,t)) covers negative times")
@@ -272,7 +266,8 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     """Decompose total probability at time t into inside + outside + tail.
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
-    series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx) and the exterior branch
+    series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
+    nodes and integrated with its weights, and the exterior branch
     (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), the latter
     synthesized by zero-padded FFTs.  The step resolves both the narrowest
     resonance spike (10 points per width) and the chirp e^{-ik^2 t}
@@ -284,8 +279,8 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     The rule covers k up to DEFAULT_KMAX / a.  Returns {'inside',
     'outside', 'tail', 'total', 'dk', 'x_hi'}.
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not (0.0 <= t < math.inf):
+        raise ValueError("t must be finite and >= 0")
     k_max = DEFAULT_KMAX / w.a
     poles = resonances(w, k_max)
     dk = min(-r.k.imag for r in poles) / 10.0
@@ -299,10 +294,9 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     phi = overlap_transform(p, k)
     c = np.exp(-1j * k * k * t) * np.conj(A) * phi * dk / (2.0 * math.pi)
 
-    # interior: same rule, sine series against A(k) c(k)
-    x_in = well_grid(w, 257)
-    psi_in = sine_sum(A * c, k, x_in)
-    inside = float(simpson(np.abs(psi_in) ** 2, x=x_in))
+    # interior: same k rule, sine series against A(k) c(k) on the well rule
+    x_in, wx = well_rule(w)
+    inside = float(wx @ np.abs(sine_sum(A * c, k, x_in)) ** 2)
 
     # exterior: left- and right-moving pieces on the FFT grid
     nf = 1 << int(_FFT_PAD * n - 1).bit_length()
@@ -337,17 +331,3 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
         "dk": dk,
         "x_hi": x_hi,
     }
-
-
-def norm_inside(ws: WaveState, w: WellParameters) -> float:
-    """Probability inside the well, int_0^a |psi|^2 dx, from grid samples."""
-    mask = ws.x <= w.a * (1.0 + 1e-12)
-    x_in = ws.x[mask]
-    if x_in.size < 64:
-        raise GridTooCoarse(
-            f"need at least 64 nodes in [0, a], got {x_in.size}"
-        )
-    if x_in[0] > 1e-12 * w.a or x_in[-1] < w.a * (1.0 - 1e-12):
-        raise GridTooCoarse("grid must cover [0, a] to integrate the well")
-    val = float(simpson(np.abs(ws.psi[mask]) ** 2, x=x_in))
-    return max(val, 0.0)

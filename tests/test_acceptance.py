@@ -132,7 +132,7 @@ def test_criterion_04_representation_equivalence():
             t = frac * tau
             d = evolve_direct(p, t, grid, w)
             r = evolve_rotated(p, t, grid, w)
-            worst = max(worst, float(np.max(np.abs(d.psi - r.total.psi))))
+            worst = max(worst, float(np.max(np.abs(d.psi - r.psi))))
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 120.0
     verdict(4, ok, f"sup |direct - rotated| = {worst:.2e} over 8 cases, "
@@ -243,7 +243,7 @@ def test_criterion_10_finite_difference_oracle():
                              dx=1e-3, dt=2.5e-4, barrier_width=2e-3)
     worst = 0.0
     for t in checkpoints:
-        spectral = evolve_rotated(p, t, x_fd, w).total.psi
+        spectral = evolve_rotated(p, t, x_fd, w).psi
         worst = max(worst, float(np.max(np.abs(states[t] - spectral))))
     dt = time.perf_counter() - t0
     ok = worst < 1e-3 and dt < 120.0

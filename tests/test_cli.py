@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -54,6 +56,31 @@ class TestParseTimes:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             _parse_times("fast")
+
+    @pytest.mark.parametrize("spec", ["nan,1", "1,inf", "inf", "1:inf:5"])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(ValueError):
+            _parse_times(spec)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["survival", "--times", "nan,1"],
+    ["survival", "--times", "1,inf"],
+    ["evolve", "--times", "inf", "--policy", "direct"],
+], ids=["survival-nan", "survival-inf", "evolve-inf"])
+def test_non_finite_times_exit_usage(tmp_path, argv):
+    # a separate process, so a hang fails the test instead of stalling it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cmd = [sys.executable, "-m", "gamow_lab.cli", argv[0], "--lambda", "10",
+           "--profile", "box:1", *argv[1:], "--out", str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "survival.csv").exists()
 
 
 class TestPoles:

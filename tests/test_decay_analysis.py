@@ -51,6 +51,11 @@ class TestGeometricTimes:
         with pytest.raises(ValueError):
             geometric_times(5.0, 1.0)
 
+    @pytest.mark.parametrize("start,stop", [(1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_range(self, start, stop):
+        with pytest.raises(ValueError):
+            geometric_times(start, stop)
+
 
 class TestDecayCurve:
     def test_invariants_over_exponential_era(self):
@@ -142,6 +147,12 @@ class TestDecayPlan:
         curve = nonescape_curve(box_mode(1), [0.0, 0.019], W10)
         assert curve.methods == ("direct", "direct")
 
+    @pytest.mark.parametrize("times", [[], [math.nan, 1.0], [1.0, math.inf]],
+                             ids=["empty", "nan", "inf"])
+    def test_rejects_empty_or_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite and not empty"):
+            nonescape_curve(box_mode(1), times, W10)
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown policy"):
             nonescape_curve(box_mode(1), [1.0], W10, policy="both")
@@ -159,7 +170,7 @@ class TestFluxDerivative:
         w = W100
         r1 = resonances(w, 4.0)[0]
         t = r1.tau
-        ws = evolve_rotated(box_mode(1), t, well_grid(w, 1025), w).total
+        ws = evolve_rotated(box_mode(1), t, well_grid(w, 1025), w)
         expect = -r1.gamma * math.exp(-1.0)
         assert flux_derivative(ws, w) == pytest.approx(expect, rel=0.03)
 
@@ -168,7 +179,7 @@ class TestFluxDerivative:
         t1 = tau1(w)
         ts = np.linspace(t1, 2.0 * t1, 9)
         grid = well_grid(w, 1025)
-        flux = [flux_derivative(evolve_rotated(box_mode(1), t, grid, w).total,
+        flux = [flux_derivative(evolve_rotated(box_mode(1), t, grid, w),
                                 w) for t in ts]
         total = float(np.trapezoid(flux, ts))
         curve = nonescape_curve(box_mode(1), np.array([t1, 2.0 * t1]), w)
@@ -205,9 +216,12 @@ class TestSyntheticFits:
     def test_tail_fit_exact(self):
         t = np.geomspace(100.0, 1000.0, 20)
         curve = self._curve(t, t ** -3)
-        s, resid = fit_tail_exponent(curve, (100.0, 1000.0), crossover=50.0)
+        s, icept, resid, half = fit_tail_exponent(curve, (100.0, 1000.0),
+                                                  crossover=50.0)
         assert s == pytest.approx(-3.0, abs=1e-12)
+        assert abs(icept) < 1e-10
         assert resid < 1e-12
+        assert half < 1e-12
 
     def test_window_too_small(self):
         t = np.linspace(1.0, 50.0, 20)

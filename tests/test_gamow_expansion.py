@@ -9,6 +9,8 @@ import pytest
 
 from gamow_lab.exceptions import QuadratureNotConverged, ResidueMismatch
 from gamow_lab.gamow_expansion import (
+    RotatedExpansion,
+    _ray_edges,
     asymptotic_background,
     background_integral,
     crossover_time,
@@ -25,9 +27,9 @@ from gamow_lab.potential_model import WellParameters, coefficient_A
 from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.spectral_evolution import (
     evolve_direct,
-    norm_inside,
     resonances,
     well_grid,
+    well_rule,
 )
 
 W100 = WellParameters(lam=100.0)
@@ -113,14 +115,20 @@ class TestBackgroundIntegral:
     def test_negligible_against_residues_at_tau1(self):
         p = box_mode(1)
         t = tau1(W100)
-        dec = evolve_rotated(p, t, np.array([0.5]), W100)
-        bg = abs(dec.background[0])
-        res = abs(dec.residue_sum(t)[0])
+        rot = RotatedExpansion(np.array([0.5]), p, W100, t, t)
+        bg = abs(rot.ray.at(t)[0][0, 0])
+        res = abs(rot.residue_sum(t)[0, 0])
         assert bg / res < 1e-2
 
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             background_integral(0.5, 0.0, box_mode(1), W10)
+
+    @pytest.mark.parametrize("t_min,t_max", [(1.0, math.inf),
+                                             (math.nan, 1.0)])
+    def test_ray_rejects_non_finite_times(self, t_min, t_max):
+        with pytest.raises(ValueError):
+            _ray_edges(W10, t_min, t_max)
 
     def test_small_time_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -159,22 +167,21 @@ class TestEvolveRotated:
         t = tau1(w)
         d = evolve_direct(p, t, grid, w)
         r = evolve_rotated(p, t, grid, w)
-        assert np.max(np.abs(d.psi - r.total.psi)) < 1e-6
+        assert np.max(np.abs(d.psi - r.psi)) < 1e-6
 
     def test_single_residue_gives_exponential(self):
         # at 5 tau1 the n=1 term alone carries the whole inside norm
         w, p = W100, box_mode(1)
         t = 5.0 * tau1(w)
-        grid = well_grid(w, 257)
-        dec = evolve_rotated(p, t, grid, w)
-        residues = dec.expansion.residues
+        x, wx = well_rule(w)
+        rot = RotatedExpansion(x, p, w, t, t)
+        residues = rot.residues
         kn = residues.k[0]
-        psi1 = dec.expansion.mode_values[0] * np.exp(-1j * kn * kn * t)
-        from gamow_lab.spectral_evolution import WaveState
-        P1 = norm_inside(WaveState(x=grid, psi=psi1, t=t, method="rotated"), w)
+        psi1 = rot.mode_values[0] * np.exp(-1j * kn * kn * t)
+        P1 = float(wx @ np.abs(psi1) ** 2)
         expect = residues.weights[0] * math.exp(-t / residues.poles[0].tau)
         assert P1 == pytest.approx(expect, rel=0.01)
-        P_full = norm_inside(dec.total, w)
+        P_full = float(wx @ np.abs(evolve_rotated(p, t, x, w).psi) ** 2)
         assert P_full == pytest.approx(expect, rel=0.01)
 
     def test_rejects_t_zero(self):
@@ -185,20 +192,23 @@ class TestEvolveRotated:
     def test_total_is_background_plus_residues(self):
         t = tau1(W10)
         grid = well_grid(W10, 65)
-        dec = evolve_rotated(box_mode(1), t, grid, W10)
-        rebuilt = dec.background + dec.residue_sum(t)
-        assert np.allclose(rebuilt, dec.total.psi, rtol=0, atol=1e-15)
+        rot = RotatedExpansion(grid, box_mode(1), W10, t, t)
+        rebuilt = rot.ray.at(t)[0][0] + rot.residue_sum(t)[0]
+        ws = evolve_rotated(box_mode(1), t, grid, W10)
+        assert np.allclose(rebuilt, ws.psi, rtol=0, atol=1e-15)
 
     def test_residue_sum_rounding(self):
         # the pole sum reaches |k_n^2 t| ~ 4e3 here; against phases and a
         # sum in extended precision, psi keeps to the rounding of its terms
         w, t = W100, 1.0
-        dec = evolve_rotated(box_mode(3), t, well_grid(w, 65), w)
-        k = dec.expansion.residues.k.astype(np.clongdouble)
+        grid = well_grid(w, 65)
+        rot = RotatedExpansion(grid, box_mode(3), w, t, t)
+        k = rot.residues.k.astype(np.clongdouble)
         phase = np.exp(-1j * (k * k) * np.longdouble(t))
-        ref = (dec.background.astype(np.clongdouble)
-               + phase @ dec.expansion.mode_values.astype(np.clongdouble))
-        assert np.max(np.abs(dec.total.psi - ref)) < 1e-14
+        ref = (rot.ray.at(t)[0][0].astype(np.clongdouble)
+               + phase @ rot.mode_values.astype(np.clongdouble))
+        psi = evolve_rotated(box_mode(3), t, grid, w).psi
+        assert np.max(np.abs(psi - ref)) < 1e-14
 
     def test_sector_discipline(self):
         for kn in residue_terms(box_mode(1), W10, 40.0).k:
@@ -230,9 +240,8 @@ class TestAsymptotics:
     def test_nonescape_matches_full_curve(self):
         p = box_mode(1)
         t = 2000.0
-        grid = well_grid(W10, 257)
-        dec = evolve_rotated(p, t, grid, W10)
-        P_full = norm_inside(dec.total, W10)
+        x, wx = well_rule(W10)
+        P_full = float(wx @ np.abs(evolve_rotated(p, t, x, W10).psi) ** 2)
         assert nonescape_asymptote(t, p, W10) == pytest.approx(P_full, rel=0.25)
 
     def test_lambda_scaling(self):

@@ -1,6 +1,7 @@
 """Continuum eigenfunctions, the real-axis spectral evolution, and the
 inside/outside/tail unitarity decomposition."""
 
+import cmath
 import math
 
 import mpmath
@@ -8,20 +9,21 @@ import numpy as np
 import pytest
 
 from gamow_lab import spectral_evolution
-from gamow_lab.exceptions import GridTooCoarse
-from gamow_lab.potential_model import WellParameters, coefficient_A
+from gamow_lab.potential_model import (
+    WellParameters,
+    coefficient_A,
+    coefficient_B,
+)
 from gamow_lab.profiles import box_mode, truncated_gaussian
 from gamow_lab.spectral_evolution import (
-    WaveState,
     _evolve_direct_raw,
-    continuum_eigenfunction,
     evolve_direct,
-    norm_inside,
     pole_cutoff,
     resonances,
     spectral_tail_mass,
     unitarity_audit,
     well_grid,
+    well_rule,
 )
 
 W100 = WellParameters(lam=100.0)
@@ -32,48 +34,51 @@ def tau1(w):
     return resonances(w, 40.0)[0].tau
 
 
+def norm_in_well(psi, w):
+    """int_0^a |psi|^2 dx on the well rule, psi given at its nodes."""
+    _, wx = well_rule(w)
+    return float(wx @ np.abs(psi) ** 2)
+
+
 class TestContinuumEigenfunction:
+    """The continuum eigenfunction is A(k) sin(kx) inside the well and
+    e^{-ikx} + B(k) e^{ikx} outside (times 1/sqrt(2pi))."""
+
     def test_continuity_at_barrier(self):
         # interior and exterior branches agree at x = a
         for k in (1.0, 2.5, 7.3):
-            inside = coefficient_A(k, W100) * math.sin(k * 1.0) / math.sqrt(
-                2 * math.pi)
-            outside = continuum_eigenfunction(k, 1.0 + 1e-12, W100)
-            assert abs(inside - outside * (2 * math.pi) ** 0 / 1.0) \
-                / abs(outside) < 1e-10 or abs(
-                continuum_eigenfunction(k, 1.0, W100) - outside) < 1e-10
+            inside = coefficient_A(k, W100) * math.sin(k)
+            outside = (cmath.exp(-1j * k)
+                       + coefficient_B(k, W100) * cmath.exp(1j * k))
+            assert inside == pytest.approx(outside, rel=1e-10)
 
     def test_branch_match_relative(self):
         k = 1.0
-        left = continuum_eigenfunction(k, 1.0, W100)
+        left = coefficient_A(k, W100) * math.sin(k)
         B = -np.conj(1 + 100 * np.exp(1j) * np.sin(1)) / (
             1 + 100 * np.exp(1j) * np.sin(1))
-        right = (np.exp(-1j) + B * np.exp(1j)) / math.sqrt(2 * math.pi)
+        right = np.exp(-1j) + B * np.exp(1j)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_derivative_jump(self):
         # psi'(a+) - psi'(a-) = (lam/a) psi(a)
-        k, h = 2.0, 1e-6
-        d_out = (continuum_eigenfunction(k, 1.0 + h, W10)
-                 - continuum_eigenfunction(k, 1.0 + 1e-15, W10)) / h
-        d_in = (continuum_eigenfunction(k, 1.0, W10)
-                - continuum_eigenfunction(k, 1.0 - h, W10)) / h
-        jump = d_out - d_in
-        assert jump == pytest.approx(
-            10.0 * continuum_eigenfunction(k, 1.0, W10), rel=1e-4)
+        k = 2.0
+        A, B = coefficient_A(k, W10), coefficient_B(k, W10)
+        d_out = -1j * k * cmath.exp(-1j * k) + 1j * k * B * cmath.exp(1j * k)
+        d_in = k * A * math.cos(k)
+        assert d_out - d_in == pytest.approx(10.0 * A * math.sin(k), rel=1e-4)
 
     def test_hard_wall(self):
-        assert continuum_eigenfunction(1.0, 0.0, W100) == 0.0
+        assert coefficient_A(1.0, W100) * math.sin(1.0 * 0.0) == 0.0
 
     def test_exterior_value_oracle(self):
         with mpmath.workdps(40):
             k = mpmath.mpf(2)
             D = k + 10 * mpmath.exp(1j * k) * mpmath.sin(k)
             B = -(k + 10 * mpmath.exp(-1j * k) * mpmath.sin(k)) / D
-            ref = complex((mpmath.exp(-6j) + B * mpmath.exp(6j))
-                          / mpmath.sqrt(2 * mpmath.pi))
-        assert continuum_eigenfunction(2.0, 3.0, W10) == pytest.approx(
-            ref, rel=1e-12)
+            ref = complex(mpmath.exp(-6j) + B * mpmath.exp(6j))
+        got = cmath.exp(-6j) + coefficient_B(2.0, W10) * cmath.exp(6j)
+        assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestEvolveDirect:
@@ -92,12 +97,19 @@ class TestEvolveDirect:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exponential_norm_decay(self):
         t1 = tau1(W100)
-        ws = evolve_direct(box_mode(1), t1, well_grid(W100, 257), W100)
-        assert norm_inside(ws, W100) == pytest.approx(math.exp(-1.0), rel=0.02)
+        x, _ = well_rule(W100)
+        ws = evolve_direct(box_mode(1), t1, x, W100)
+        assert norm_in_well(ws.psi, W100) == pytest.approx(math.exp(-1.0),
+                                                           rel=0.02)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            evolve_direct(box_mode(1), -1.0, well_grid(W100), W100)
+            evolve_direct(box_mode(1), -1.0, well_grid(W100, 257), W100)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_direct(box_mode(1), t, well_grid(W10, 65), W10)
 
     def test_rejects_grid_outside_well(self):
         with pytest.raises(ValueError):
@@ -143,29 +155,15 @@ class TestPoleCutoff:
 
 class TestNormInside:
     def test_initial_norm(self):
-        ws = evolve_direct(box_mode(1), 0.0, well_grid(W100, 257), W100)
+        x, _ = well_rule(W100)
+        ws = evolve_direct(box_mode(1), 0.0, x, W100)
         # quadrature-limited reconstruction, not exactly the profile
-        assert norm_inside(ws, W100) == pytest.approx(1.0, abs=1e-4)
+        assert norm_in_well(ws.psi, W100) == pytest.approx(1.0, abs=1e-4)
 
     def test_profile_norm_exact(self):
-        grid = well_grid(W100, 257)
-        p = box_mode(1)
-        ws = WaveState(x=grid, psi=p(grid).astype(complex), t=0.0,
-                       method="direct")
-        assert norm_inside(ws, W100) == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_state(self):
-        grid = well_grid(W100, 257)
-        ws = WaveState(x=grid, psi=np.zeros_like(grid, dtype=complex),
-                       t=0.0, method="direct")
-        assert norm_inside(ws, W100) == 0.0
-
-    def test_too_few_nodes(self):
-        grid = well_grid(W100, 33)
-        ws = WaveState(x=grid, psi=np.zeros_like(grid, dtype=complex),
-                       t=0.0, method="direct")
-        with pytest.raises(GridTooCoarse):
-            norm_inside(ws, W100)
+        x, _ = well_rule(W100)
+        assert norm_in_well(box_mode(1)(x), W100) == pytest.approx(1.0,
+                                                                  abs=1e-10)
 
 
 class TestUnitarity:
@@ -176,6 +174,11 @@ class TestUnitarity:
         for t in (0.0, t1 / 10.0, t1, 5.0 * t1):
             audit = unitarity_audit(box_mode(1), t, w)
             assert abs(audit["total"] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_time(self, t):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            unitarity_audit(box_mode(1), t, W10)
 
     def test_tail_mass_scaling(self):
         # the above-cutoff mass falls like 1/k_max^3
