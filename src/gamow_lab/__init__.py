@@ -61,7 +61,6 @@ from .gamow_expansion import (
 )
 from .decay_analysis import (
     DecayCurve,
-    DecayPlan,
     RegimeReport,
     fit_exponential,
     fit_tail_exponent,

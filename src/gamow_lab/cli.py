@@ -27,12 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .decay_analysis import (
-    DIRECT_TIME_LIMIT,
-    geometric_times,
-    nonescape_curve,
-    regime_report,
-)
+from .decay_analysis import geometric_times, nonescape_curve, regime_report
 from .exceptions import (
     CountMismatch,
     GamowLabError,
@@ -41,7 +36,7 @@ from .exceptions import (
     SeedOutOfRegime,
     WrongQuadrant,
 )
-from .gamow_expansion import crossover_time, evolve_rotated
+from .gamow_expansion import DIRECT_TIME_LIMIT, crossover_time, evolve_rotated
 from .potential_model import WellParameters, asymptotic_pole_seed
 from .profiles import parse_profile
 from .spectral_evolution import evolve_direct, resonances, well_grid
@@ -62,16 +57,15 @@ class RunConfig:
     command: str
     lam: float
     a: float
-    profile: str | None = None
-    times: str | None = None
-    k_max: float | None = None  # poles and report only, in units of 1/a
-    policy: str | None = None   # evolve and survival only
-    out: str = "."
-    format: str = "csv"
-    version: str = __version__
+    profile: str | None
+    times: str | None
+    k_max: float | None  # poles and report only, in units of 1/a
+    policy: str | None   # evolve and survival only
+    out: str
+    format: str
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "version": __version__}
 
 
 def _atomic_write(path: str, text: str) -> None:

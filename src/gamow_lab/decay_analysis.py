@@ -24,6 +24,7 @@ from .exceptions import (
     WindowTooSmall,
 )
 from .gamow_expansion import (
+    DIRECT_TIME_LIMIT,
     RotatedExpansion,
     crossover_time,
     nonescape_asymptote,
@@ -38,8 +39,6 @@ from .spectral_evolution import (
     well_rule,
 )
 
-#: below this time (units a^2) the rotated route is expensive; go direct
-DIRECT_TIME_LIMIT = 0.02
 #: default geometric sampling density for fits
 POINTS_PER_DECADE = 25
 #: rotated-route times evaluated together (bounds the workspace)
@@ -97,56 +96,22 @@ def geometric_times(start: float, stop: float,
     """Geometric time grid with a fixed point density per decade."""
     if not (0.0 < start < stop < math.inf):
         raise ValueError("need 0 < start < stop < inf")
+    if per_decade < 1:
+        raise ValueError("points per decade must be >= 1")
     n = max(int(math.ceil(per_decade * math.log10(stop / start))) + 1, 2)
     return np.geomspace(start, stop, n)
 
 
-class DecayPlan:
-    """What P(t) needs from one profile and well, computed once per curve.
-
-    P(t) = sum_j w_j |psi(x_j, t)|^2 on the well rule in x
-    (spectral_evolution.well_rule).  The rotated route serves times in
-    [t_min, t_max] from one RotatedExpansion on the x rule (residue modes
-    and the background's ray rule), built on the first rotated request
-    only.  The direct route runs one evolve_direct per time on the x rule.
-    """
-
-    def __init__(self, p: InitialProfile, w: WellParameters,
-                 t_min: float, t_max: float):
-        self.p, self.w = p, w
-        self.t_min, self.t_max = t_min, t_max
-        self.x, self.wx = well_rule(w)
-        self._rotated = None
-
-    def direct(self, t: float) -> float:
-        psi = evolve_direct(self.p, t, self.x, self.w).psi
-        return float(self.wx @ np.abs(psi) ** 2)
-
-    def rotated(self, times) -> np.ndarray:
-        """P at each time in [t_min, t_max] from residues plus background,
-        in blocks of times; raises QuadratureNotConverged when the
-        background's error estimate exceeds 1e-10 (absolute, on psi)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < self.t_min) or np.any(times > self.t_max):
-            raise ValueError("times outside the plan's range")
-        if self._rotated is None:
-            self._rotated = RotatedExpansion(self.x, self.p, self.w,
-                                             self.t_min, self.t_max)
-        P = np.empty(times.shape)
-        for i in range(0, times.size, TIME_BLOCK):
-            tb = times[i:i + TIME_BLOCK]
-            P[i:i + tb.size] = (np.abs(self._rotated.psi(tb)) ** 2) @ self.wx
-        return P
-
-
 def nonescape_curve(p: InitialProfile, times, w: WellParameters,
                     policy: str = "auto") -> DecayCurve:
-    """Sample P(t) on the given times with the stated method policy.
+    """Sample P(t) = sum_j w_j |psi(x_j, t)|^2 (well_rule in x) on the
+    given times with the stated method policy.
 
-    ``policy``: 'auto' (direct below t = 0.02 a^2, rotated beyond),
-    'direct', 'rotated', or 'asymptotic' (closed-form tail overlay).
-    The t = 0 point is always taken from the (normalized) profile itself.
-    One DecayPlan serves all times.
+    ``policy``: 'auto' (direct below t = DIRECT_TIME_LIMIT a^2, rotated
+    beyond), 'direct', 'rotated', or 'asymptotic' (closed-form tail
+    overlay).  The t = 0 point is always taken from the (normalized)
+    profile itself.  Direct times run one evolve_direct each; all rotated
+    times are read from one RotatedExpansion, TIME_BLOCK at a time.
     """
     if policy not in ("auto", "direct", "rotated", "asymptotic"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -167,12 +132,15 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
         else:
             direct = later & (policy == "direct")
         rotated = later & ~direct
-        span = times[rotated] if np.any(rotated) else times[later]
-        plan = DecayPlan(p, w, span.min(), span.max())
+        x, wx = well_rule(w)
         for i in np.flatnonzero(direct):
-            P[i] = plan.direct(times[i])
+            P[i] = wx @ np.abs(evolve_direct(p, times[i], x, w).psi) ** 2
         if np.any(rotated):
-            P[rotated] = plan.rotated(times[rotated])
+            tr = times[rotated]
+            rot = RotatedExpansion(x, p, w, tr.min(), tr.max())
+            P[rotated] = np.concatenate([
+                np.abs(rot.psi(tr[i:i + TIME_BLOCK])) ** 2 @ wx
+                for i in range(0, tr.size, TIME_BLOCK)])
             methods[rotated] = "rotated"
     return DecayCurve(times=times, P=np.maximum(P, 0.0),
                       methods=tuple(methods), w=w, profile=p)

@@ -31,7 +31,7 @@ class QuadratureNotConverged(GamowLabError):
     Carries the achieved error estimate in ``estimate``.
     """
 
-    def __init__(self, message, estimate=None):
+    def __init__(self, message, estimate):
         super().__init__(message)
         self.estimate = estimate
 

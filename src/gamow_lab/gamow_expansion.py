@@ -136,6 +136,11 @@ _RAY_RATIO = 1.5
 _RAY_PANEL = 2.0
 #: f is evaluated on this many ray nodes at a time (bounds the workspace)
 _RAY_BLOCK = 128
+#: below this time (units a^2) the rotated route is dear (the ray rule's
+#: node count grows like 1/t_min), so shorter times take the direct route
+DIRECT_TIME_LIMIT = 0.02
+#: largest background error estimate accepted (absolute, on psi)
+BACKGROUND_TOLERANCE = 1e-10
 
 
 def _ray_edges(w: WellParameters, t_min: float, t_max: float) -> np.ndarray:
@@ -159,65 +164,10 @@ def _ray_edges(w: WellParameters, t_min: float, t_max: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-@dataclass(frozen=True)
-class RayBackground:
-    """Background integral on the 45-degree ray, for all t of one range.
-
-    With k = e^{-i pi/4} s the background is
-    I(x, t) = sum_j exp(-s_j^2 t) F_j(x), F_j(x) = w_j e^{-i pi/4}
-    f(e^{-i pi/4} s_j, x), so f is evaluated once and each time costs one
-    matrix product.  The control rule (lower order, same panels) gives the
-    error estimate.
-    """
-
-    s2: np.ndarray       # (n_s,) squared main nodes
-    F: np.ndarray        # (n_s, n_x) weighted integrand on the main rule
-    s2_ctrl: np.ndarray
-    F_ctrl: np.ndarray
-
-    def at(self, times, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-        """I(x, t) with shape (n_t, n_x), and the error estimate per time
-        (largest |main - control| over x).  ``tol`` is absolute; an
-        estimate above 100 tol raises QuadratureNotConverged.  The work
-        space grows like n_t n_s, so long time grids are passed in blocks.
-        """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        main = _gauss_sum(self.s2, self.F, times)
-        ctrl = _gauss_sum(self.s2_ctrl, self.F_ctrl, times)
-        err = np.max(np.abs(main - ctrl), axis=1)
-        if np.any(err > 100.0 * tol):
-            raise QuadratureNotConverged(
-                f"rotated background error estimate {err.max():.3e}",
-                estimate=float(err.max()))
-        return main, err
-
-
 def _gauss_sum(s2: np.ndarray, F: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_j exp(-s_j^2 t) F_j for each t; the real Gaussians multiply the
     interleaved re/im parts of F in one real product."""
     return (np.exp(-np.outer(times, s2)) @ F.view(np.float64)).view(complex)
-
-
-def ray_background(x, p: InitialProfile, w: WellParameters, t_min: float,
-                   t_max: float) -> RayBackground:
-    """Evaluate f on the ray rule for [t_min, t_max] at the points x."""
-    if t_min < 0.02 * w.a ** 2:
-        warnings.warn(
-            "rotated background at t < 0.02 a^2: the transform grows like "
-            "exp(k a / sqrt(2)) before the Gaussian damping wins, so the "
-            "quadrature cost rises sharply; prefer the direct route here",
-            RuntimeWarning, stacklevel=3)
-    x = np.asarray(x, dtype=float).ravel()
-    edges = _ray_edges(w, t_min, t_max)
-    parts = []
-    for order in (_RAY_MAIN, _RAY_CONTROL):
-        s, ws = panel_nodes(edges, order)
-        F = np.empty((s.size, x.size), dtype=complex)
-        for i in range(0, s.size, _RAY_BLOCK):
-            sl = slice(i, i + _RAY_BLOCK)
-            F[sl] = integrand_f(_ROT * s[sl], x, p, w) * (_ROT * ws[sl])[:, None]
-        parts += [s * s, F]
-    return RayBackground(*parts)
 
 
 class RotatedExpansion:
@@ -225,18 +175,52 @@ class RotatedExpansion:
     points x_j for every t in [t_min, t_max].
 
     Holds the residues of the poles below pole_cutoff(w, t_min), their
-    modes C_n(x_j) and the background's ray rule (see RayBackground), all
-    computed once, so each time costs two small matrix products.
+    modes C_n(x_j) and the background's ray rule, all computed once, so
+    each time costs a few small matrix products.  With k = e^{-i pi/4} s
+    the background is I(x, t) = sum_j exp(-s_j^2 t) F_j(x), where
+    F_j(x) = w_j e^{-i pi/4} f(e^{-i pi/4} s_j, x); a control rule (lower
+    order, same panels) gives its error estimate.
     """
 
     def __init__(self, x, p: InitialProfile, w: WellParameters,
                  t_min: float, t_max: float):
+        if t_min < DIRECT_TIME_LIMIT * w.a ** 2:
+            warnings.warn(
+                f"rotated background at t < {DIRECT_TIME_LIMIT:g} a^2: the "
+                "transform grows like exp(k a / sqrt(2)) before the Gaussian "
+                "damping wins, so the quadrature cost rises sharply; prefer "
+                "the direct route here", RuntimeWarning, stacklevel=2)
         x = np.asarray(x, dtype=float).ravel()
+        edges = _ray_edges(w, t_min, t_max)
         self.residues = residue_terms(p, w, pole_cutoff(w, t_min))
         k = self.residues.k
         self.energies = k * k
         self.mode_values = self.residues.modes(x)
-        self.ray = ray_background(x, p, w, t_min, t_max)
+        rules = []
+        for order in (_RAY_MAIN, _RAY_CONTROL):
+            s, ws = panel_nodes(edges, order)
+            F = np.empty((s.size, x.size), dtype=complex)
+            for i in range(0, s.size, _RAY_BLOCK):
+                sl = slice(i, i + _RAY_BLOCK)
+                F[sl] = (integrand_f(_ROT * s[sl], x, p, w)
+                         * (_ROT * ws[sl])[:, None])
+            rules.append((s * s, F))
+        self._main, self._control = rules
+
+    def background(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """I(x_j, t) with shape (n_t, n_x), and the error estimate per time
+        (largest |main - control| over x).  An estimate above
+        BACKGROUND_TOLERANCE raises QuadratureNotConverged.  The work space
+        grows like n_t n_s, so long time grids are passed in blocks.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        main = _gauss_sum(*self._main, times)
+        err = np.max(np.abs(main - _gauss_sum(*self._control, times)), axis=1)
+        if np.any(err > BACKGROUND_TOLERANCE):
+            raise QuadratureNotConverged(
+                f"rotated background error estimate {err.max():.3e}",
+                estimate=float(err.max()))
+        return main, err
 
     def residue_sum(self, times) -> np.ndarray:
         """sum_n C_n(x_j) exp(-i k_n^2 t) with shape (n_t, n_x)."""
@@ -245,21 +229,20 @@ class RotatedExpansion:
 
     def psi(self, times) -> np.ndarray:
         """psi with shape (n_t, n_x); raises QuadratureNotConverged as
-        RayBackground.at does."""
-        return self.ray.at(times)[0] + self.residue_sum(times)
+        background does."""
+        return self.background(times)[0] + self.residue_sum(times)
 
 
-def background_integral(x, t: float, p: InitialProfile, w: WellParameters,
-                        tol: float = 1e-12):
+def background_integral(x, t: float, p: InitialProfile, w: WellParameters):
     """45-degree rotated background I(x, t) for t > 0.
 
-    The ray rule of :func:`ray_background` at the single time t.  ``x`` may
-    be a scalar or a grid; ``tol`` is absolute, and an error estimate above
-    100 tol raises QuadratureNotConverged.
+    The ray rule of :class:`RotatedExpansion` at the single time t.  ``x``
+    may be a scalar or a grid; an error estimate above BACKGROUND_TOLERANCE
+    raises QuadratureNotConverged.
     """
     if not (t > 0.0):
         raise ValueError("background integral requires t > 0 (no rotation at t = 0)")
-    val, _ = ray_background(x, p, w, t, t).at(t, tol)
+    val, _ = RotatedExpansion(x, p, w, t, t).background(t)
     return val[0].reshape(np.shape(x)) if np.ndim(x) else complex(val[0, 0])
 
 

@@ -197,7 +197,7 @@ def _seed(n: int, w: WellParameters) -> complex:
     return (npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2) / w.a
 
 
-def refine_pole(seed: complex, w: WellParameters, n: int = 0) -> Resonance:
+def refine_pole(seed: complex, w: WellParameters) -> Resonance:
     """Safeguarded Newton iteration on F(k) from a seed wavenumber.
 
     Halves the step while |F| fails to decrease; converges when
@@ -228,7 +228,7 @@ def refine_pole(seed: complex, w: WellParameters, n: int = 0) -> Resonance:
         raise NoConvergence(
             f"no convergence after {_NEWTON_ITERATIONS} iterations from seed {seed}"
         )
-    res = Resonance(n=n, k=k, residual=abs(fval))
+    res = Resonance(n=0, k=k, residual=abs(fval))
     res.validate(w)
     return res
 
@@ -277,10 +277,10 @@ def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
         if seed.real >= k_max:
             break
         try:
-            res = refine_pole(seed, w, n=n)
+            res = refine_pole(seed, w)
         except (NoConvergence, WrongQuadrant):
             # retry from a slightly deeper seed before giving up on this n
-            res = refine_pole(seed - 0.05j / w.a, w, n=n)
+            res = refine_pole(seed - 0.05j / w.a, w)
         if res.k.real >= k_max:
             break
         if found and abs(res.k - found[-1].k) < 1e-8 / w.a:

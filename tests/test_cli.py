@@ -70,7 +70,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     ["survival", "--times", "nan,1"],
     ["survival", "--times", "1,inf"],
     ["evolve", "--times", "inf", "--policy", "direct"],
-], ids=["survival-nan", "survival-inf", "evolve-inf"])
+    ["survival", "--times", "1:100:-5"],
+], ids=["survival-nan", "survival-inf", "evolve-inf",
+        "survival-negative-density"])
 def test_non_finite_times_exit_usage(tmp_path, argv):
     # a separate process, so a hang fails the test instead of stalling it
     env = {**os.environ, "PYTHONPATH": str(SRC)}

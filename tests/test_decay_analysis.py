@@ -9,6 +9,7 @@ from gamow_lab import gamow_expansion
 from gamow_lab.decay_analysis import (
     DecayCurve,
     POINTS_PER_DECADE,
+    TIME_BLOCK,
     fit_exponential,
     fit_tail_exponent,
     flux_derivative,
@@ -51,6 +52,11 @@ class TestGeometricTimes:
         with pytest.raises(ValueError):
             geometric_times(5.0, 1.0)
 
+    @pytest.mark.parametrize("per_decade", [0, -5])
+    def test_rejects_density_below_one(self, per_decade):
+        with pytest.raises(ValueError, match="points per decade"):
+            geometric_times(1.0, 100.0, per_decade)
+
     @pytest.mark.parametrize("start,stop", [(1.0, math.inf), (math.nan, 1.0)])
     def test_rejects_non_finite_range(self, start, stop):
         with pytest.raises(ValueError):
@@ -90,6 +96,9 @@ class TestDecayCurve:
 
 
 class TestDecayPlan:
+    """nonescape_curve's plan for one curve: one well rule, one
+    RotatedExpansion for the rotated times, evolve_direct for the rest."""
+
     def test_setup_independent_of_point_count(self, monkeypatch):
         calls = {"integrand_f": 0, "residue_prefactor": 0}
 
@@ -123,11 +132,19 @@ class TestDecayPlan:
 
     @pytest.mark.parametrize("w", [W10, W100], ids=["lam10", "lam100"])
     def test_one_call_matches_single_points(self, w):
+        p = truncated_gaussian(0.5, 0.08)
         times = np.geomspace(0.02, 1e5, 15)
-        curve = nonescape_curve(truncated_gaussian(0.5, 0.08), times, w)
-        single = [nonescape_curve(truncated_gaussian(0.5, 0.08), [t], w).P[0]
-                  for t in times]
+        curve = nonescape_curve(p, times, w)
+        single = [nonescape_curve(p, [t], w).P[0] for t in times]
         assert np.allclose(curve.P, single, rtol=1e-12, atol=0.0)
+        # a long grid crosses the rotated route's TIME_BLOCK boundaries
+        times = np.geomspace(0.02, 1e5, 140)
+        assert times.size > 2 * TIME_BLOCK
+        curve = nonescape_curve(p, times, w)
+        picks = [0, TIME_BLOCK - 1, TIME_BLOCK, 2 * TIME_BLOCK - 1,
+                 2 * TIME_BLOCK, times.size - 1]
+        single = [nonescape_curve(p, [times[i]], w).P[0] for i in picks]
+        assert np.allclose(curve.P[picks], single, rtol=1e-12, atol=0.0)
 
     def test_width_scaling(self):
         # P depends on t / a^2 only: a well twice as wide decays four
@@ -142,7 +159,7 @@ class TestDecayPlan:
         def forbidden(*args, **kwargs):
             raise AssertionError("rotated set-up on a direct-only call")
 
-        monkeypatch.setattr(gamow_expansion, "ray_background", forbidden)
+        monkeypatch.setattr(gamow_expansion, "integrand_f", forbidden)
         monkeypatch.setattr(gamow_expansion, "residue_prefactor", forbidden)
         curve = nonescape_curve(box_mode(1), [0.0, 0.019], W10)
         assert curve.methods == ("direct", "direct")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gamow_lab.exceptions import QuadratureNotConverged, ResidueMismatch
+from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
     RotatedExpansion,
     _ray_edges,
@@ -18,7 +19,6 @@ from gamow_lab.gamow_expansion import (
     gram_matrix,
     integrand_f,
     nonescape_asymptote,
-    ray_background,
     residue_prefactor,
     residue_terms,
     verify_residue,
@@ -116,7 +116,7 @@ class TestBackgroundIntegral:
         p = box_mode(1)
         t = tau1(W100)
         rot = RotatedExpansion(np.array([0.5]), p, W100, t, t)
-        bg = abs(rot.ray.at(t)[0][0, 0])
+        bg = abs(rot.background(t)[0][0, 0])
         res = abs(rot.residue_sum(t)[0, 0])
         assert bg / res < 1e-2
 
@@ -134,27 +134,29 @@ class TestBackgroundIntegral:
         with pytest.warns(RuntimeWarning):
             background_integral(0.5, 0.01, box_mode(1), W10)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(gamow_expansion, "BACKGROUND_TOLERANCE", 1e-28)
         with pytest.raises(QuadratureNotConverged) as info:
-            background_integral(0.5, 5.0, box_mode(1), W10, tol=1e-30)
+            background_integral(0.5, 5.0, box_mode(1), W10)
         assert info.value.estimate > 1e-28
 
     def test_error_estimate_small(self):
         # the control rule agrees with the main rule far below the default
         # tolerance over the whole range of one ray rule
         times = np.geomspace(0.02, 1e6, 9)
-        bg = ray_background(np.linspace(0.0, 1.0, 9), box_mode(1), W100,
-                            times[0], times[-1])
-        values, err = bg.at(times)
+        rot = RotatedExpansion(np.linspace(0.0, 1.0, 9), box_mode(1), W100,
+                               times[0], times[-1])
+        values, err = rot.background(times)
         assert np.all(err < 1e-12)
         assert np.all(err <= 1e-10 * np.max(np.abs(values), axis=1))
 
     def test_range_rule_matches_single_time_rule(self):
         x = np.linspace(0.1, 1.0, 4)
-        bg = ray_background(x, box_mode(3), W30, 0.05, 1e4)
+        rot = RotatedExpansion(x, box_mode(3), W30, 0.05, 1e4)
         for t in (0.05, 3.0, 1e4):
             single = background_integral(x, t, box_mode(3), W30)
-            assert np.allclose(bg.at(t)[0][0], single, rtol=1e-11, atol=0.0)
+            assert np.allclose(rot.background(t)[0][0], single, rtol=1e-11,
+                               atol=0.0)
 
 
 class TestEvolveRotated:
@@ -193,7 +195,7 @@ class TestEvolveRotated:
         t = tau1(W10)
         grid = well_grid(W10, 65)
         rot = RotatedExpansion(grid, box_mode(1), W10, t, t)
-        rebuilt = rot.ray.at(t)[0][0] + rot.residue_sum(t)[0]
+        rebuilt = rot.background(t)[0][0] + rot.residue_sum(t)[0]
         ws = evolve_rotated(box_mode(1), t, grid, W10)
         assert np.allclose(rebuilt, ws.psi, rtol=0, atol=1e-15)
 
@@ -205,7 +207,7 @@ class TestEvolveRotated:
         rot = RotatedExpansion(grid, box_mode(3), w, t, t)
         k = rot.residues.k.astype(np.clongdouble)
         phase = np.exp(-1j * (k * k) * np.longdouble(t))
-        ref = (rot.ray.at(t)[0][0].astype(np.clongdouble)
+        ref = (rot.background(t)[0][0].astype(np.clongdouble)
                + phase @ rot.mode_values.astype(np.clongdouble))
         psi = evolve_rotated(box_mode(3), t, grid, w).psi
         assert np.max(np.abs(psi - ref)) < 1e-14

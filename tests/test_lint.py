@@ -59,3 +59,84 @@ def integration_rule_sources(path: Path) -> list[str]:
 def test_integration_rules_come_from_quadrature(path):
     # every Gauss-Legendre rule and integrator lives in quadrature.py
     assert integration_rule_sources(path) == []
+
+
+def _dataclass_defaults(node: ast.ClassDef) -> list[str]:
+    """Settable fields of a dataclass that have a default."""
+    if not any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list):
+        return []
+    found = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and item.value is not None
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id",
+                                                   None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            settable = not (isinstance(kw.get("init"), ast.Constant)
+                            and kw["init"].value is False)
+            if not (settable and ("default" in kw or "default_factory" in kw)):
+                continue
+        found.append(item.target.id)
+    return found
+
+
+def defaulted_parameters(path: Path) -> set[str]:
+    """Every knob with a default, as 'module:qualname.name': function
+    parameters (positional or keyword-only) and settable dataclass fields
+    (an ``init=False`` field is not settable)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                names = [p.arg for p in positional[len(positional)
+                                                   - len(a.defaults):]]
+                names += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                found.update(f"{prefix}{child.name}.{n}" for n in names)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                found.update(f"{prefix}{child.name}.{n}"
+                             for n in _dataclass_defaults(child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, f"{path.stem}:")
+    return found
+
+
+#: every defaulted parameter and settable defaulted dataclass field in the
+#: package; a new knob needs an entry here
+KNOBS = {
+    "cli:_build_parser.common.policies",
+    "cli:_build_parser.common.profile",
+    "cli:_build_parser.common.times",
+    "cli:main.argv",
+    "decay_analysis:geometric_times.per_decade",
+    "decay_analysis:nonescape_curve.policy",
+    "gamow_expansion:gram_matrix.n_terms",
+    "gamow_expansion:verify_residue.rtol",
+    "gamow_expansion:verify_residue.x",
+    "potential_model:WellParameters.a",
+    "profiles:InitialProfile._nodes",
+    "profiles:InitialProfile._values",
+    "profiles:InitialProfile._weights",
+    "profiles:InitialProfile.mode",
+    "profiles:_finalize.mode",
+    "profiles:box_mode.a",
+    "profiles:custom_samples.a",
+    "profiles:parse_profile.a",
+    "profiles:truncated_gaussian.a",
+}
+
+
+def test_knob_census():
+    found = set().union(*(defaulted_parameters(p) for p in MODULES))
+    assert found == KNOBS
