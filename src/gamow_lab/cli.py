@@ -8,8 +8,8 @@ Files are written atomically (temp file + rename).
 
 Exit codes:
   0  success
-  1  usage error (bad arguments, profile, time grid or policy, or a
-     well outside a command's range)
+  1  usage error (bad arguments, profile, time grid or policy, a
+     non-finite well or cutoff, or a well outside a command's range)
   2  pole enumeration failure (CountMismatch, NoConvergence, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
   4  any other numerical failure (a GamowLabError, e.g. NoCrossing)
@@ -153,22 +153,29 @@ def cmd_evolve(config: RunConfig) -> int:
     if np.any(times < 0.0):
         print("snapshot times must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    # the rotated representation needs t > 0 (auto never picks it at 0);
+    # nothing is written until every snapshot has succeeded
+    if config.policy in ("rotated", "both") and np.any(times == 0.0):
+        raise ValueError("rotated representation requires t > 0")
     grid = well_grid(w, 257)
-    for t in times:
-        rows = []
+    snapshots = []
+    for t in map(float, times):
         states = {}
         early = t < DIRECT_TIME_LIMIT * w.a ** 2
         if config.policy in ("direct", "both") or (
                 config.policy == "auto" and early):
-            states["direct"] = evolve_direct(p, float(t), grid, w)
+            states["direct"] = evolve_direct(p, t, grid, w)
         if config.policy in ("rotated", "both") or (
                 config.policy == "auto" and not early):
-            states["rotated"] = evolve_rotated(p, float(t), grid, w)
+            states["rotated"] = evolve_rotated(p, t, grid, w)
+        snapshots.append((t, states))
+    for t, states in snapshots:
+        rows = []
         for method, ws in states.items():
             for x, v in zip(ws.x, ws.psi):
                 rows.append([float(x), float(v.real), float(v.imag),
                              float(abs(v) ** 2), method])
-        name = f"evolve_t{float(t):.6g}"
+        name = f"evolve_t{t:.6g}"
         path = _emit(config, name,
                      ["x", "re_psi", "im_psi", "abs2_psi", "method"], rows)
         msg = f"wrote {path}"

@@ -59,14 +59,10 @@ class DecayCurve:
         t, P = self.times, self.P
         if np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
             raise ValueError("times must be strictly ascending and >= 0")
-        if np.any(P < -1e-12) or np.any(P > 1.0 + 1e-6):
-            raise ValueError("P values must lie in [0, 1 + 1e-6]")
+        if not np.all((P >= -1e-12) & (P <= 1.0 + 1e-6)):
+            raise ValueError("P values must be finite and lie in [0, 1 + 1e-6]")
         if t[0] == 0.0 and abs(P[0] - 1.0) > 1e-10:
             raise ValueError(f"P(0) = {P[0]} deviates from 1 beyond 1e-10")
-
-    @property
-    def label(self) -> str:
-        return self.profile.label
 
 
 @dataclass(frozen=True)

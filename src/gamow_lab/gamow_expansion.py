@@ -39,6 +39,8 @@ from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
 _ROT = np.exp(-1j * math.pi / 4.0)
 #: trapezoid nodes on verify_residue's circle
 _RESIDUE_NODES = 128
+#: residue functions in gram_matrix
+GRAM_TERMS = 3
 
 
 @dataclass(frozen=True)
@@ -318,14 +320,14 @@ def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
     }
 
 
-def gram_matrix(p: InitialProfile, w: WellParameters,
-                n_terms: int = 3) -> np.ndarray:
-    """Normalized Gram matrix of the first residue functions C(k_n, .).
+def gram_matrix(p: InitialProfile, w: WellParameters) -> np.ndarray:
+    """Normalized Gram matrix of the first GRAM_TERMS residue functions
+    C(k_n, .).
 
     Off-diagonal magnitudes quantify how close the Gamow functions are to
     orthogonal (they are only approximately so)."""
     residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
-    k, c = residues.k[:n_terms], residues.prefactors[:n_terms]
+    k, c = residues.k[:GRAM_TERMS], residues.prefactors[:GRAM_TERMS]
     g = (np.conj(c)[:, None] * c[None, :]
          * sine_overlap(np.conj(k)[:, None], k[None, :], w.a))
     d = np.sqrt(np.real(np.diag(g)))

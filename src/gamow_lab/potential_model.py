@@ -51,10 +51,10 @@ class WellParameters:
     a: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise ValueError(f"opacity lam must be > 0, got {self.lam}")
-        if not (self.a > 0.0):
-            raise ValueError(f"width a must be > 0, got {self.a}")
+        if not (0.0 < self.lam < math.inf):
+            raise ValueError(f"opacity lam must be finite and > 0, got {self.lam}")
+        if not (0.0 < self.a < math.inf):
+            raise ValueError(f"width a must be finite and > 0, got {self.a}")
 
     @property
     def metastable(self) -> bool:
@@ -89,7 +89,7 @@ class Resonance:
         object.__setattr__(self, "gamma", -2.0 * E.imag)
         object.__setattr__(self, "tau", 1.0 / (-2.0 * E.imag))
 
-    def validate(self, w: WellParameters) -> None:
+    def validate(self) -> None:
         k = self.k
         if not (k.real > 0.0 and k.imag < 0.0):
             raise WrongQuadrant(f"root {k} is not in the fourth quadrant")
@@ -229,7 +229,7 @@ def refine_pole(seed: complex, w: WellParameters) -> Resonance:
             f"no convergence after {_NEWTON_ITERATIONS} iterations from seed {seed}"
         )
     res = Resonance(n=0, k=k, residual=abs(fval))
-    res.validate(w)
+    res.validate()
     return res
 
 
@@ -257,8 +257,8 @@ def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
     audited with the argument principle over the enclosing rectangle and a
     CountMismatch is raised on disagreement.
     """
-    if not (k_max > 0.0):
-        raise ValueError(f"k_max must be positive, got {k_max}")
+    if not (0.0 < k_max < math.inf):
+        raise ValueError(f"k_max must be finite and positive, got {k_max}")
     found: list[Resonance] = []
     spacing = math.pi * w.lam / (1.0 + w.lam) / w.a
     n = 1

@@ -29,27 +29,23 @@ _EDGE_TOL = 1e-8
 _GL_ORDER = 520
 
 
-def _gl_nodes(a: float):
-    return panel_nodes(np.array([0.0, a]), _GL_ORDER)
-
-
 @dataclass(frozen=True)
 class InitialProfile:
-    """Initial wave function on [0, a].
+    """Initial wave function psi0 on [0, a], built by :func:`box_mode`,
+    :func:`truncated_gaussian` or :func:`custom_samples`.
 
-    Construct through :func:`box_mode`, :func:`truncated_gaussian` or
-    :func:`custom_samples`; the constructor validates support, boundary
-    values and normalization.
+    ``mode`` is the box index n of sqrt(2/a) sin(n pi x / a), or None;
+    ``nodes`` and ``coef`` (= weights * psi0) are the 520-node rule on
+    [0, a]; ``barrier_slope`` is psi0'(a-).
     """
 
-    kind: str
     a: float
-    amplitude: Callable[[np.ndarray], np.ndarray]
     label: str
-    mode: int | None = None
-    _nodes: np.ndarray = field(repr=False, default=None)
-    _weights: np.ndarray = field(repr=False, default=None)
-    _values: np.ndarray = field(repr=False, default=None)
+    amplitude: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    mode: int | None
+    nodes: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
+    barrier_slope: complex
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -57,33 +53,32 @@ class InitialProfile:
                        self.amplitude(np.clip(x, 0.0, self.a)), 0.0)
         return out if out.ndim else complex(out)
 
-    def validate(self) -> None:
-        norm = float(np.sum(self._weights * np.abs(self._values) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"profile norm is {norm}, not 1")
-        edge0 = abs(complex(np.asarray(self.amplitude(np.array([0.0])))[0]))
-        edgea = abs(complex(np.asarray(self.amplitude(np.array([self.a])))[0]))
-        if edge0 > _EDGE_TOL:
-            raise ValueError(f"profile must vanish at the wall, psi(0)={edge0}")
-        if edgea > _EDGE_TOL:
-            raise ValueError(f"profile must vanish at the barrier, psi(a)={edgea}")
-
     def first_moment(self) -> complex:
         """phi'(0) = int_0^a psi0(x) x dx, the small-k slope of the transform."""
-        if self.kind == "box_mode":
-            n = self.mode
-            val = math.sqrt(2.0 / self.a) * self.a ** 2 * (-1.0) ** (n + 1) / (n * math.pi)
-            return complex(val)
-        return complex(np.sum(self._weights * self._values * self._nodes))
+        return complex(np.sum(self.coef * self.nodes))
 
 
-def _finalize(kind, a, amplitude, label, mode=None) -> InitialProfile:
-    xs, wts = _gl_nodes(a)
-    vals = np.asarray(amplitude(xs), dtype=complex)
-    p = InitialProfile(kind=kind, a=a, amplitude=amplitude, label=label,
-                       mode=mode, _nodes=xs, _weights=wts, _values=vals)
-    p.validate()
-    return p
+def _checked(a, amplitude, label, mode) -> InitialProfile:
+    """The one constructor: rejects a profile whose norm is not 1 or whose
+    edge values are not 0 (NaN fails both), and takes psi0'(a-) from a
+    one-sided second-order stencil."""
+    xs, wts = panel_nodes(np.array([0.0, a]), _GL_ORDER)
+    # a degenerate profile evaluates to nan here and is rejected below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = np.asarray(amplitude(xs), dtype=complex)
+        h = 1e-6 * a
+        edge0, edgea, near, far = (complex(amplitude(np.asarray(x)))
+                                   for x in (0.0, a, a - h, a - 2 * h))
+    norm = float(np.sum(wts * np.abs(vals) ** 2))
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ValueError(f"profile norm is {norm}, not 1")
+    if not abs(edge0) <= _EDGE_TOL:
+        raise ValueError(f"profile must vanish at the wall, psi(0)={edge0}")
+    if not abs(edgea) <= _EDGE_TOL:
+        raise ValueError(f"profile must vanish at the barrier, psi(a)={edgea}")
+    return InitialProfile(a=a, label=label, amplitude=amplitude, mode=mode,
+                          nodes=xs, coef=wts * vals,
+                          barrier_slope=(3 * edgea - 4 * near + far) / (2.0 * h))
 
 
 def box_mode(n: int, a: float = 1.0) -> InitialProfile:
@@ -91,42 +86,45 @@ def box_mode(n: int, a: float = 1.0) -> InitialProfile:
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     amp = lambda x: np.sqrt(2.0 / a) * np.sin(n * np.pi * x / a)
-    return _finalize("box_mode", a, amp, f"box:{n}", mode=n)
+    return _checked(a, amp, f"box:{n}", n)
 
 
 def truncated_gaussian(center: float, width: float, a: float = 1.0) -> InitialProfile:
     """Normalized Gaussian bump on [0, a].
 
     center and width must keep the tails below the boundary tolerance at
-    x = 0 and x = a, otherwise validation rejects the profile.
+    x = 0 and x = a, otherwise the constructor rejects the profile.
     """
     if not (0.0 < center < a):
         raise ValueError("center must lie inside (0, a)")
     if width <= 0.0:
         raise ValueError("width must be positive")
-    xs, wts = _gl_nodes(a)
-    raw = np.exp(-0.5 * ((xs - center) / width) ** 2)
-    norm = math.sqrt(float(np.sum(wts * raw ** 2)))
-    amp = lambda x: np.exp(-0.5 * ((np.asarray(x) - center) / width) ** 2) / norm
-    return _finalize("truncated_gaussian", a, amp,
-                     f"gauss:{center:g},{width:g}")
+    shape = lambda x: np.exp(-0.5 * ((np.asarray(x) - center) / width) ** 2)
+    return _checked(a, _normalized(a, shape), f"gauss:{center:g},{width:g}",
+                    None)
 
 
-def custom_samples(x: np.ndarray, values: np.ndarray, a: float = 1.0) -> InitialProfile:
-    """Profile defined by samples on [0, a], cubic-interpolated and renormalized."""
+def custom_samples(x: np.ndarray, values: np.ndarray) -> InitialProfile:
+    """Profile defined by samples on [0, a] with a = x[-1], cubic-interpolated
+    and renormalized."""
     from scipy.interpolate import CubicSpline
 
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=complex)
-    if x[0] != 0.0 or x[-1] != a:
-        raise ValueError("samples must span [0, a] exactly")
+    if x[0] != 0.0:
+        raise ValueError("samples must start at x = 0")
+    a = float(x[-1])
     spline_re = CubicSpline(x, values.real)
     spline_im = CubicSpline(x, values.imag)
-    xs, wts = _gl_nodes(a)
-    raw = spline_re(xs) + 1j * spline_im(xs)
-    norm = math.sqrt(float(np.sum(wts * np.abs(raw) ** 2)))
-    amp = lambda t: (spline_re(np.asarray(t)) + 1j * spline_im(np.asarray(t))) / norm
-    return _finalize("custom_samples", a, amp, "custom")
+    shape = lambda t: spline_re(np.asarray(t)) + 1j * spline_im(np.asarray(t))
+    return _checked(a, _normalized(a, shape), "custom", None)
+
+
+def _normalized(a, shape):
+    """shape divided by its norm on the profile rule over [0, a]."""
+    xs, wts = panel_nodes(np.array([0.0, a]), _GL_ORDER)
+    norm = math.sqrt(float(np.sum(wts * np.abs(shape(xs)) ** 2)))
+    return lambda x: shape(x) / norm
 
 
 def overlap_transform(p: InitialProfile, k):
@@ -139,19 +137,18 @@ def overlap_transform(p: InitialProfile, k):
     k = np.asarray(k, dtype=complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    if p.kind == "box_mode":
+    if p.mode is not None:
         kn = p.mode * np.pi / p.a
         amp = math.sqrt(2.0 / p.a)
         out = amp * sine_overlap(k, kn, p.a)
     else:
         # nodes: (m,), k chunked to bound the outer-product workspace
-        coef = p._weights * p._values
         flat = k.ravel()
         out = np.empty(flat.shape, dtype=complex)
         step = 8192
         for i in range(0, flat.size, step):
             blk = flat[i:i + step]
-            out[i:i + step] = np.sin(np.multiply.outer(blk, p._nodes)) @ coef
+            out[i:i + step] = np.sin(np.multiply.outer(blk, p.nodes)) @ p.coef
         out = out.reshape(k.shape)
     return complex(out[0]) if scalar else out
 

@@ -159,27 +159,23 @@ def _tail_correction(p: InitialProfile, k_max: float, t: float,
     return np.exp(-1j * k_max ** 2 * t) / damp * (f0 + f1 / damp - f0 / (damp * k_max))
 
 
-def _kink_tail_t0(p: InitialProfile, k_max: float, grid: np.ndarray,
-                  w: WellParameters) -> np.ndarray:
+def _kink_tail_t0(p: InitialProfile, k_max: float,
+                  grid: np.ndarray) -> np.ndarray:
     """Analytic tail of the t = 0 completeness integral beyond k_max.
 
-    The profile's derivative jump at x = a makes phi(k) fall off only like
-    psi'(a) sin(ka)/k^2; with |A|^2 -> 4 the truncated tail reduces to
-    cosine integrals, evaluated here in closed form via Si(z).
+    The profile's derivative jump at x = p.a makes phi(k) fall off only
+    like psi'(a-) sin(ka)/k^2; with |A|^2 -> 4 the truncated tail reduces
+    to cosine integrals, evaluated here in closed form via Si(z).
     """
     from scipy.special import sici
-
-    # one-sided 2nd-order stencil for psi'(a-)
-    h = 1e-6 * w.a
-    psi_prime_a = (3 * complex(p(w.a)) - 4 * complex(p(w.a - h))
-                   + complex(p(w.a - 2 * h))) / (2.0 * h)
 
     def J(b):
         b = np.abs(b)
         si, _ = sici(k_max * b)
         return np.cos(k_max * b) / k_max - b * (0.5 * np.pi - si)
 
-    return (2.0 / math.pi) * psi_prime_a * 0.5 * (J(w.a - grid) - J(w.a + grid))
+    return ((2.0 / math.pi) * p.barrier_slope * 0.5
+            * (J(p.a - grid) - J(p.a + grid)))
 
 
 def evolve_direct(p: InitialProfile, t: float, grid,
@@ -226,7 +222,7 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
     if t != 0.0:
         psi_main = psi_main + _tail_correction(p, k_max, t, grid, w)
     else:
-        psi_main = psi_main + _kink_tail_t0(p, k_max, grid, w)
+        psi_main = psi_main + _kink_tail_t0(p, k_max, grid)
     return psi_main, est
 
 
@@ -246,7 +242,7 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
 
     time independent.  Numeric quadrature up to k_far = 10 k_max
     (resonance spikes are broad there) plus the analytic remainder from
-    the kink envelope |phi|^2 ~ C sin^2(ka)/k^4, |A|^2 -> 4.
+    the kink envelope |phi|^2 ~ |psi0'(a-)|^2 sin^2(ka)/k^4, |A|^2 -> 4.
     """
     k_far = 10.0 * k_max
 
@@ -256,9 +252,7 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
         return np.abs(A) ** 2 * np.abs(phi) ** 2 / (2.0 * math.pi)
 
     val, _ = adaptive_gl(dens, k_max, k_far, tol=1e-13)
-    ks = np.linspace(0.9 * k_far, k_far, 400)
-    envelope = 2.0 * float(np.mean(np.abs(overlap_transform(p, ks)) ** 2 * ks ** 4))
-    remainder = (envelope / math.pi) / (3.0 * k_far ** 3)
+    remainder = abs(p.barrier_slope) ** 2 / (3.0 * math.pi * k_far ** 3)
     return float(val) + remainder
 
 

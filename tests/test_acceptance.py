@@ -219,7 +219,7 @@ def test_criterion_09_residue_calculus():
     for w in (W10, W100):
         for r in resonances(w, 40.0):
             worst = max(worst, verify_residue(r, p, w, rtol=1e-6))
-    g = gram_matrix(p, W100, n_terms=3)
+    g = gram_matrix(p, W100)
     off = float(np.max(np.abs(g - np.diag(np.diag(g)))))
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and off < 0.05 and dt < 30.0

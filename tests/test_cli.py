@@ -85,6 +85,30 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     assert not (tmp_path / "survival.csv").exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["poles", "--lambda", "inf"], "opacity"),
+    (["poles", "--lambda", "30", "--kmax", "inf"], "k_max"),
+    (["poles", "--lambda", "30", "--width", "inf"], "width"),
+    (["evolve", "--lambda", "30", "--profile", "box:1", "--times", "1,0",
+      "--policy", "rotated"], "rotated representation requires t > 0"),
+    (["survival", "--lambda", "30", "--profile", "gauss:0.5,1e-10",
+      "--times", "1,2"], "profile norm"),
+], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
+        "evolve-rotated-t0-last", "survival-degenerate-profile"])
+def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,
+                                                       reason):
+    # a separate process, so a hang fails the test instead of stalling it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cmd = [sys.executable, "-m", "gamow_lab.cli", *argv, "--out",
+           str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestPoles:
     def test_table_contents(self, tmp_path):
         rc = main(["poles", "--lambda", "100", "--kmax", "16",

@@ -86,6 +86,12 @@ class TestDecayCurve:
                        methods=("direct", "rotated"), w=W10,
                        profile=box_mode(1))
 
+    def test_rejects_nan_P(self):
+        with pytest.raises(ValueError):
+            DecayCurve(times=np.array([1.0, 2.0]), P=np.array([0.5, math.nan]),
+                       methods=("rotated", "rotated"), w=W10,
+                       profile=box_mode(1))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_policies_agree(self):
         w = W100

@@ -96,7 +96,7 @@ class TestResidues:
         assert np.allclose(residues.weights, quad, rtol=1e-11, atol=0.0)
 
     def test_gram_offdiagonals_small(self):
-        g = gram_matrix(box_mode(1), W100, n_terms=3)
+        g = gram_matrix(box_mode(1), W100)
         off = np.abs(g - np.diag(np.diag(g)))
         assert np.max(off) < 0.05
 

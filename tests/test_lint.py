@@ -31,6 +31,29 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def unused_parameters(path: Path) -> list[str]:
+    """Function parameters (other than self and cls) that the function's
+    body never reads, as 'line function.name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [f"{node.lineno} {node.name}.{p.arg}" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in used]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path) == []
+
+
 def integration_rule_sources(path: Path) -> list[str]:
     """scipy.integrate imports and leggauss calls, as 'line name'."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -121,17 +144,10 @@ KNOBS = {
     "cli:main.argv",
     "decay_analysis:geometric_times.per_decade",
     "decay_analysis:nonescape_curve.policy",
-    "gamow_expansion:gram_matrix.n_terms",
     "gamow_expansion:verify_residue.rtol",
     "gamow_expansion:verify_residue.x",
     "potential_model:WellParameters.a",
-    "profiles:InitialProfile._nodes",
-    "profiles:InitialProfile._values",
-    "profiles:InitialProfile._weights",
-    "profiles:InitialProfile.mode",
-    "profiles:_finalize.mode",
     "profiles:box_mode.a",
-    "profiles:custom_samples.a",
     "profiles:parse_profile.a",
     "profiles:truncated_gaussian.a",
 }

@@ -209,8 +209,8 @@ class TestEnumeratePoles:
 class TestResonanceInvariants:
     def test_validate_rejects_upper_half_plane(self):
         with pytest.raises(WrongQuadrant):
-            Resonance(n=1, k=3.0 + 0.1j, residual=0.0).validate(W100)
+            Resonance(n=1, k=3.0 + 0.1j, residual=0.0).validate()
 
     def test_validate_rejects_steep_sector(self):
         with pytest.raises(WrongQuadrant):
-            Resonance(n=1, k=1.0 - 2.0j, residual=0.0).validate(W100)
+            Resonance(n=1, k=1.0 - 2.0j, residual=0.0).validate()

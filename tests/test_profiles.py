@@ -74,6 +74,31 @@ class TestConstruction:
         xs = np.linspace(0, 1, 4001)
         assert np.trapezoid(np.abs(p(xs)) ** 2, xs) == pytest.approx(1.0, abs=1e-6)
 
+    def test_custom_samples_width_is_last_sample(self):
+        x = np.linspace(0.0, 2.0, 101)
+        p = custom_samples(x, np.sin(np.pi * x / 2.0))
+        # the rule spans [0, 2]: int_0^2 sin(pi x / 2) x dx = 4 / pi
+        assert p.a == 2.0
+        assert p.first_moment() == pytest.approx(4.0 / math.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("make", [
+        lambda: custom_samples(np.linspace(0.0, 1.0, 11), np.zeros(11)),
+        lambda: parse_profile("gauss:0.5,1e-10"),
+        lambda: parse_profile("gauss:0.5,nan"),
+    ], ids=["zero-samples", "gauss-underflow", "gauss-nan"])
+    def test_degenerate_profiles_rejected(self, make):
+        # a NaN norm or edge value must fail the constructor's check
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_barrier_slope(self, n):
+        # psi0'(a-) = sqrt(2/a) (n pi / a) cos(n pi) for the box modes
+        a = 1.5
+        p = box_mode(n, a=a)
+        exact = math.sqrt(2.0 / a) * n * math.pi / a * (-1.0) ** n
+        assert p.barrier_slope == pytest.approx(exact, rel=1e-8)
+
     def test_first_moment_closed_form(self):
         # int_0^1 sqrt(2) sin(pi x) x dx = sqrt(2)/pi
         p = box_mode(1)
@@ -115,11 +140,11 @@ class TestOverlapTransform:
 class TestParseProfile:
     def test_box(self):
         p = parse_profile("box:2")
-        assert p.kind == "box_mode" and p.mode == 2
+        assert p.mode == 2
 
     def test_gauss(self):
         p = parse_profile("gauss:0.5,0.08")
-        assert p.kind == "truncated_gaussian"
+        assert p.mode is None
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,14 @@ class TestEvolveDirect:
         ws = evolve_direct(p, 0.0, grid, W10)
         assert np.max(np.abs(ws.psi - p(grid))) < 1e-4
 
+    def test_completeness_profile_narrower_than_well(self):
+        # the profile's kink sits at its own edge x = 1, not at the barrier
+        w = WellParameters(10.0, a=2.0)
+        p = box_mode(1, a=1.0)
+        grid = well_grid(w, 257)
+        ws = evolve_direct(p, 0.0, grid, w)
+        assert np.max(np.abs(ws.psi - p(grid))) <= 1e-6
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exponential_norm_decay(self):
         t1 = tau1(W100)
