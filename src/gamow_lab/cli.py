@@ -39,7 +39,12 @@ from .exceptions import (
 from .gamow_expansion import DIRECT_TIME_LIMIT, crossover_time, evolve_rotated
 from .potential_model import WellParameters, asymptotic_pole_seed
 from .profiles import parse_profile
-from .spectral_evolution import evolve_direct, resonances, well_grid
+from .spectral_evolution import (
+    DEFAULT_KMAX,
+    evolve_direct,
+    resonances,
+    well_grid,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -257,8 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="well width a (default 1)")
         # a command takes either a pole cutoff or a method policy
         if policies is None:
-            sp.add_argument("--kmax", type=float, default=40.0,
-                            help="pole cutoff in units of 1/a (default 40)")
+            sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX,
+                            help="pole cutoff in units of 1/a "
+                                 f"(default {DEFAULT_KMAX:g})")
         else:
             sp.add_argument("--policy", default="auto", choices=policies)
         sp.add_argument("--out", default=".", help="output directory")

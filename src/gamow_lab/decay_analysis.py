@@ -15,17 +15,16 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import (
     GridTooCoarse,
-    NoCrossing,
     WindowBeforeCrossover,
     WindowTooSmall,
 )
 from .gamow_expansion import (
     DIRECT_TIME_LIMIT,
     RotatedExpansion,
+    crossing_time,
     crossover_time,
     nonescape_asymptote,
 )
@@ -202,34 +201,31 @@ def fit_tail_exponent(curve: DecayCurve, window, crossover: float):
 
 
 def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
-    """Fit both regimes, measure the crossover, compare with references."""
+    """Fit both regimes, measure the crossover, compare with references.
+
+    One rotated curve samples both fit windows, (tau1, 5 tau1) and
+    (10 t*, 100 t*) with t* the theory crossover; they are disjoint since
+    t* > tau1.  The measured crossover is where the two fitted lines meet.
+    """
     if not w.metastable:
         raise ValueError("regime analysis requires the metastable regime "
                          "(lam >= 10)")
     r1 = resonances(w, DEFAULT_KMAX / w.a)[0]
     tau1, gamma1 = r1.tau, r1.gamma
-
-    exp_window = (tau1, 5.0 * tau1)
-    curve_exp = nonescape_curve(p, geometric_times(*exp_window), w,
-                                policy="rotated")
-    gamma_fit, c_fit, exp_resid = fit_exponential(curve_exp, exp_window)
-
     cross = crossover_time(p, w)
     t_star = cross["t_star"]
+
+    exp_window = (tau1, 5.0 * tau1)
     tail_window = (10.0 * t_star, 100.0 * t_star)
-    curve_tail = nonescape_curve(p, geometric_times(*tail_window), w,
-                                 policy="rotated")
+    times = np.concatenate([geometric_times(*exp_window),
+                            geometric_times(*tail_window)])
+    curve = nonescape_curve(p, times, w, policy="rotated")
+    gamma_fit, c_fit, exp_resid = fit_exponential(curve, exp_window)
     s_fit, s_icept, tail_resid, s_half = fit_tail_exponent(
-        curve_tail, tail_window, t_star)
+        curve, tail_window, t_star)
 
-    # measured crossover: intersection of the two fitted straight lines
-    def gap(t):
-        return (math.log(c_fit) - gamma_fit * t) - (s_icept + s_fit * math.log(t))
-
-    lo, hi = tau1, 1e6 * tau1
-    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
-        raise NoCrossing("fitted exponential and tail branches do not cross")
-    t_star_meas = float(brentq(gap, lo, hi, xtol=1e-9 * tau1))
+    t_star_meas = crossing_time(math.log(c_fit), gamma_fit, s_icept, s_fit,
+                                tau1, 1e6 * tau1)
     log10_p_star = (math.log(c_fit) - gamma_fit * t_star_meas) / math.log(10.0)
 
     return RegimeReport(

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .exceptions import NoCrossing, QuadratureNotConverged, ResidueMismatch
 from .potential_model import (
@@ -33,7 +33,7 @@ from .potential_model import (
     coefficient_A_bar,
 )
 from .profiles import InitialProfile, overlap_transform, sine_overlap
-from .quadrature import panel_nodes
+from .quadrature import CONTROL_ORDER, MAIN_ORDER, panel_nodes
 from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
 
 _ROT = np.exp(-1j * math.pi / 4.0)
@@ -128,9 +128,6 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     return Residues(poles=poles, prefactors=prefactors, weights=weights)
 
 
-#: Gauss-Legendre orders of the ray rule: main rule and error control
-_RAY_MAIN = 16
-_RAY_CONTROL = 12
 #: ray panels: the first is [0, _RAY_START / sqrt(t_max)], then each edge
 #: is _RAY_RATIO times the one before, until panels are _RAY_PANEL / a long
 _RAY_START = 0.5
@@ -199,7 +196,7 @@ class RotatedExpansion:
         self.energies = k * k
         self.mode_values = self.residues.modes(x)
         rules = []
-        for order in (_RAY_MAIN, _RAY_CONTROL):
+        for order in (MAIN_ORDER, CONTROL_ORDER):
             s, ws = panel_nodes(edges, order)
             F = np.empty((s.size, x.size), dtype=complex)
             for i in range(0, s.size, _RAY_BLOCK):
@@ -255,7 +252,7 @@ def evolve_rotated(p: InitialProfile, t: float, grid,
         raise ValueError("rotated representation requires t > 0")
     grid = np.asarray(grid, dtype=float)
     psi = RotatedExpansion(grid, p, w, t, t).psi(t)[0]
-    return WaveState(x=grid, psi=psi, t=t, method="rotated")
+    return WaveState(x=grid, psi=psi)
 
 
 def asymptotic_background(x, t: float, p: InitialProfile,
@@ -289,12 +286,42 @@ def nonescape_asymptote(t, p: InitialProfile, w: WellParameters):
     return float(out) if out.ndim == 0 else out
 
 
+def crossing_time(log_c: float, rate: float, log_k: float, s: float,
+                  lo: float, hi: float) -> float:
+    """Time t in [lo, hi] where the exponential branch log c - rate t meets
+    the power law log K + s ln t, in closed form:
+
+        t = (s / rate) W(z),  z = (rate / s) e^{(log c - log K) / s},
+
+    on the Lambert-W branch -1 for s < 0 (the later of the two crossings)
+    and branch 0 for s > 0.  Raises NoCrossing unless the exponential lies
+    above the power law at lo and below it at hi, and also when W is not
+    finite and real or the root falls outside [lo, hi] (a nearly flat power
+    law far from the exponential pushes z beyond the doubles' range).
+    """
+    def gap(t):
+        return log_c - rate * t - log_k - s * math.log(t)
+
+    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
+        raise NoCrossing(f"exponential and power-law branches do not cross "
+                         f"in [{lo:g}, {hi:g}]")
+    with np.errstate(over="ignore"):
+        z = rate / s * np.exp((log_c - log_k) / s)
+    W = lambertw(z, -1 if s < 0.0 else 0)
+    t = s / rate * W.real
+    if not (np.isfinite(W) and W.imag == 0.0 and lo <= t <= hi):
+        raise NoCrossing(f"closed-form crossing W = {W} gives no root in "
+                         f"[{lo:g}, {hi:g}]")
+    return float(t)
+
+
 def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
     """Intersection t* of the leading exponential branch c1 e^{-t/tau1}
-    with the power-law tail, plus the order-of-magnitude rule-of-thumb estimate 10 tau1 ln(lam).
+    with the power-law tail K t^-3, plus the order-of-magnitude
+    rule-of-thumb estimate 10 tau1 ln(lam).
 
-    Returns {'t_star', 'rule_of_thumb', 'tau1', 'c1'}; bisection bracket is
-    [tau1, 1e4 tau1].
+    Returns {'t_star', 'rule_of_thumb', 'tau1', 'c1'}; t* is the
+    crossing_time root in [tau1, 1e4 tau1].
     """
     if not w.metastable:
         raise ValueError("crossover estimate requires the metastable regime "
@@ -302,18 +329,12 @@ def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
     residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
     tau1 = residues.poles[0].tau
     c1 = float(residues.weights[0])
-
-    def diff(t):
-        return (math.log(c1) - t / tau1
-                - math.log(nonescape_asymptote(t, p, w)))
-
-    lo, hi = tau1, 1e4 * tau1
-    if diff(lo) <= 0.0 or diff(hi) >= 0.0:
-        raise NoCrossing(
-            f"exponential and tail branches do not cross in [{lo:g}, {hi:g}]")
-    t_star = brentq(diff, lo, hi, xtol=1e-10 * tau1)
+    # the tail is K t^-3 with K its value at t = 1
+    t_star = crossing_time(math.log(c1), 1.0 / tau1,
+                           math.log(nonescape_asymptote(1.0, p, w)), -3.0,
+                           tau1, 1e4 * tau1)
     return {
-        "t_star": float(t_star),
+        "t_star": t_star,
         "rule_of_thumb": 10.0 * tau1 * math.log(w.lam),
         "tau1": tau1,
         "c1": c1,

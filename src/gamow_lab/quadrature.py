@@ -21,6 +21,9 @@ from numpy.polynomial import legendre
 
 from .exceptions import QuadratureNotConverged
 
+#: Gauss-Legendre orders of a main rule and of its error control on the
+#: same panels (the direct route's k panels and the rotated route's ray)
+MAIN_ORDER, CONTROL_ORDER = 16, 12
 #: phase advance per panel of phase_budget_edges (radians)
 _PHASE_BUDGET = 8.0
 #: growth factor of spike_edges' panels away from the peak

@@ -28,8 +28,10 @@ from .potential_model import (
     coefficient_B,
     enumerate_poles,
 )
-from .profiles import InitialProfile, overlap_transform
+from .profiles import InitialProfile, overlap_midpoints, overlap_transform
 from .quadrature import (
+    CONTROL_ORDER,
+    MAIN_ORDER,
     adaptive_gl,
     merge_edges,
     panel_nodes,
@@ -44,12 +46,13 @@ DEFAULT_KMAX = 40.0
 #: phase damping and the profile kink makes the tail decay only like 1/k^2
 T0_KMAX = 800.0
 
-_GL_MAIN = 16
-_GL_CONTROL = 12
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
 #: zero padding of unitarity_audit's exterior FFT
 _FFT_PAD = 8
+#: |phi|^2 (units of a) that a smooth profile's spectrum stays below beyond
+#: unitarity_audit's cutoff
+_PHI_FLOOR = 1e-14
 #: Gauss-Legendre nodes in x on [0, a] for every int_0^a |psi|^2 dx
 X_NODES = 128
 
@@ -60,8 +63,6 @@ class WaveState:
 
     x: np.ndarray
     psi: np.ndarray
-    t: float
-    method: str
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.psi)):
@@ -202,8 +203,7 @@ def evolve_direct(p: InitialProfile, t: float, grid,
             f"direct spectral quadrature error estimate {est:.3e} > {_QUAD_TOL:.1e}",
             estimate=est,
         )
-    return WaveState(x=np.asarray(grid, dtype=float), psi=psi, t=t,
-                     method="direct")
+    return WaveState(x=np.asarray(grid, dtype=float), psi=psi)
 
 
 def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
@@ -216,8 +216,8 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
         raise ValueError("direct evolution grid must lie in [0, a]")
     k_max = direct_cutoff(w, t)
     edges = _spectral_edges(w, t, k_max)
-    psi_main = _direct_sum(p, t, grid, w, edges, _GL_MAIN)
-    psi_ctrl = _direct_sum(p, t, grid, w, edges, _GL_CONTROL)
+    psi_main = _direct_sum(p, t, grid, w, edges, MAIN_ORDER)
+    psi_ctrl = _direct_sum(p, t, grid, w, edges, CONTROL_ORDER)
     est = float(np.max(np.abs(psi_main - psi_ctrl)))
     if t != 0.0:
         psi_main = psi_main + _tail_correction(p, k_max, t, grid, w)
@@ -256,6 +256,27 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
     return float(val) + remainder
 
 
+def audit_cutoff(p: InitialProfile, w: WellParameters) -> float:
+    """unitarity_audit's spectral cutoff: DEFAULT_KMAX / a, raised in steps
+    of DEFAULT_KMAX / a (up to T0_KMAX / a) while |phi|^2 on the next step
+    exceeds _PHI_FLOOR a.
+
+    Only a profile with no kink at the barrier is raised: a kink makes
+    |phi|^2 fall like |psi0'(a-)|^2 / k^4, too slowly to reach the floor,
+    and spectral_tail_mass carries that tail in closed form instead.
+    """
+    step = DEFAULT_KMAX / w.a
+    if abs(p.barrier_slope) ** 2 / step ** 4 >= _PHI_FLOOR * w.a:
+        return step
+    m = 1
+    while m * step < T0_KMAX / w.a:
+        window = step * np.linspace(m, m + 1, 129)
+        if np.max(np.abs(overlap_transform(p, window)) ** 2) < _PHI_FLOOR * w.a:
+            break
+        m += 1
+    return m * step
+
+
 def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     """Decompose total probability at time t into inside + outside + tail.
 
@@ -270,12 +291,12 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     x_hi = 2.2 k_max t + 50 a, beyond which the signal has no support and
     only the periodic image of the x < 0 continuation lives.
 
-    The rule covers k up to DEFAULT_KMAX / a.  Returns {'inside',
+    The rule covers k up to audit_cutoff(p, w).  Returns {'inside',
     'outside', 'tail', 'total', 'dk', 'x_hi'}.
     """
     if not (0.0 <= t < math.inf):
         raise ValueError("t must be finite and >= 0")
-    k_max = DEFAULT_KMAX / w.a
+    k_max = audit_cutoff(p, w)
     poles = resonances(w, k_max)
     dk = min(-r.k.imag for r in poles) / 10.0
     if t > 0.0:
@@ -285,7 +306,7 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     k = (np.arange(n) + 0.5) * dk
     A = coefficient_A(k, w)
     B = coefficient_B(k, w)
-    phi = overlap_transform(p, k)
+    phi = overlap_midpoints(p, dk, n)
     c = np.exp(-1j * k * k * t) * np.conj(A) * phi * dk / (2.0 * math.pi)
 
     # interior: same k rule, sine series against A(k) c(k) on the well rule

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gamow_lab import gamow_expansion
+from gamow_lab import decay_analysis, gamow_expansion
 from gamow_lab.decay_analysis import (
     DecayCurve,
     POINTS_PER_DECADE,
@@ -211,8 +211,7 @@ class TestFluxDerivative:
 
     def test_zero_state_gives_zero(self):
         grid = well_grid(W10, 1025)
-        ws = WaveState(x=grid, psi=np.zeros_like(grid, dtype=complex),
-                       t=1.0, method="rotated")
+        ws = WaveState(x=grid, psi=np.zeros_like(grid, dtype=complex))
         assert flux_derivative(ws, W10) == 0.0
 
     def test_coarse_grid_rejected(self):
@@ -297,3 +296,15 @@ class TestRegimeReport:
     def test_requires_metastable(self):
         with pytest.raises(ValueError):
             regime_report(box_mode(1), WellParameters(lam=3.0))
+
+    def test_one_rotated_expansion(self, monkeypatch):
+        # both fit windows are read from one curve
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return gamow_expansion.RotatedExpansion(*args, **kwargs)
+
+        monkeypatch.setattr(decay_analysis, "RotatedExpansion", counting)
+        regime_report(box_mode(1), W10)
+        assert len(built) == 1

@@ -3,17 +3,24 @@ long-time asymptotics."""
 
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from gamow_lab.exceptions import QuadratureNotConverged, ResidueMismatch
+from gamow_lab.exceptions import (
+    NoCrossing,
+    QuadratureNotConverged,
+    ResidueMismatch,
+)
 from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
     RotatedExpansion,
     _ray_edges,
     asymptotic_background,
     background_integral,
+    crossing_time,
     crossover_time,
     evolve_rotated,
     gram_matrix,
@@ -252,6 +259,45 @@ class TestAsymptotics:
         ratio = nonescape_asymptote(100.0, p, w20) / nonescape_asymptote(
             100.0, p, W10)
         assert ratio == pytest.approx((11.0 / 21.0) ** 4, rel=1e-12)
+
+
+def mp_crossing(log_c, rate, log_k, s, lo, hi):
+    """Root of log c - rate t = log K + s ln t in [lo, hi], bracketed in
+    40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return float(mpmath.findroot(
+            lambda t: log_c - rate * t - log_k - s * mpmath.log(t),
+            (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson"))
+
+
+class TestCrossingTime:
+    @pytest.mark.parametrize("s", [-3.15, -3.0, -2.85, 0.5])
+    def test_matches_mpmath_root(self, s):
+        args = (-0.02, 1.0 / 17.0, -9.0, s, 17.0, 1.7e5)
+        assert crossing_time(*args) == pytest.approx(mp_crossing(*args),
+                                                     rel=1e-14)
+
+    @pytest.mark.parametrize("w", [W10, W100], ids=["lam10", "lam100"])
+    def test_theory_crossover_matches_mpmath_root(self, w):
+        p = box_mode(1)
+        res = crossover_time(p, w)
+        tau = res["tau1"]
+        ref = mp_crossing(math.log(res["c1"]), 1.0 / tau,
+                          math.log(nonescape_asymptote(1.0, p, w)), -3.0,
+                          tau, 1e4 * tau)
+        assert res["t_star"] == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 0.0, -3.0, 1.0, 1e4),    # tail above at lo
+        (0.0, 1.0, -10.0, -3.0, 1.0, 10.0),  # exponential above at hi
+        (0.0, 1.0, -50.0, -0.01, 1.0, 1e4),  # z underflows: W is -inf
+        (0.0, 1.0, -50.0, 0.01, 1.0, 1e4),   # z overflows: W is inf
+    ], ids=["below-at-lo", "above-at-hi", "degenerate", "degenerate-rising"])
+    def test_no_crossing(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoCrossing):
+                crossing_time(*args)
 
 
 class TestCrossover:

@@ -1,6 +1,9 @@
 """Static checks on the package source that need no external linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,14 @@ KNOBS = {
 def test_knob_census():
     found = set().union(*(defaulted_parameters(p) for p in MODULES))
     assert found == KNOBS
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the package needs no root finder; scipy.optimize is scipy's heaviest
+    # import and would dominate every command's start-up
+    code = ("import sys, gamow_lab.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

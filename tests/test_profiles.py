@@ -11,6 +11,7 @@ from gamow_lab import quadrature
 from gamow_lab.profiles import (
     box_mode,
     custom_samples,
+    overlap_midpoints,
     overlap_transform,
     parse_profile,
     truncated_gaussian,
@@ -135,6 +136,19 @@ class TestOverlapTransform:
         vec = overlap_transform(p, ks)
         scal = np.array([overlap_transform(p, k) for k in ks])
         assert np.allclose(vec, scal, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 5000])
+    def test_midpoints_match_transform(self, n):
+        dk = 120.0 / n
+        k = (np.arange(n) + 0.5) * dk
+        for p in (truncated_gaussian(0.45, 0.06), custom_samples(
+                np.linspace(0.0, 1.0, 41),
+                np.sin(np.pi * np.linspace(0.0, 1.0, 41)) ** 3)):
+            assert np.max(np.abs(overlap_midpoints(p, dk, n)
+                                 - overlap_transform(p, k))) < 1e-14
+        # box modes take the closed form on the same nodes
+        assert np.array_equal(overlap_midpoints(box_mode(2), dk, n),
+                              overlap_transform(box_mode(2), k))
 
 
 class TestParseProfile:

@@ -20,6 +20,7 @@ from gamow_lab.spectral_evolution import (
     evolve_direct,
     pole_cutoff,
     resonances,
+    audit_cutoff,
     spectral_tail_mass,
     unitarity_audit,
     well_grid,
@@ -187,6 +188,21 @@ class TestUnitarity:
     def test_rejects_bad_time(self, t):
         with pytest.raises(ValueError, match="finite and >= 0"):
             unitarity_audit(box_mode(1), t, W10)
+
+    def test_narrow_gaussian_closes(self):
+        # the spectrum of a width-0.05 a Gaussian reaches past 40/a; the
+        # cutoff follows |phi|^2 instead
+        p = truncated_gaussian(0.5, 0.05)
+        assert audit_cutoff(p, W10) == 120.0
+        for t in (0.0, tau1(W10) / 10.0):
+            audit = unitarity_audit(p, t, W10)
+            assert abs(audit["total"] - 1.0) < 1e-6
+
+    def test_kinked_profile_keeps_default_cutoff(self):
+        # a box mode's |phi|^2 ~ 1/k^4 is left to spectral_tail_mass
+        assert audit_cutoff(box_mode(1), W10) == 40.0
+        assert audit_cutoff(box_mode(2, a=2.0),
+                            WellParameters(lam=10.0, a=2.0)) == 20.0
 
     def test_tail_mass_scaling(self):
         # the above-cutoff mass falls like 1/k_max^3
