@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import panel_nodes
+from .quadrature import panel_nodes, panel_sine_transform
 
 _NORM_TOL = 1e-10
 _EDGE_TOL = 1e-8
@@ -27,8 +27,6 @@ _EDGE_TOL = 1e-8
 # also resolve sin(kx) at the largest spectral cutoff in use (ka up to ~800),
 # which needs roughly ka/2 nodes.
 _GL_ORDER = 520
-#: midpoints per block of overlap_midpoints (B)
-_MIDPOINT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,11 @@ def overlap_transform(p: InitialProfile, k):
 
     Box modes use the closed form with removable limits at k = +-n pi/a;
     other profiles use the cached Gauss-Legendre rule (entire integrand, so
-    the fixed rule is superalgebraically accurate for |Im k| a below ~40).
+    the fixed rule is superalgebraically accurate for |Im k| a below ~40),
+    with real sines when k is real.  Many real nodes grouped by panel are
+    cheaper through overlap_panels.
     """
+    real = np.isrealobj(k)
     k = np.asarray(k, dtype=complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
@@ -144,8 +145,9 @@ def overlap_transform(p: InitialProfile, k):
         amp = math.sqrt(2.0 / p.a)
         out = amp * sine_overlap(k, kn, p.a)
     else:
-        # nodes: (m,), k chunked to bound the outer-product workspace
-        flat = k.ravel()
+        # nodes: (m,), k chunked to bound the outer-product workspace;
+        # real k takes real sines, with the same sums
+        flat = k.real.ravel() if real else k.ravel()
         out = np.empty(flat.shape, dtype=complex)
         step = 8192
         for i in range(0, flat.size, step):
@@ -155,23 +157,14 @@ def overlap_transform(p: InitialProfile, k):
     return complex(out[0]) if scalar else out
 
 
-def overlap_midpoints(p: InitialProfile, dk: float, n: int) -> np.ndarray:
-    """overlap_transform at the midpoints k_j = (j + 1/2) dk, j < n.
-
-    Box modes take the closed form.  For other profiles, j = q B + i
-    splits k_j x into (q B + 1/2) dk x + i dk x, and the sine of that sum
-    needs sines and cosines on about n/B + B rows of the profile rule
-    instead of n; the sum over the rule becomes two matrix products.
-    """
+def overlap_panels(p: InitialProfile, ks, centres):
+    """overlap_transform at real nodes grouped by panel: each node set in
+    ks is (P, q), around the panel centres (P,), as panel_sine_transform
+    takes them.  Box modes take the closed form; other profiles the panel
+    expansion of their 520-node rule.  One array per node set."""
     if p.mode is not None:
-        return overlap_transform(p, (np.arange(n) + 0.5) * dk)
-    rows = -(-n // _MIDPOINT_BLOCK)
-    outer = np.multiply.outer((np.arange(rows) * _MIDPOINT_BLOCK + 0.5) * dk,
-                              p.nodes)
-    inner = np.multiply.outer(np.arange(_MIDPOINT_BLOCK) * dk, p.nodes)
-    out = ((np.sin(outer) * p.coef) @ np.cos(inner).T
-           + (np.cos(outer) * p.coef) @ np.sin(inner).T)
-    return out.ravel()[:n]
+        return [overlap_transform(p, k) for k in ks]
+    return panel_sine_transform(p.coef, p.nodes, ks, centres)
 
 
 def sine_overlap(p, q, a):

@@ -1,6 +1,7 @@
 """Quadrature helpers: panelized Gauss-Legendre rules for oscillatory and
-resonance-spiked integrands on the half line, and the sine sums that turn
-spectral nodes into wave functions.
+resonance-spiked integrands on the half line, and the panel sine sums that
+turn spectral nodes into wave functions and profiles into their sine
+transforms.
 
 The spectral integrals this package evaluates have two hostile features:
 extremely narrow Lorentzian spikes at the resonance positions, and a phase
@@ -10,6 +11,13 @@ around each spike) rather than by blind global adaptivity.
 
 Every Gauss-Legendre rule in the package comes from panel_nodes, so each
 order is computed once per process.
+
+A sine matrix sin(k_j x_m) over panel-grouped nodes is summed by
+panel_sine_sum (over the nodes k_j: psi at x_m) or panel_sine_transform
+(over the points x_m: phi at k_j), never formed.  Both expand each node
+about its panel centre, k_j = K_p + delta_j, so sin and cos are taken once
+per panel and point rather than once per node, as in the low-rank panels
+of the nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004).
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ _PHASE_BUDGET = 8.0
 _SPIKE_RATIO = 1.35
 #: adaptive_gl: rule order (control at half of it), first panels, rounds
 _ADAPTIVE_ORDER, _ADAPTIVE_PANELS, _ADAPTIVE_DEPTH = 16, 8, 30
-#: nodes per block of sine_sum (bounds the outer-product workspace)
-_SINE_CHUNK = 32768
+#: nodes per block of the panel sine sums (bounds their workspace)
+_BLOCK_NODES = 32768
+#: most Taylor terms of the panel sine sums; wider panels are refused
+_MAX_TERMS = 24
 
 
 @lru_cache(maxsize=32)
@@ -51,14 +61,135 @@ def panel_nodes(edges: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-def sine_sum(c: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c_j sin(k_j x) at each point x, over real nodes k_j taken in
-    blocks of _SINE_CHUNK."""
-    out = np.zeros(x.shape, dtype=complex)
-    for i in range(0, k.size, _SINE_CHUNK):
-        sl = slice(i, i + _SINE_CHUNK)
-        out += c[sl] @ np.sin(np.multiply.outer(k[sl], x))
-    return out
+def midpoint_panels(dk: float, n: int, a: float):
+    """The midpoints (j + 1/2) dk, j < n, grouped by panel for the panel
+    sine sums: (k, centres) with k of shape (P, q), padded past the n-th
+    midpoint to whole panels, and each panel's half-width (q - 1) dk / 2
+    at most 1/a, as on the direct route's panels."""
+    q = 1 + int(2.0 / (a * dk))
+    rows = -(-n // q)
+    k = ((np.arange(rows * q) + 0.5) * dk).reshape(rows, q)
+    return k, (np.arange(rows) + 0.5) * q * dk
+
+
+def _taylor_terms(r: float) -> int:
+    """Terms n < N of sum_n r^n / n! such that the first dropped term is
+    below 2^-56, a sixteenth of double-precision rounding."""
+    n, term = 0, 1.0
+    while term > 2.0 ** -56:
+        n += 1
+        term *= r / n
+        if n > _MAX_TERMS:
+            raise ValueError(
+                f"panel too wide for the sine expansion: max |(k - K) x| = "
+                f"{r:.3g} needs more than {_MAX_TERMS} Taylor terms")
+    return n
+
+
+def _expansion(ks, centres, x):
+    """The node sets' scaled offsets u = (k - K_p) X from their panel
+    centres, v = x / X with X = max |x|, and the term count for max |u|;
+    scaling keeps every (u v)^n / n! at most r^n / n!."""
+    scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
+    us = [(np.asarray(k, dtype=float) - centres[:, None]) * scale for k in ks]
+    r = max(float(np.max(np.abs(u), initial=0.0)) for u in us)
+    return us, x / scale, _taylor_terms(r)
+
+
+def _panel_blocks(centres, x, nodes_per_panel):
+    """(rows, sin(K_p x), cos(K_p x)) over blocks of panels holding at most
+    _BLOCK_NODES nodes (one panel at least)."""
+    step = max(1, _BLOCK_NODES // max(nodes_per_panel, 1))
+    for i in range(0, centres.size, step):
+        rows = slice(i, i + step)
+        kx = np.multiply.outer(centres[rows], x)
+        yield rows, np.sin(kx), np.cos(kx)
+
+
+def _real_pairs(z):
+    """Complex (rows, m) as real (rows, 2m), re and im side by side: a
+    real matrix product acts on both, and .view(complex) on the product
+    gives the complex one."""
+    return np.ascontiguousarray(z, dtype=complex).view(float)
+
+
+def _taylor_signs(n: int) -> np.ndarray:
+    """sign_j / j! for j < n, with sin(theta + j pi/2) = sign_j times sin
+    (j even) or cos (j odd) of theta: sign = +1, +1, -1, -1, ..."""
+    sign = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
+    return sign / np.cumprod(np.r_[1.0, np.arange(1.0, n)])
+
+
+def panel_sine_sum(cs, ks, centres, x):
+    """sum_j c_j sin(k_j x) at each point x, for each real node set k in
+    ks with its coefficients c in cs.  Every node set is grouped by panel,
+    shape (P, q), around the same panel centres K_p, shape (P,).  Returns
+    one complex array shaped like x per node set.
+
+    With k = K_p + delta, sin(k x) = sum_n (delta x)^n / n!
+    sin(K_p x + n pi/2): sines and cosines of K_p x are formed once per
+    panel and point and shared by the node sets, whose nodes enter through
+    the panel moments sum_i c_i delta_i^n; the sums over panels are matrix
+    products.  The term count follows from max |delta x| (ValueError past
+    _MAX_TERMS), and the work goes in blocks of panels.
+    """
+    x = np.asarray(x, dtype=float)
+    centres = np.asarray(centres, dtype=float)
+    us, v, n = _expansion(ks, centres, x)
+    cs = [np.asarray(c, dtype=complex) for c in cs]
+    coeff = _taylor_signs(n)
+    # by parity of n: (x.size, node sets, terms), summed over the panels
+    acc = [np.zeros((x.size, len(us), (n + 1 - p) // 2), dtype=complex)
+           for p in (0, 1)]
+    for rows, sin_kx, cos_kx in _panel_blocks(centres, x,
+                                              sum(u.shape[1] for u in us)):
+        moments = []
+        for c, u in zip(cs, us):
+            u = u[rows]
+            term = c[rows]
+            mom = np.empty((u.shape[0], n), dtype=complex)
+            for j in range(n):
+                mom[:, j] = term.sum(axis=1)
+                term = term * u
+            moments.append(mom * coeff)
+        for p, trig in enumerate((sin_kx, cos_kx)):
+            both = np.concatenate([m[:, p::2] for m in moments], axis=1)
+            acc[p] += (trig.T @ _real_pairs(both)).view(complex).reshape(
+                acc[p].shape)
+    powers = np.power.outer(v, np.arange(n))
+    return [np.einsum("mj,mj->m", acc[0][:, r], powers[:, 0::2])
+            + np.einsum("mj,mj->m", acc[1][:, r], powers[:, 1::2])
+            for r in range(len(us))]
+
+
+def panel_sine_transform(coef, x, ks, centres):
+    """sum_m coef_m sin(k x_m) at every real node k of each node set in
+    ks, grouped by panel as for panel_sine_sum.  Returns one complex array
+    shaped like each node set.
+
+    The same expansion, summed the other way: one matrix product per block
+    of panels gives sum_m coef_m x_m^n sin(K_p x_m + n pi/2) / n!, and
+    each node takes a Horner sum in its offset delta.
+    """
+    x = np.asarray(x, dtype=float)
+    centres = np.asarray(centres, dtype=float)
+    us, v, n = _expansion(ks, centres, x)
+    scaled = (np.asarray(coef, dtype=complex)[:, None]
+              * np.power.outer(v, np.arange(n)) * _taylor_signs(n))
+    halves = [_real_pairs(scaled[:, p::2]) for p in (0, 1)]
+    outs = [np.empty(u.shape, dtype=complex) for u in us]
+    for rows, sin_kx, cos_kx in _panel_blocks(centres, x,
+                                              sum(u.shape[1] for u in us)):
+        g = np.empty((sin_kx.shape[0], n), dtype=complex)
+        g[:, 0::2] = (sin_kx @ halves[0]).view(complex)
+        g[:, 1::2] = (cos_kx @ halves[1]).view(complex)
+        for out, u in zip(outs, us):
+            u = u[rows]
+            acc = g[:, n - 1, None] * np.ones_like(u)
+            for j in range(n - 2, -1, -1):
+                acc = acc * u + g[:, j, None]
+            out[rows] = acc
+    return outs
 
 
 def phase_budget_edges(k_max: float, t: float, base_rate: float) -> np.ndarray:

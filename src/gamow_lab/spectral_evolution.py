@@ -9,6 +9,11 @@ narrow Lorentzian spikes at the resonance positions, and the exponential
 phase oscillates ever faster in k as t grows; the quadrature panels resolve
 both features explicitly (see quadrature.py) and the truncated tail beyond
 k_max is restored with a two-term stationary-phase endpoint correction.
+
+Both sine sums on those panels, phi(k) at the nodes and psi(x) over them,
+go through the panel expansion of quadrature.panel_sine_sum and
+panel_sine_transform, which the main and control rules share; so does the
+interior sum of unitarity_audit, on its midpoint rule grouped by panel.
 """
 
 from __future__ import annotations
@@ -28,15 +33,16 @@ from .potential_model import (
     coefficient_B,
     enumerate_poles,
 )
-from .profiles import InitialProfile, overlap_midpoints, overlap_transform
+from .profiles import InitialProfile, overlap_panels, overlap_transform
 from .quadrature import (
     CONTROL_ORDER,
     MAIN_ORDER,
     adaptive_gl,
     merge_edges,
+    midpoint_panels,
     panel_nodes,
+    panel_sine_sum,
     phase_budget_edges,
-    sine_sum,
     spike_edges,
 )
 
@@ -138,10 +144,10 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     return merge_edges(base, extra, 0.0, k_max)
 
 
-def _spectral_weight(p: InitialProfile, k, w: WellParameters):
-    """(1/2pi) phi(k) |A(k)|^2 at real k."""
+def _spectral_weight(phi, k, w: WellParameters):
+    """(1/2pi) phi(k) |A(k)|^2 at real k, given phi(k)."""
     A = coefficient_A(k, w)
-    return overlap_transform(p, k) * (A * np.conj(A)).real / (2.0 * math.pi)
+    return phi * (A * np.conj(A)).real / (2.0 * math.pi)
 
 
 def _tail_correction(p: InitialProfile, k_max: float, t: float,
@@ -150,7 +156,7 @@ def _tail_correction(p: InitialProfile, k_max: float, t: float,
     int_{k_max}^inf f(k, x) exp(-i k^2 t) dk for t != 0."""
     h = 1e-4 / w.a
     ks = np.array([k_max, k_max + h, k_max - h])
-    g0, g_hi, g_lo = _spectral_weight(p, ks, w)
+    g0, g_hi, g_lo = _spectral_weight(overlap_transform(p, ks), ks, w)
     gp = (g_hi - g_lo) / (2.0 * h)
     sin_x = np.sin(k_max * grid)
     cos_x = np.cos(k_max * grid)
@@ -216,8 +222,7 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
         raise ValueError("direct evolution grid must lie in [0, a]")
     k_max = direct_cutoff(w, t)
     edges = _spectral_edges(w, t, k_max)
-    psi_main = _direct_sum(p, t, grid, w, edges, MAIN_ORDER)
-    psi_ctrl = _direct_sum(p, t, grid, w, edges, CONTROL_ORDER)
+    psi_main, psi_ctrl = _direct_sum(p, t, grid, w, edges)
     est = float(np.max(np.abs(psi_main - psi_ctrl)))
     if t != 0.0:
         psi_main = psi_main + _tail_correction(p, k_max, t, grid, w)
@@ -226,12 +231,17 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
     return psi_main, est
 
 
-def _direct_sum(p, t, grid, w, edges, order):
+def _direct_sum(p, t, grid, w, edges):
     """(1/2pi) int e^{-ik^2 t} phi(k) |A(k)|^2 sin(kx) dk on the panels,
-    with the Gauss-Legendre rule of the given order."""
-    nodes, weights = panel_nodes(edges, order)
-    c = weights * _spectral_weight(p, nodes, w) * np.exp(-1j * nodes * nodes * t)
-    return sine_sum(c, nodes, grid)
+    by the main and by the control rule, from one panel sine sum."""
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    rules = [panel_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
+    ks = [nodes.reshape(centres.size, -1) for nodes, _ in rules]
+    phis = overlap_panels(p, ks, centres)
+    cs = [weights.reshape(k.shape) * _spectral_weight(phi, k, w)
+          * np.exp(-1j * k * k * t)
+          for (_, weights), phi, k in zip(rules, phis, ks)]
+    return panel_sine_sum(cs, ks, centres, grid)
 
 
 def spectral_tail_mass(p: InitialProfile, w: WellParameters,
@@ -282,7 +292,8 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
     series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
-    nodes and integrated with its weights, and the exterior branch
+    nodes by panel_sine_sum (phi by overlap_panels, on the same panels of
+    midpoint_panels) and integrated with its weights, and the exterior branch
     (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), the latter
     synthesized by zero-padded FFTs.  The step resolves both the narrowest
     resonance spike (10 points per width) and the chirp e^{-ik^2 t}
@@ -303,22 +314,26 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
         dk = min(dk, math.pi / (2.2 * k_max * t))
     n = int(math.ceil(k_max / dk))
     dk = k_max / n
-    k = (np.arange(n) + 0.5) * dk
+    k_pan, centres = midpoint_panels(dk, n, w.a)
+    k = k_pan.ravel()
     A = coefficient_A(k, w)
     B = coefficient_B(k, w)
-    phi = overlap_midpoints(p, dk, n)
-    c = np.exp(-1j * k * k * t) * np.conj(A) * phi * dk / (2.0 * math.pi)
+    c = (np.exp(-1j * k * k * t) * np.conj(A) * dk / (2.0 * math.pi)
+         * overlap_panels(p, [k_pan], centres)[0].ravel())
+    c[n:] = 0.0  # the panels' padding past k_max
 
     # interior: same k rule, sine series against A(k) c(k) on the well rule
     x_in, wx = well_rule(w)
-    inside = float(wx @ np.abs(sine_sum(A * c, k, x_in)) ** 2)
+    psi_in, = panel_sine_sum([(A * c).reshape(k_pan.shape)], [k_pan],
+                             centres, x_in)
+    inside = float(wx @ np.abs(psi_in) ** 2)
 
     # exterior: left- and right-moving pieces on the FFT grid
     nf = 1 << int(_FFT_PAD * n - 1).bit_length()
     cm = np.zeros(nf, dtype=complex)
-    cm[:n] = c
+    cm[:n] = c[:n]
     cp = np.zeros(nf, dtype=complex)
-    cp[:n] = c * B
+    cp[:n] = c[:n] * B[:n]
     dx = 2.0 * math.pi / (nf * dk)
     x = np.arange(nf) * dx
     psi_out = (np.exp(-0.5j * dk * x) * np.fft.fft(cm)

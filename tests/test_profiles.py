@@ -8,10 +8,11 @@ import pytest
 from numpy.polynomial import legendre
 
 from gamow_lab import quadrature
+from gamow_lab.quadrature import midpoint_panels
 from gamow_lab.profiles import (
     box_mode,
     custom_samples,
-    overlap_midpoints,
+    overlap_panels,
     overlap_transform,
     parse_profile,
     truncated_gaussian,
@@ -139,16 +140,24 @@ class TestOverlapTransform:
 
     @pytest.mark.parametrize("n", [1, 127, 128, 5000])
     def test_midpoints_match_transform(self, n):
-        dk = 120.0 / n
-        k = (np.arange(n) + 0.5) * dk
+        # the audit's rule: n midpoints on [0, 120], grouped by panel
+        k, centres = midpoint_panels(120.0 / n, n, 1.0)
         for p in (truncated_gaussian(0.45, 0.06), custom_samples(
                 np.linspace(0.0, 1.0, 41),
                 np.sin(np.pi * np.linspace(0.0, 1.0, 41)) ** 3)):
-            assert np.max(np.abs(overlap_midpoints(p, dk, n)
-                                 - overlap_transform(p, k))) < 1e-14
+            phi, = overlap_panels(p, [k], centres)
+            assert np.max(np.abs(phi - overlap_transform(p, k))) < 1e-14
         # box modes take the closed form on the same nodes
-        assert np.array_equal(overlap_midpoints(box_mode(2), dk, n),
-                              overlap_transform(box_mode(2), k))
+        phi, = overlap_panels(box_mode(2), [k], centres)
+        assert np.array_equal(phi, overlap_transform(box_mode(2), k))
+
+    def test_real_k_takes_real_sines_bit_identically(self):
+        # the real-sine path sums the same products as the complex one
+        p = truncated_gaussian(0.45, 0.06)
+        k = np.random.default_rng(2).uniform(0.0, 800.0, 8192 + 100)
+        assert np.array_equal(overlap_transform(p, k),
+                              overlap_transform(p, k.astype(complex)))
+        assert overlap_transform(p, 3.0) == overlap_transform(p, 3.0 + 0j)
 
 
 class TestParseProfile:

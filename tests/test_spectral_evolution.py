@@ -14,9 +14,14 @@ from gamow_lab.potential_model import (
     coefficient_A,
     coefficient_B,
 )
-from gamow_lab.profiles import box_mode, truncated_gaussian
+from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
+from gamow_lab.quadrature import MAIN_ORDER, panel_nodes
 from gamow_lab.spectral_evolution import (
     _evolve_direct_raw,
+    _kink_tail_t0,
+    _spectral_edges,
+    _tail_correction,
+    direct_cutoff,
     evolve_direct,
     pole_cutoff,
     resonances,
@@ -146,6 +151,47 @@ class TestEvolveDirect:
         monkeypatch.setattr(spectral_evolution, "resonances", counting)
         evolve_direct(box_mode(1), 0.5, well_grid(W10, 65), W10)
         assert len(calls) == 1
+
+
+def dense_direct(p, t, x, w):
+    """The oracle for the direct route's main rule: (1/2pi) sum_j w_j
+    e^{-ik_j^2 t} phi(k_j) |A(k_j)|^2 sin(k_j x) as one dense sine matrix
+    on the route's own panels, phi from the 520-node rule, plus the tail."""
+    k_max = direct_cutoff(w, t)
+    k, wk = panel_nodes(_spectral_edges(w, t, k_max), MAIN_ORDER)
+    c = (wk * overlap_transform(p, k) * np.abs(coefficient_A(k, w)) ** 2
+         / (2.0 * math.pi) * np.exp(-1j * k * k * t))
+    tail = (_tail_correction(p, k_max, t, x, w) if t else
+            _kink_tail_t0(p, k_max, x))
+    return c @ np.sin(np.outer(k, x)) + tail
+
+
+class TestPanelSums:
+    @pytest.mark.parametrize("profile", [box_mode(1),
+                                         truncated_gaussian(0.5, 0.06)],
+                             ids=["box1", "gauss"])
+    def test_direct_psi_matches_dense_sum(self, profile):
+        x = well_grid(W100, 17)
+        for t in (0.0, 0.05 * tau1(W100), tau1(W100)):
+            psi, _ = _evolve_direct_raw(profile, t, x, W100)
+            assert np.max(np.abs(psi - dense_direct(profile, t, x, W100))) \
+                < 1e-12
+
+    @pytest.mark.parametrize("profile", [box_mode(1),
+                                         truncated_gaussian(0.5, 0.05)],
+                             ids=["box1", "gauss"])
+    def test_audit_interior_matches_dense_rule(self, profile):
+        # the audit's midpoint rule, summed densely on 256 Gauss nodes
+        t = tau1(W10) / 10.0
+        audit = unitarity_audit(profile, t, W10)
+        dk = audit["dk"]
+        k = (np.arange(round(audit_cutoff(profile, W10) / dk)) + 0.5) * dk
+        A = coefficient_A(k, W10)
+        c = (np.exp(-1j * k * k * t) * np.abs(A) ** 2
+             * overlap_transform(profile, k) * dk / (2.0 * math.pi))
+        x, wx = panel_nodes(np.array([0.0, W10.a]), 256)
+        inside = wx @ np.abs(c @ np.sin(np.outer(k, x))) ** 2
+        assert abs(audit["inside"] - inside) < 1e-13
 
 
 class TestPoleCutoff:
