@@ -54,8 +54,9 @@ T0_KMAX = 800.0
 
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
-#: zero padding of unitarity_audit's exterior FFT
-_FFT_PAD = 8
+#: zero padding of unitarity_audit's exterior FFT: nf >= 4n samples the
+#: 4n-1 modes of |psi_out|^2 without aliasing
+_FFT_PAD = 4
 #: |phi|^2 (units of a) that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
 _PHI_FLOOR = 1e-14
@@ -295,8 +296,10 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     nodes by panel_sine_sum (phi by overlap_panels, on the same panels of
     midpoint_panels) and integrated with its weights, and the exterior branch
     (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), the latter
-    synthesized by zero-padded FFTs.  The step resolves both the narrowest
-    resonance spike (10 points per width) and the chirp e^{-ik^2 t}
+    synthesized by one zero-padded complex FFT (both moving pieces in one
+    array), its |psi|^2 taken to Fourier modes by one real FFT and
+    integrated over the window mode by mode.  The step resolves both the
+    narrowest resonance spike (10 points per width) and the chirp e^{-ik^2 t}
     (the wrap length 2pi/dk exceeds 2.2x the ballistic range 2 k_max t, so
     nothing aliases back); the exterior integral stops at the wavefront
     x_hi = 2.2 k_max t + 50 a, beyond which the signal has no support and
@@ -328,29 +331,38 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
                              centres, x_in)
     inside = float(wx @ np.abs(psi_in) ** 2)
 
-    # exterior: left- and right-moving pieces on the FFT grid
+    # exterior on x_j = 2pi j / (nf dk), with k_m = (m + 1/2) dk:
+    #   e^{-ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j m/nf},
+    #   e^{+ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j (nf-1-m)/nf},
+    # so with c B reversed into the top of d, psi_out = e^{-i pi j/nf} fft(d)
+    # and |psi_out|^2 = |fft(d)|^2
     nf = 1 << int(_FFT_PAD * n - 1).bit_length()
-    cm = np.zeros(nf, dtype=complex)
-    cm[:n] = c[:n]
-    cp = np.zeros(nf, dtype=complex)
-    cp[:n] = c[:n] * B[:n]
-    dx = 2.0 * math.pi / (nf * dk)
-    x = np.arange(nf) * dx
-    psi_out = (np.exp(-0.5j * dk * x) * np.fft.fft(cm)
-               + np.exp(0.5j * dk * x) * (np.fft.ifft(cp) * nf))
+    d = np.zeros(nf, dtype=complex)
+    d[:n] = c[:n]
+    d[nf - n:] = (c[:n] * B[:n])[::-1]
+    del A, B, c
+    # no out= on np.fft (it needs numpy >= 2.0; the pin is numpy >= 1.24):
+    # each nf-length array is dropped as soon as the next one exists
+    f = np.fft.fft(d)
+    del d
+    g = np.abs(f)
+    del f
+    g *= g
+    g_hat = np.fft.rfft(g)
+    del g
+    g_hat /= nf
     x_hi = 2.2 * k_max * t + 50.0 * w.a
-    # |psi_out|^2 is band-limited to 2 k_max < Nyquist (padding >= 8), so its
-    # sampled Fourier series is exact and the window integral over
-    # [a, x_hi] can be taken in closed form per mode -- no endpoint error.
-    g_hat = np.fft.fft(np.abs(psi_out) ** 2) / nf
-    nu = np.fft.fftfreq(nf, d=1.0 / nf)  # signed mode index
-    mu = nu * dk
-    kern = np.empty(nf, dtype=complex)
-    nz = mu != 0.0
-    kern[nz] = (np.exp(1j * mu[nz] * x_hi) - np.exp(1j * mu[nz] * w.a)) \
-        / (1j * mu[nz])
-    kern[~nz] = x_hi - w.a
-    outside = float(np.real(np.sum(g_hat * kern)))
+    # d lives on the cyclic indices -n .. n-1, so |fft(d)|^2 has modes
+    # |nu| <= 2n-1 < nf/2 (padding >= 4): its sampled Fourier series is
+    # exact and the window integral over [a, x_hi] is taken in closed form
+    # per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x} dx) -- no endpoint
+    # error.  g is real, so the modes nu and -nu pair up and those in
+    # 1 .. nf/2-1 count twice.
+    mu = dk * np.arange(1, g_hat.size)
+    terms = (g_hat.real[1:] * (np.sin(mu * x_hi) - np.sin(mu * w.a))
+             + g_hat.imag[1:] * (np.cos(mu * x_hi) - np.cos(mu * w.a))) / mu
+    terms[:-1] *= 2.0
+    outside = float(g_hat[0].real * (x_hi - w.a) + np.sum(terms))
 
     tail = spectral_tail_mass(p, w, k_max)
     return {

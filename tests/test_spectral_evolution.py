@@ -3,6 +3,7 @@ inside/outside/tail unitarity decomposition."""
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -249,6 +250,54 @@ class TestUnitarity:
         assert audit_cutoff(box_mode(1), W10) == 40.0
         assert audit_cutoff(box_mode(2, a=2.0),
                             WellParameters(lam=10.0, a=2.0)) == 20.0
+
+    @pytest.mark.parametrize("profile", [box_mode(1),
+                                         truncated_gaussian(0.5, 0.05)],
+                             ids=["box1", "gauss"])
+    @pytest.mark.parametrize("t", [0.0, 0.1], ids=["t0", "tau_over_10"])
+    def test_audit_exterior_matches_dense_rule(self, profile, t):
+        # psi_out = sum_j c_j (e^{-ik_j x} + B_j e^{ik_j x}) on the audit's
+        # midpoints, |psi_out|^2 on Gauss panels of [a, x_hi]: order
+        # k_max/2 + 20 per unit width resolves its top frequency 2 k_max
+        t *= tau1(W10)
+        audit = unitarity_audit(profile, t, W10)
+        dk, x_hi = audit["dk"], audit["x_hi"]
+        k_max = audit_cutoff(profile, W10)
+        k = (np.arange(round(k_max / dk)) + 0.5) * dk
+        c = (np.exp(-1j * k * k * t) * np.conj(coefficient_A(k, W10))
+             * overlap_transform(profile, k) * dk / (2.0 * math.pi))
+        cB = c * coefficient_B(k, W10)
+        # psi_out = cos(kx) @ (c + cB) + i sin(kx) @ (cB - c), on real BLAS
+        u = np.column_stack([(c + cB).real, (c + cB).imag])
+        v = np.column_stack([(cB - c).real, (cB - c).imag])
+        edges = np.linspace(W10.a, x_hi, math.ceil(x_hi - W10.a) + 1)
+        x, wx = panel_nodes(edges, int(k_max / 2) + 20)
+        outside = 0.0
+        for s in range(0, x.size, 256):
+            kx = np.outer(x[s:s + 256], k)
+            re = np.cos(kx) @ u
+            im = np.sin(kx) @ v
+            outside += wx[s:s + 256] @ ((re[:, 0] - im[:, 1]) ** 2
+                                        + (re[:, 1] + im[:, 0]) ** 2)
+        # the two sums agree to 5.6e-16 at most over these four cases
+        assert abs(audit["outside"] - outside) < 5e-15
+
+    def test_exterior_peak_memory(self):
+        # lambda = 100, box:1: n = 418,347 midpoints, nf = 2**21; the peak
+        # is the FFT's input and output, two complex arrays of nf
+        resonances(W100, audit_cutoff(box_mode(1), W100))
+        tracemalloc.start()
+        try:
+            unitarity_audit(box_mode(1), 0.0, W100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 2 ** 21
+
+    def test_wide_window_gaussian_closes(self):
+        # lambda = 100 at t = 2 with k_max = 120/a: nf = 2**23 points
+        audit = unitarity_audit(truncated_gaussian(0.5, 0.06), 2.0, W100)
+        assert abs(audit["total"] - 1.0) < 1e-6
 
     def test_tail_mass_scaling(self):
         # the above-cutoff mass falls like 1/k_max^3
