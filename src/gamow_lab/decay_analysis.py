@@ -51,8 +51,6 @@ class DecayCurve:
     times: np.ndarray
     P: np.ndarray
     methods: tuple[str, ...]
-    w: WellParameters
-    profile: InitialProfile
 
     def __post_init__(self):
         t, P = self.times, self.P
@@ -138,7 +136,7 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
                 for i in range(0, tr.size, TIME_BLOCK)])
             methods[rotated] = "rotated"
     return DecayCurve(times=times, P=np.maximum(P, 0.0),
-                      methods=tuple(methods), w=w, profile=p)
+                      methods=tuple(methods))
 
 
 def flux_derivative(ws: WaveState, w: WellParameters) -> float:

@@ -17,7 +17,6 @@ which are simultaneously the poles of the scattering coefficients A(k), B(k).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -90,13 +89,16 @@ class Resonance:
         object.__setattr__(self, "tau", 1.0 / (-2.0 * E.imag))
 
     def validate(self) -> None:
-        k = self.k
-        if not (k.real > 0.0 and k.imag < 0.0):
-            raise WrongQuadrant(f"root {k} is not in the fourth quadrant")
-        if not (-math.pi / 4 < cmath.phase(k) < 0.0):
-            raise WrongQuadrant(f"root {k} lies outside -pi/4 < arg k < 0")
-        if not (self.gamma > 0.0):
-            raise WrongQuadrant(f"root {k} has nonpositive width")
+        _check_sector(self.k)
+
+
+def _check_sector(k) -> None:
+    """Raise WrongQuadrant unless every k has -pi/4 < arg k < 0 and a
+    positive width -2 Im k^2 (NaN fails)."""
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    bad = ~((k.imag < 0.0) & (k.real > -k.imag) & ((k * k).imag < 0.0))
+    if np.any(bad):
+        raise WrongQuadrant(f"root {k[bad][0]} lies outside -pi/4 < arg k < 0")
 
 
 def _denominator(k, w):
@@ -184,53 +186,49 @@ def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
     """
     if n < 1:
         raise SeedOutOfRegime(f"pole index must be >= 1, got {n}")
-    if n * math.pi >= w.lam:
+    npi = n * math.pi
+    if npi >= w.lam:
         raise SeedOutOfRegime(
             f"seed formula requires n*pi < lam (n={n}, lam={w.lam})"
         )
-    return _seed(n, w)
-
-
-def _seed(n: int, w: WellParameters) -> complex:
-    """k_n a = n pi lam/(1+lam) - i (n pi / lam)^2, without the regime check."""
-    npi = n * math.pi
     return (npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2) / w.a
 
 
-def refine_pole(seed: complex, w: WellParameters) -> Resonance:
-    """Safeguarded Newton iteration on F(k) from a seed wavenumber.
+def _newton(k, w: WellParameters):
+    """Safeguarded Newton on F from every seed in k at once: each element
+    halves its own step while |F| fails to decrease, and stops once
+    |F(k)| < POLE_TOLERANCE * max(1, |ka|).  Returns the roots and their
+    |F|; a non-finite iterate never decreases |F|, so it never converges."""
+    k = np.array(k, dtype=complex)
+    with np.errstate(all="ignore"):
+        f = quantization_residual(k, w)
+        for _ in range(_NEWTON_ITERATIONS):
+            tol = POLE_TOLERANCE * np.maximum(1.0, np.abs(k * w.a))
+            live = np.flatnonzero(~(np.abs(f) < tol))
+            if live.size == 0:
+                return k, np.abs(f)
+            step = f[live] / quantization_derivative(k[live], w)
+            for _ in range(60):
+                trial = k[live] - step
+                f_trial = quantization_residual(trial, w)
+                down = np.abs(f_trial) < np.abs(f[live])
+                k[live[down]], f[live[down]] = trial[down], f_trial[down]
+                live, step = live[~down], 0.5 * step[~down]
+                if live.size == 0:
+                    break
+            else:
+                i = live[0]
+                raise NoConvergence(f"stalled at k={k[i]}, |F|={abs(f[i]):.3e}")
+    raise NoConvergence(f"no convergence after {_NEWTON_ITERATIONS} iterations")
 
-    Halves the step while |F| fails to decrease; converges when
-    |F(k)| < POLE_TOLERANCE * max(1, |ka|).  The result must land in the
-    fourth quadrant with arg k > -pi/4, else WrongQuadrant is raised.
-    """
-    k = complex(seed)
-    fval = quantization_residual(k, w)
-    for _ in range(_NEWTON_ITERATIONS):
-        tol = POLE_TOLERANCE * max(1.0, abs(k * w.a))
-        if abs(fval) < tol:
-            break
-        deriv = quantization_derivative(k, w)
-        if deriv == 0:
-            raise NoConvergence(f"zero derivative at k={k}")
-        step = fval / deriv
-        # damp by halves until |F| decreases
-        for _ in range(60):
-            k_new = k - step
-            f_new = quantization_residual(k_new, w)
-            if abs(f_new) < abs(fval):
-                break
-            step *= 0.5
-        else:
-            raise NoConvergence(f"stalled at k={k}, |F|={abs(fval):.3e}")
-        k, fval = k_new, f_new
-    else:
-        raise NoConvergence(
-            f"no convergence after {_NEWTON_ITERATIONS} iterations from seed {seed}"
-        )
-    res = Resonance(n=0, k=k, residual=abs(fval))
-    res.validate()
-    return res
+
+def refine_pole(seed: complex, w: WellParameters) -> Resonance:
+    """Safeguarded Newton iteration on F(k) from one seed wavenumber, the
+    one-seed case of enumerate_poles' refinement.  The result must land
+    in -pi/4 < arg k < 0, else WrongQuadrant is raised."""
+    k, residual = _newton([seed], w)
+    _check_sector(k)
+    return Resonance(n=0, k=complex(k[0]), residual=float(residual[0]))
 
 
 def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
@@ -249,47 +247,38 @@ def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
     raise CountMismatch("winding-number phase tracking did not converge")
 
 
+def _seeded_roots(w: WellParameters, k_max: float):
+    """The roots k of F with Re k < k_max, and their |F|, refined together
+    from one closed-form seed per index.
+
+    F(k) = 0 reads ka = n pi - arctan(ka / (lam - ika)), so the seeds are
+    k_n a = n pi - arctan(n pi / (lam - i n pi)), n = 1 .. k_max a/pi + 1.
+    Raises WrongQuadrant outside -pi/4 < arg k < 0 and CountMismatch
+    unless Re k is strictly increasing (a root found twice).
+    """
+    npi = math.pi * np.arange(1, int(k_max * w.a / math.pi) + 2)
+    k, residual = _newton((npi - np.arctan(npi / (w.lam - 1j * npi))) / w.a, w)
+    keep = k.real < k_max
+    k, residual = k[keep], residual[keep]
+    _check_sector(k)
+    repeat = np.flatnonzero(np.diff(k.real) <= 0.0)
+    if repeat.size:
+        raise CountMismatch(f"duplicate root near k={k[repeat[0] + 1]}")
+    return k, residual
+
+
 def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
     """All fourth-quadrant Gamow poles with Re k < k_max, sorted by Re k.
 
-    Seeds come from the asymptotic formula while n pi < lam/2 and from
-    continuation (previous root plus the local spacing) beyond; the count is
-    audited with the argument principle over the enclosing rectangle and a
-    CountMismatch is raised on disagreement.
+    The roots come from _seeded_roots; their count is audited with the
+    argument principle over the enclosing rectangle and a CountMismatch is
+    raised on disagreement.
     """
     if not (0.0 < k_max < math.inf):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
-    found: list[Resonance] = []
-    spacing = math.pi * w.lam / (1.0 + w.lam) / w.a
-    n = 1
-    while True:
-        npi = n * math.pi
-        if npi < 0.5 * w.lam:
-            seed = asymptotic_pole_seed(n, w)
-        elif found:
-            if len(found) >= 2:
-                spacing = found[-1].k.real - found[-2].k.real
-            seed = found[-1].k + spacing
-        else:
-            # lam too small for even one asymptotic seed: start from the
-            # formula anyway (it still lands in the n=1 basin for lam >~ 4).
-            seed = _seed(n, w)
-        if seed.real >= k_max:
-            break
-        try:
-            res = refine_pole(seed, w)
-        except (NoConvergence, WrongQuadrant):
-            # retry from a slightly deeper seed before giving up on this n
-            res = refine_pole(seed - 0.05j / w.a, w)
-        if res.k.real >= k_max:
-            break
-        if found and abs(res.k - found[-1].k) < 1e-8 / w.a:
-            raise CountMismatch(f"duplicate root near k={res.k}")
-        found.append(res)
-        n += 1
-    found.sort(key=lambda r: r.k.real)
-    found = [Resonance(n=i + 1, k=r.k, residual=r.residual)
-             for i, r in enumerate(found)]
+    k, residual = _seeded_roots(w, k_max)
+    found = [Resonance(n=n, k=complex(kn), residual=float(r))
+             for n, (kn, r) in enumerate(zip(k, residual), start=1)]
 
     im_max = math.log1p(2.0 * k_max * w.a / w.lam) / (2.0 * w.a) + 0.5 / w.a
     # the audit contour runs clockwise around the fourth-quadrant rectangle

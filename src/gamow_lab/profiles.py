@@ -17,16 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import panel_nodes, panel_sine_transform
+from .quadrature import WELL_ORDER, panel_nodes, panel_sine_transform
 
 _NORM_TOL = 1e-10
 _EDGE_TOL = 1e-8
-
-# Gauss-Legendre rule used for profile integrals; psi0 is smooth on [0, a]
-# so a fixed high-order rule converges to machine precision.  The order must
-# also resolve sin(kx) at the largest spectral cutoff in use (ka up to ~800),
-# which needs roughly ka/2 nodes.
-_GL_ORDER = 520
 
 
 @dataclass(frozen=True)
@@ -35,8 +29,8 @@ class InitialProfile:
     :func:`truncated_gaussian` or :func:`custom_samples`.
 
     ``mode`` is the box index n of sqrt(2/a) sin(n pi x / a), or None;
-    ``nodes`` and ``coef`` (= weights * psi0) are the 520-node rule on
-    [0, a]; ``barrier_slope`` is psi0'(a-).
+    ``nodes`` and ``coef`` (= weights * psi0) are the profile rule on
+    [0, a] (see _profile_rule); ``barrier_slope`` is psi0'(a-).
     """
 
     a: float
@@ -62,7 +56,7 @@ def _checked(a, amplitude, label, mode) -> InitialProfile:
     """The one constructor: rejects a profile whose norm is not 1 or whose
     edge values are not 0 (NaN fails both), and takes psi0'(a-) from a
     one-sided second-order stencil."""
-    xs, wts = panel_nodes(np.array([0.0, a]), _GL_ORDER)
+    xs, wts = _profile_rule(a)
     # a degenerate profile evaluates to nan here and is rejected below
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = np.asarray(amplitude(xs), dtype=complex)
@@ -120,9 +114,19 @@ def custom_samples(x: np.ndarray, values: np.ndarray) -> InitialProfile:
     return _checked(a, _normalized(a, shape), "custom", None)
 
 
+def _profile_rule(a):
+    """Gauss-Legendre nodes and weights for profile integrals: eight
+    WELL_ORDER-point panels on [0, a], 1024 nodes.  psi0 is smooth on
+    [0, a], so the rule converges to machine precision.  It resolves
+    sin(kx) to ka ~ 3200, the direct route's cutoff 60 a/t at t ~ 0.019
+    a^2; four panels alias from ka ~ 1600 and move the direct route's
+    psi for a Gaussian by ~1e-8 at t in [0.018, 0.03] a^2."""
+    return panel_nodes(np.linspace(0.0, a, 9), WELL_ORDER)
+
+
 def _normalized(a, shape):
     """shape divided by its norm on the profile rule over [0, a]."""
-    xs, wts = panel_nodes(np.array([0.0, a]), _GL_ORDER)
+    xs, wts = _profile_rule(a)
     norm = math.sqrt(float(np.sum(wts * np.abs(shape(xs)) ** 2)))
     return lambda x: shape(x) / norm
 
@@ -161,7 +165,7 @@ def overlap_panels(p: InitialProfile, ks, centres):
     """overlap_transform at real nodes grouped by panel: each node set in
     ks is (P, q), around the panel centres (P,), as panel_sine_transform
     takes them.  Box modes take the closed form; other profiles the panel
-    expansion of their 520-node rule.  One array per node set."""
+    expansion of their profile rule.  One array per node set."""
     if p.mode is not None:
         return [overlap_transform(p, k) for k in ks]
     return panel_sine_transform(p.coef, p.nodes, ks, centres)

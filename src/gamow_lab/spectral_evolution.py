@@ -37,6 +37,7 @@ from .profiles import InitialProfile, overlap_panels, overlap_transform
 from .quadrature import (
     CONTROL_ORDER,
     MAIN_ORDER,
+    WELL_ORDER,
     adaptive_gl,
     merge_edges,
     midpoint_panels,
@@ -60,8 +61,6 @@ _FFT_PAD = 4
 #: |phi|^2 (units of a) that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
 _PHI_FLOOR = 1e-14
-#: Gauss-Legendre nodes in x on [0, a] for every int_0^a |psi|^2 dx
-X_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,10 @@ def well_grid(w: WellParameters, n: int) -> np.ndarray:
 
 
 def well_rule(w: WellParameters):
-    """The X_NODES-point Gauss-Legendre rule (nodes, weights) on [0, a]
+    """The WELL_ORDER-point Gauss-Legendre rule (nodes, weights) on [0, a]
     that integrates |psi|^2 over the well wherever P is computed (psi is
     entire on [0, a])."""
-    return panel_nodes(np.array([0.0, w.a]), X_NODES)
+    return panel_nodes(np.array([0.0, w.a]), WELL_ORDER)
 
 
 @lru_cache(maxsize=64)

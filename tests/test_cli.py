@@ -124,6 +124,15 @@ class TestPoles:
         gammas = [float(r[header.index("gamma")]) for r in rows]
         assert gammas == sorted(gammas)
 
+    def test_weak_barrier_table(self, tmp_path):
+        # lam = 1 is outside the metastable regime: its poles are listed,
+        # each flagged
+        rc = main(["poles", "--lambda", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        _, header, rows = read_csv(tmp_path / "poles.csv")
+        assert len(rows) == 12
+        assert {r[header.index("warning")] for r in rows} == {"non-metastable"}
+
     def test_empty_table_is_success(self, tmp_path):
         rc = main(["poles", "--lambda", "100", "--kmax", "3",
                    "--out", str(tmp_path)])

@@ -77,20 +77,17 @@ class TestDecayCurve:
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
             DecayCurve(times=np.array([1.0, 0.5]), P=np.array([0.5, 0.4]),
-                       methods=("rotated", "rotated"), w=W10,
-                       profile=box_mode(1))
+                       methods=("rotated", "rotated"))
 
     def test_rejects_nonunit_start(self):
         with pytest.raises(ValueError):
             DecayCurve(times=np.array([0.0, 1.0]), P=np.array([0.9, 0.5]),
-                       methods=("direct", "rotated"), w=W10,
-                       profile=box_mode(1))
+                       methods=("direct", "rotated"))
 
     def test_rejects_nan_P(self):
         with pytest.raises(ValueError):
             DecayCurve(times=np.array([1.0, 2.0]), P=np.array([0.5, math.nan]),
-                       methods=("rotated", "rotated"), w=W10,
-                       profile=box_mode(1))
+                       methods=("rotated", "rotated"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_policies_agree(self):
@@ -224,8 +221,7 @@ class TestFluxDerivative:
 class TestSyntheticFits:
     def _curve(self, times, P):
         return DecayCurve(times=times, P=P,
-                          methods=("synthetic",) * times.size, w=W10,
-                          profile=box_mode(1))
+                          methods=("synthetic",) * times.size)
 
     def test_exponential_fit_exact(self):
         t = np.linspace(1.0, 50.0, 20)

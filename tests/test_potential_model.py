@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gamow_lab import potential_model
 from gamow_lab.exceptions import CountMismatch, SeedOutOfRegime, WrongQuadrant
 from gamow_lab.potential_model import (
     Resonance,
@@ -199,11 +200,41 @@ class TestEnumeratePoles:
         poles = enumerate_poles(W10, 10.0)
         assert len(poles) == 3
 
-    def test_continuation_seeds_beyond_asymptotic_regime(self):
+    def test_closed_form_seeds_beyond_asymptotic_regime(self):
         poles = enumerate_poles(W10, 40.0)
         assert len(poles) == 12
         spacings = np.diff([r.k.real for r in poles])
         assert np.all(spacings > 2.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_weak_barrier_poles_audited(self, lam, a):
+        # a thin barrier's poles sit far below the real axis; each closed-form
+        # seed still finds its own root, and the audit agrees with the count
+        w = WellParameters(lam=lam, a=a)
+        poles = enumerate_poles(w, 40.0 / a)
+        assert [r.n for r in poles] == list(range(1, 13))
+        for r in poles:
+            r.validate()
+            assert r.residual < 1e-12 * max(1.0, abs(r.k * a))
+
+    def test_steep_first_root_rejected(self):
+        # at lam = 0.1 the first root lies below arg k = -pi/4
+        with pytest.raises(WrongQuadrant):
+            enumerate_poles(WellParameters(lam=0.1), 40.0)
+
+    @pytest.mark.parametrize("lam", [10.0, 100.0])
+    def test_one_pass_refinement_to_short_time_cutoffs(self, lam):
+        # k_max a = 6e4 is the reach of the short-time cutoffs 60a/t; the
+        # argument-principle audit is not run here
+        w = WellParameters(lam=lam)
+        k, residual = potential_model._seeded_roots(w, 6e4)
+        n = np.arange(1, k.size + 1)
+        assert k.size == 19098
+        assert np.all(np.diff(k.real) > 0.0)
+        assert np.all(residual < 1e-12 * np.maximum(1.0, np.abs(k)))
+        # the n-th seed converges to the n-th root
+        assert np.all((k.real > (n - 0.5) * math.pi) & (k.real < n * math.pi))
 
 
 class TestResonanceInvariants:

@@ -107,6 +107,14 @@ class TestConstruction:
         assert p.first_moment() == pytest.approx(math.sqrt(2.0) / math.pi,
                                                  rel=1e-12)
 
+    def test_profile_rule_exact_for_box_mode(self):
+        # the profile rule (eight 128-point panels) reproduces the box mode's
+        # norm 1 and first moment sqrt(2)/pi to rounding
+        p = box_mode(1)
+        norm = np.sum(p.coef * np.conj(p(p.nodes)))
+        assert abs(norm - 1.0) < 1e-15
+        assert abs(p.first_moment() - math.sqrt(2.0) / math.pi) < 1e-15
+
 
 class TestOverlapTransform:
     def test_self_overlap(self):

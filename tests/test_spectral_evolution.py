@@ -157,7 +157,8 @@ class TestEvolveDirect:
 def dense_direct(p, t, x, w):
     """The oracle for the direct route's main rule: (1/2pi) sum_j w_j
     e^{-ik_j^2 t} phi(k_j) |A(k_j)|^2 sin(k_j x) as one dense sine matrix
-    on the route's own panels, phi from the 520-node rule, plus the tail."""
+    on the route's own panels, phi from the profile's 1024-node rule, plus
+    the tail."""
     k_max = direct_cutoff(w, t)
     k, wk = panel_nodes(_spectral_edges(w, t, k_max), MAIN_ORDER)
     c = (wk * overlap_transform(p, k) * np.abs(coefficient_A(k, w)) ** 2
