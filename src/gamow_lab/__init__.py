@@ -24,7 +24,7 @@ from .exceptions import (
     WrongQuadrant,
 )
 from .potential_model import (
-    Resonance,
+    Poles,
     WellParameters,
     coefficient_A,
     coefficient_A_bar,

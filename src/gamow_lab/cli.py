@@ -134,15 +134,16 @@ def cmd_poles(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam, a=config.a)
     poles = resonances(w, config.k_max / w.a)
     rows = []
-    for r in poles:
+    for n, (k, E, gamma, tau, residual) in enumerate(zip(
+            poles.k.tolist(), poles.E.tolist(), poles.gamma.tolist(),
+            poles.tau.tolist(), poles.residual.tolist()), start=1):
         try:
-            seed_dev = abs(r.k - asymptotic_pole_seed(r.n, w)) * w.a
+            seed_dev = abs(k - asymptotic_pole_seed(n, w)) * w.a
         except SeedOutOfRegime:
             seed_dev = float("nan")
         rows.append([
-            r.n, r.k.real * w.a, r.k.imag * w.a, r.E.real, r.gamma, r.tau,
-            abs(r.residual), seed_dev,
-            "" if w.metastable else "non-metastable",
+            n, k.real * w.a, k.imag * w.a, E.real, gamma, tau, residual,
+            seed_dev, "" if w.metastable else "non-metastable",
         ])
     path = _emit(config, "poles",
                  ["n", "re_ka", "im_ka", "re_E", "gamma", "tau",
@@ -222,11 +223,10 @@ def cmd_report(config: RunConfig) -> int:
     rep = regime_report(p, w)
     cross = crossover_time(p, w)
     payload = {
-        "poles": [
-            {"n": r.n, "re_ka": r.k.real * w.a, "im_ka": r.k.imag * w.a,
-             "gamma": r.gamma, "tau": r.tau}
-            for r in poles
-        ],
+        "poles": [{"n": n, "re_ka": k.real * w.a, "im_ka": k.imag * w.a,
+                   "gamma": gamma, "tau": tau} for n, k, gamma, tau in zip(
+                       range(1, len(poles) + 1), poles.k.tolist(),
+                       poles.gamma.tolist(), poles.tau.tolist())],
         "regimes": rep.as_dict(),
         "crossover": cross,
         "summary": (

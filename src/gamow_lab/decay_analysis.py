@@ -208,8 +208,8 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
     if not w.metastable:
         raise ValueError("regime analysis requires the metastable regime "
                          "(lam >= 10)")
-    r1 = resonances(w, DEFAULT_KMAX / w.a)[0]
-    tau1, gamma1 = r1.tau, r1.gamma
+    poles = resonances(w, DEFAULT_KMAX / w.a)
+    tau1, gamma1 = float(poles.tau[0]), float(poles.gamma[0])
     cross = crossover_time(p, w)
     t_star = cross["t_star"]
 

@@ -27,7 +27,7 @@ from scipy.special import lambertw
 
 from .exceptions import NoCrossing, QuadratureNotConverged, ResidueMismatch
 from .potential_model import (
-    Resonance,
+    Poles,
     WellParameters,
     coefficient_A,
     coefficient_A_bar,
@@ -52,18 +52,13 @@ class Residues:
     int_0^a |C_n(x)|^2 dx (raw residue weights, no renormalization).
     """
 
-    poles: tuple[Resonance, ...]
+    poles: Poles
     prefactors: np.ndarray  # (n_poles,) complex
     weights: np.ndarray     # (n_poles,) real
 
-    @property
-    def k(self) -> np.ndarray:
-        """The poles' complex wavenumbers, shape (n_poles,)."""
-        return np.array([r.k for r in self.poles], dtype=complex)
-
     def modes(self, x) -> np.ndarray:
         """C_n(x_j) with shape (n_poles, n_x)."""
-        return self.prefactors[:, None] * np.sin(np.outer(self.k, x))
+        return self.prefactors[:, None] * np.sin(np.outer(self.poles.k, x))
 
 
 def integrand_f(k, x, p: InitialProfile, w: WellParameters):
@@ -89,26 +84,28 @@ def residue_prefactor(k, p: InitialProfile, w: WellParameters):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def verify_residue(r: Resonance, p: InitialProfile, w: WellParameters,
+def verify_residue(k: complex, p: InitialProfile, w: WellParameters,
                    x: float | None = None, rtol: float = 1e-6) -> float:
-    """Check the analytic residue against a small-circle contour integral.
+    """Check the analytic residue at the pole wavenumber k against a
+    small-circle contour integral.
 
-    Integrates f around k_n on a circle of radius min(1e-3, |Im k_n|/10)
+    Integrates f around k on a circle of radius min(1e-3, |Im k|/10)
     (trapezoid rule, exponentially convergent) and compares with the closed
     form; raises ResidueMismatch beyond ``rtol``.  Returns the relative error.
     """
     if x is None:
         x = 0.5 * w.a
-    radius = min(1e-3 / w.a, abs(r.k.imag) / 10.0)
+    k = complex(k)
+    radius = min(1e-3 / w.a, abs(k.imag) / 10.0)
     theta = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
-    ring = r.k + radius * np.exp(1j * theta)
+    ring = k + radius * np.exp(1j * theta)
     dk = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / _RESIDUE_NODES)
     contour = -np.sum(integrand_f(ring, x, p, w).ravel() * dk)
-    analytic = residue_prefactor(r.k, p, w) * np.sin(r.k * x)
+    analytic = residue_prefactor(k, p, w) * np.sin(k * x)
     rel = abs(contour - analytic) / abs(analytic)
     if rel > rtol:
         raise ResidueMismatch(
-            f"pole n={r.n}: contour residue deviates by {rel:.3e}"
+            f"pole k={k}: contour residue deviates by {rel:.3e}"
         )
     return float(rel)
 
@@ -122,7 +119,7 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     times a closed-form sine overlap.
     """
     poles = resonances(w, k_max)
-    k = np.array([r.k for r in poles], dtype=complex)
+    k = poles.k
     prefactors = residue_prefactor(k, p, w)
     weights = (np.abs(prefactors) ** 2 * sine_overlap(np.conj(k), k, w.a)).real
     return Residues(poles=poles, prefactors=prefactors, weights=weights)
@@ -192,7 +189,7 @@ class RotatedExpansion:
         x = np.asarray(x, dtype=float).ravel()
         edges = _ray_edges(w, t_min, t_max)
         self.residues = residue_terms(p, w, pole_cutoff(w, t_min))
-        k = self.residues.k
+        k = self.residues.poles.k
         self.energies = k * k
         self.mode_values = self.residues.modes(x)
         rules = []
@@ -327,7 +324,7 @@ def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
         raise ValueError("crossover estimate requires the metastable regime "
                          "(lam >= 10)")
     residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
-    tau1 = residues.poles[0].tau
+    tau1 = float(residues.poles.tau[0])
     c1 = float(residues.weights[0])
     # the tail is K t^-3 with K its value at t = 1
     t_star = crossing_time(math.log(c1), 1.0 / tau1,
@@ -348,7 +345,7 @@ def gram_matrix(p: InitialProfile, w: WellParameters) -> np.ndarray:
     Off-diagonal magnitudes quantify how close the Gamow functions are to
     orthogonal (they are only approximately so)."""
     residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
-    k, c = residues.k[:GRAM_TERMS], residues.prefactors[:GRAM_TERMS]
+    k, c = residues.poles.k[:GRAM_TERMS], residues.prefactors[:GRAM_TERMS]
     g = (np.conj(c)[:, None] * c[None, :]
          * sine_overlap(np.conj(k)[:, None], k[None, :], w.a))
     d = np.sqrt(np.real(np.diag(g)))

@@ -18,7 +18,7 @@ which are simultaneously the poles of the scattering coefficients A(k), B(k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,11 @@ _NEWTON_ITERATIONS = 50
 #: audit contour: radius of the indent at k = 0, points per rectangle edge
 _AUDIT_INDENT = 1e-6
 _AUDIT_POINTS = 1024
+#: phase-tracking bisection rounds: 52 halvings reach the double-precision
+#: spacing along an edge; only segments whose phase jumps are split
+_WINDING_ROUNDS = 52
+#: most poles enumerate_poles will refine (one seed each)
+MAX_POLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,38 +72,46 @@ class WellParameters:
         return self.lam >= 10.0
 
 
-@dataclass(frozen=True)
-class Resonance:
-    """One Gamow pole: complex wavenumber plus derived energy quantities.
+@dataclass(frozen=True, eq=False)
+class Poles:
+    """Gamow poles k_n, n = 1, 2, ... in order of Re k, as read-only arrays,
+    with |F(k_n)| in ``residual``; ``E = k**2``, ``gamma = -2 Im E`` and
+    ``tau = 1/gamma``.  Raises WrongQuadrant unless every k has
+    -pi/4 < arg k < 0 and -2 Im k^2 > 0 (NaN fails), and CountMismatch
+    unless Re k strictly increases (a root found twice)."""
 
-    ``E = k**2`` always; ``gamma = -2 Im E`` and ``tau = 1/gamma``.
-    ``residual`` is |F(k)| at the refined root.
-    """
-
-    n: int
-    k: complex
-    residual: float
-    E: complex = field(init=False)
-    gamma: float = field(init=False)
-    tau: float = field(init=False)
+    k: np.ndarray
+    residual: np.ndarray
 
     def __post_init__(self):
-        E = self.k * self.k
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "gamma", -2.0 * E.imag)
-        object.__setattr__(self, "tau", 1.0 / (-2.0 * E.imag))
+        k = np.array(self.k, dtype=complex)
+        residual = np.array(self.residual, dtype=float)
+        bad = ~((k.imag < 0.0) & (k.real > -k.imag) & ((k * k).imag < 0.0))
+        if np.any(bad):
+            raise WrongQuadrant(f"root {k[bad][0]} outside -pi/4 < arg k < 0")
+        repeat = np.flatnonzero(np.diff(k.real) <= 0.0)
+        if repeat.size:
+            raise CountMismatch(f"duplicate root near k={k[repeat[0] + 1]}")
+        for name, value in (("k", k), ("residual", residual)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-    def validate(self) -> None:
-        _check_sector(self.k)
+    def __len__(self) -> int:
+        return self.k.size
 
+    @property
+    def E(self) -> np.ndarray:
+        # Python's complex product k * k, bit for bit (numpy's can differ)
+        kr, ki = self.k.real, self.k.imag
+        return (kr * kr - ki * ki) + 1j * (kr * ki + ki * kr)
 
-def _check_sector(k) -> None:
-    """Raise WrongQuadrant unless every k has -pi/4 < arg k < 0 and a
-    positive width -2 Im k^2 (NaN fails)."""
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    bad = ~((k.imag < 0.0) & (k.real > -k.imag) & ((k * k).imag < 0.0))
-    if np.any(bad):
-        raise WrongQuadrant(f"root {k[bad][0]} lies outside -pi/4 < arg k < 0")
+    @property
+    def gamma(self) -> np.ndarray:
+        return -2.0 * self.E.imag
+
+    @property
+    def tau(self) -> np.ndarray:
+        return 1.0 / self.gamma
 
 
 def _denominator(k, w):
@@ -222,19 +235,17 @@ def _newton(k, w: WellParameters):
     raise NoConvergence(f"no convergence after {_NEWTON_ITERATIONS} iterations")
 
 
-def refine_pole(seed: complex, w: WellParameters) -> Resonance:
+def refine_pole(seed: complex, w: WellParameters) -> Poles:
     """Safeguarded Newton iteration on F(k) from one seed wavenumber, the
-    one-seed case of enumerate_poles' refinement.  The result must land
-    in -pi/4 < arg k < 0, else WrongQuadrant is raised."""
-    k, residual = _newton([seed], w)
-    _check_sector(k)
-    return Resonance(n=0, k=complex(k[0]), residual=float(residual[0]))
+    one-seed case of enumerate_poles' refinement, as a one-pole table
+    (so WrongQuadrant unless it lands in -pi/4 < arg k < 0)."""
+    return Poles(*_newton([seed], w))
 
 
 def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
     """Adaptive phase-tracking winding number along a closed polyline."""
     path = np.asarray(path, dtype=complex)
-    for _ in range(16):
+    for _ in range(_WINDING_ROUNDS):
         vals = quantization_residual(path, w)
         if np.any(np.abs(vals) == 0.0):
             raise CountMismatch("F vanishes on the audit contour")
@@ -253,40 +264,34 @@ def _seeded_roots(w: WellParameters, k_max: float):
 
     F(k) = 0 reads ka = n pi - arctan(ka / (lam - ika)), so the seeds are
     k_n a = n pi - arctan(n pi / (lam - i n pi)), n = 1 .. k_max a/pi + 1.
-    Raises WrongQuadrant outside -pi/4 < arg k < 0 and CountMismatch
-    unless Re k is strictly increasing (a root found twice).
     """
     npi = math.pi * np.arange(1, int(k_max * w.a / math.pi) + 2)
     k, residual = _newton((npi - np.arctan(npi / (w.lam - 1j * npi))) / w.a, w)
     keep = k.real < k_max
-    k, residual = k[keep], residual[keep]
-    _check_sector(k)
-    repeat = np.flatnonzero(np.diff(k.real) <= 0.0)
-    if repeat.size:
-        raise CountMismatch(f"duplicate root near k={k[repeat[0] + 1]}")
-    return k, residual
+    return k[keep], residual[keep]
 
 
-def enumerate_poles(w: WellParameters, k_max: float) -> list[Resonance]:
+def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
     """All fourth-quadrant Gamow poles with Re k < k_max, sorted by Re k.
 
-    The roots come from _seeded_roots; their count is audited with the
-    argument principle over the enclosing rectangle and a CountMismatch is
-    raised on disagreement.
+    The roots come from _seeded_roots, checked by the Poles constructor;
+    their count is audited with the argument principle over the enclosing
+    rectangle and a CountMismatch is raised on disagreement.  A cutoff past
+    MAX_POLES seeds raises ValueError before any array is allocated.
     """
     if not (0.0 < k_max < math.inf):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
-    k, residual = _seeded_roots(w, k_max)
-    found = [Resonance(n=n, k=complex(kn), residual=float(r))
-             for n, (kn, r) in enumerate(zip(k, residual), start=1)]
+    if k_max * w.a / math.pi >= MAX_POLES:
+        raise ValueError(f"k_max a = {k_max * w.a:g} needs more than "
+                         f"{MAX_POLES} poles")
+    found = Poles(*_seeded_roots(w, k_max))
 
     im_max = math.log1p(2.0 * k_max * w.a / w.lam) / (2.0 * w.a) + 0.5 / w.a
     # the audit contour runs clockwise around the fourth-quadrant rectangle
     wind = -_winding_adaptive(_audit_contour(k_max, im_max), w)
     if wind != len(found):
-        raise CountMismatch(
-            f"argument principle counts {wind} poles, found {len(found)}"
-        )
+        raise CountMismatch(f"argument principle counts {wind} poles, "
+                            f"found {len(found)}")
     return found
 
 

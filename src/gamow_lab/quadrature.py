@@ -214,20 +214,23 @@ def phase_budget_edges(k_max: float, t: float, base_rate: float) -> np.ndarray:
     return edges
 
 
-def spike_edges(center: float, width: float, reach: float) -> np.ndarray:
-    """Geometric panel edges resolving a Lorentzian-like spike.
+def spike_edges(centers: np.ndarray, widths: np.ndarray,
+                reach: float) -> np.ndarray:
+    """Geometric panel edges resolving Lorentzian-like spikes, all spikes
+    at once (unsorted).
 
-    Covers [center - reach, center + reach], with panel size shrinking
+    Each covers [center - reach, center + reach], with panel size shrinking
     geometrically from the outside down to ~width/2 at the peak, so both
     the core and the slowly decaying wings are resolved.
     """
-    offs = [width / 2.0]
-    while offs[-1] < reach:
+    offs = [widths / 2.0]
+    while np.any(offs[-1] < reach):
         offs.append(offs[-1] * _SPIKE_RATIO)
-    offs = np.asarray(offs)
-    return np.sort(np.concatenate([
-        center - offs, [center], center + offs
-    ]))
+    offs = np.stack(offs, axis=1)
+    # each spike's offsets stop at the first one past reach
+    keep = np.cumsum(offs >= reach, axis=1) <= 1
+    c = centers[:, None]
+    return np.concatenate([centers, (c - offs)[keep], (c + offs)[keep]])
 
 
 def merge_edges(base: np.ndarray, extra: np.ndarray, lo: float,

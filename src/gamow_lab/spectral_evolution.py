@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import QuadratureNotConverged
 from .potential_model import (
-    Resonance,
+    Poles,
     WellParameters,
     coefficient_A,
     coefficient_B,
@@ -88,13 +88,10 @@ def well_rule(w: WellParameters):
 
 
 @lru_cache(maxsize=64)
-def _cached_poles(lam: float, a: float, k_max: float) -> tuple[Resonance, ...]:
-    return tuple(enumerate_poles(WellParameters(lam=lam, a=a), k_max))
-
-
-def resonances(w: WellParameters, k_max: float) -> tuple[Resonance, ...]:
-    """Memoized pole enumeration (pure function of lam, a, k_max)."""
-    return _cached_poles(w.lam, w.a, k_max)
+def resonances(w: WellParameters, k_max: float) -> Poles:
+    """Memoized pole enumeration (pure function of lam, a, k_max); every
+    caller shares the one read-only table."""
+    return enumerate_poles(w, k_max)
 
 
 def pole_cutoff(w: WellParameters, t: float) -> float:
@@ -133,14 +130,13 @@ def direct_cutoff(w: WellParameters, t: float) -> float:
 
 def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     """Panel edges on [0, k_max] resolving both the exp(-ik^2 t) phase and
-    every resonance spike below the cutoff."""
+    every resonance spike below the cutoff.  The poles come first, so a
+    cutoff past enumerate_poles' bound fails before any panel exists."""
+    k = resonances(w, k_max).k
     base = phase_budget_edges(k_max, abs(t), base_rate=4.0 * w.a)
     spacing = math.pi * w.lam / (1.0 + w.lam) / w.a
-    extra = []
-    for r in resonances(w, k_max):
-        width = max(-r.k.imag, 1e-9 / w.a)
-        extra.append(spike_edges(r.k.real, width, reach=0.45 * spacing))
-    extra = np.concatenate(extra) if extra else np.array([])
+    extra = spike_edges(k.real, np.maximum(-k.imag, 1e-9 / w.a),
+                        reach=0.45 * spacing)
     return merge_edges(base, extra, 0.0, k_max)
 
 
@@ -310,8 +306,7 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     if not (0.0 <= t < math.inf):
         raise ValueError("t must be finite and >= 0")
     k_max = audit_cutoff(p, w)
-    poles = resonances(w, k_max)
-    dk = min(-r.k.imag for r in poles) / 10.0
+    dk = float(np.min(-resonances(w, k_max).k.imag)) / 10.0
     if t > 0.0:
         dk = min(dk, math.pi / (2.2 * k_max * t))
     n = int(math.ceil(k_max / dk))

@@ -54,11 +54,11 @@ def test_criterion_01_pole_reproduction():
     t0 = time.perf_counter()
     poles = resonances(W100, 16.0)  # enumeration audits the count internally
     worst_res = worst_re = worst_im = 0.0
-    for r in poles[:5]:
-        worst_res = max(worst_res, abs(quantization_residual(r.k, W100)))
-        seed = asymptotic_pole_seed(r.n, W100)
-        worst_re = max(worst_re, abs(r.k.real - seed.real) / abs(seed.real))
-        worst_im = max(worst_im, abs(r.k.imag - seed.imag) / abs(seed.imag))
+    for n, k in enumerate(poles.k[:5].tolist(), start=1):
+        worst_res = max(worst_res, abs(quantization_residual(k, W100)))
+        seed = asymptotic_pole_seed(n, W100)
+        worst_re = max(worst_re, abs(k.real - seed.real) / abs(seed.real))
+        worst_im = max(worst_im, abs(k.imag - seed.imag) / abs(seed.imag))
     dt = time.perf_counter() - t0
     ok = (len(poles) == 5 and worst_res < 1e-12 and worst_re < 0.01
           and worst_im < 0.10 and dt < 1.0)
@@ -87,17 +87,18 @@ def test_criterion_02_lifetime_formula():
     details = []
     ok = True
     for w, tol, check_series in ((W100, 0.02, True), (W10, 0.10, False)):
-        r = resonances(w, 8.0)[0]
-        tau_g = gamow_lifetime(r.k.real, w)
-        rel_g = abs(r.tau - tau_g) / tau_g
+        poles = resonances(w, 8.0)
+        tau1 = float(poles.tau[0])
+        tau_g = gamow_lifetime(float(poles.k.real[0]), w)
+        rel_g = abs(tau1 - tau_g) / tau_g
         ok = ok and rel_g < tol
         bare = (w.lam * w.a) ** 2 / (4.0 * math.pi ** 3)
-        rel_bare = abs(r.tau - bare) / bare
-        line = (f"lam={w.lam:g}: tau1={r.tau:.6g}, tau_G={tau_g:.6g} "
+        rel_bare = abs(tau1 - bare) / bare
+        line = (f"lam={w.lam:g}: tau1={tau1:.6g}, tau_G={tau_g:.6g} "
                 f"(a) {rel_g:.2%}")
         if check_series:
             series = bare * (1.0 + 1.0 / w.lam) ** 4
-            rel_s = abs(r.tau - series) / series
+            rel_s = abs(tau1 - series) / series
             ok = ok and rel_s < tol
             line += f", (b) {rel_s:.2%}"
         line += (f", tol {tol:.0%}; bare (lam a)^2/4pi^3 {rel_bare:.2%} "
@@ -111,7 +112,7 @@ def test_criterion_03_unitarity():
     worst = 0.0
     p = box_mode(1)
     for w in (W10, W100):
-        tau = resonances(w, 8.0)[0].tau
+        tau = resonances(w, 8.0).tau[0]
         for t in (0.0, tau / 10.0, tau, 5.0 * tau):
             audit = unitarity_audit(p, t, w)
             worst = max(worst, abs(audit["total"] - 1.0))
@@ -126,7 +127,7 @@ def test_criterion_04_representation_equivalence():
     p = box_mode(1)
     worst = 0.0
     for w in (W10, W100):
-        tau = resonances(w, 8.0)[0].tau
+        tau = resonances(w, 8.0).tau[0]
         grid = well_grid(w, 65)
         for frac in (0.05, 0.2, 1.0, 5.0):
             t = frac * tau
@@ -143,12 +144,12 @@ def test_criterion_05_exponential_law():
     t0 = time.perf_counter()
     w, p = W100, box_mode(1)
     residues = residue_terms(p, w, 8.0)
-    r1, c1 = residues.poles[0], residues.weights[0]
-    tau = r1.tau
+    gamma1, c1 = residues.poles.gamma[0], residues.weights[0]
+    tau = residues.poles.tau[0]
     times = np.linspace(tau, 5.0 * tau, 16)
     curve = nonescape_curve(p, times, w)
     rate, c_fit, _ = fit_exponential(curve, (times[0], times[-1]))
-    rel_rate = abs(rate - r1.gamma) / r1.gamma
+    rel_rate = abs(rate - gamma1) / gamma1
     rel_c = abs(c_fit - c1) / c1
     dt = time.perf_counter() - t0
     ok = rel_rate < 0.02 and rel_c < 0.05 and dt < 60.0
@@ -169,8 +170,7 @@ def test_criterion_06_short_time_flux():
     # the naive resonance superposition would instead start at rate
     # sum_n c_n Gamma_n > 0 -- report the contrast value
     residues = residue_terms(box_mode(1), w, 16.0)
-    contrast = sum(c * r.gamma
-                   for c, r in zip(residues.weights, residues.poles))
+    contrast = float(np.sum(residues.weights * residues.poles.gamma))
     dt = time.perf_counter() - t0
     ok = worst < 1e-8 and contrast > 0.0 and dt < 10.0
     verdict(6, ok, f"max |dP/dt(0)| = {worst:.2e}; naive initial rate "
@@ -217,8 +217,8 @@ def test_criterion_09_residue_calculus():
     p = box_mode(1)
     worst = 0.0
     for w in (W10, W100):
-        for r in resonances(w, 40.0):
-            worst = max(worst, verify_residue(r, p, w, rtol=1e-6))
+        for k in resonances(w, 40.0).k:
+            worst = max(worst, verify_residue(k, p, w, rtol=1e-6))
     g = gram_matrix(p, W100)
     off = float(np.max(np.abs(g - np.diag(np.diag(g)))))
     dt = time.perf_counter() - t0
@@ -232,7 +232,7 @@ def test_criterion_10_finite_difference_oracle():
 
     t0 = time.perf_counter()
     w, p = W10, box_mode(1)
-    tau = resonances(w, 8.0)[0].tau
+    tau = resonances(w, 8.0).tau[0]
     checkpoints = [tau, 2.0 * tau, 3.0 * tau]
 
     def psi0(x):
@@ -254,10 +254,10 @@ def test_criterion_10_finite_difference_oracle():
 def test_criterion_11_n_cubed_rate_law():
     t0 = time.perf_counter()
     w = W100
-    rs = resonances(w, 12.0)
+    taus = resonances(w, 12.0).tau
     rates = []
     for n in (1, 2, 3):
-        tau_n = rs[n - 1].tau
+        tau_n = taus[n - 1]
         times = np.linspace(tau_n, 4.0 * tau_n, 12)
         curve = nonescape_curve(box_mode(n), times, w)
         rate, _, _ = fit_exponential(curve, (times[0], times[-1]))

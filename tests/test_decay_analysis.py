@@ -37,7 +37,7 @@ W10 = WellParameters(lam=10.0)
 
 
 def tau1(w):
-    return resonances(w, 40.0)[0].tau
+    return resonances(w, 40.0).tau[0]
 
 
 class TestGeometricTimes:
@@ -188,10 +188,10 @@ class TestFluxDerivative:
 
     def test_matches_exponential_rate(self):
         w = W100
-        r1 = resonances(w, 4.0)[0]
-        t = r1.tau
+        poles = resonances(w, 4.0)
+        t = poles.tau[0]
         ws = evolve_rotated(box_mode(1), t, well_grid(w, 1025), w)
-        expect = -r1.gamma * math.exp(-1.0)
+        expect = -poles.gamma[0] * math.exp(-1.0)
         assert flux_derivative(ws, w) == pytest.approx(expect, rel=0.03)
 
     def test_integrates_back_to_norm_loss(self):
@@ -257,12 +257,12 @@ class TestSyntheticFits:
 class TestPhysicalFits:
     def test_second_mode_decays_eight_times_faster(self):
         w = W100
-        rs = resonances(w, 8.0)
-        times = np.linspace(0.2, 1.0, 10) * rs[1].tau * 5.0
+        poles = resonances(w, 8.0)
+        times = np.linspace(0.2, 1.0, 10) * poles.tau[1] * 5.0
         c2 = nonescape_curve(box_mode(2), times, w)
         rate, _, _ = fit_exponential(c2, (times[0], times[-1]))
-        assert rate == pytest.approx(rs[1].gamma, rel=0.02)
-        assert rs[1].gamma / rs[0].gamma == pytest.approx(8.0, rel=0.05)
+        assert rate == pytest.approx(poles.gamma[1], rel=0.02)
+        assert poles.gamma[1] / poles.gamma[0] == pytest.approx(8.0, rel=0.05)
 
     def test_memory_loss_of_initial_profile(self):
         # after a couple of lifetimes the decay rate no longer depends on

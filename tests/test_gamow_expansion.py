@@ -45,7 +45,7 @@ W30 = WellParameters(lam=30.0)
 
 
 def tau1(w):
-    return resonances(w, 40.0)[0].tau
+    return resonances(w, 40.0).tau[0]
 
 
 class TestIntegrandF:
@@ -72,19 +72,19 @@ class TestResidues:
         assert residues.modes([0.0])[0, 0] == 0.0
 
     def test_contour_self_check(self):
-        r1 = resonances(W100, 4.0)[0]
-        rel = verify_residue(r1, box_mode(1), W100, x=0.5, rtol=1e-8)
+        k1 = resonances(W100, 4.0).k[0]
+        rel = verify_residue(k1, box_mode(1), W100, x=0.5, rtol=1e-8)
         assert rel < 1e-8
 
     def test_all_poles_verify(self):
         for w in (W10, W100):
-            for r in resonances(w, 40.0):
-                assert verify_residue(r, box_mode(1), w, rtol=1e-6) < 1e-6
+            for k in resonances(w, 40.0).k:
+                assert verify_residue(k, box_mode(1), w, rtol=1e-6) < 1e-6
 
     def test_mismatch_raises(self):
-        r1 = resonances(W100, 4.0)[0]
+        k1 = resonances(W100, 4.0).k[0]
         with pytest.raises(ResidueMismatch):
-            verify_residue(r1, box_mode(1), W100, rtol=1e-18)
+            verify_residue(k1, box_mode(1), W100, rtol=1e-18)
 
     def test_first_weight_near_unity(self):
         c1 = residue_terms(box_mode(1), W100, 4.0).weights[0]
@@ -96,7 +96,7 @@ class TestResidues:
         # one array call reproduces the per-pole prefactors, and the
         # closed-form weights match a high-order quadrature of |C_n|^2
         residues = residue_terms(p, W30, 80.0)
-        single = [residue_prefactor(r.k, p, W30) for r in residues.poles]
+        single = [residue_prefactor(k, p, W30) for k in residues.poles.k]
         assert np.allclose(residues.prefactors, single, rtol=1e-14, atol=1e-15)
         x, wx = np.polynomial.legendre.leggauss(1024)
         quad = np.abs(residues.modes(0.5 * (x + 1.0))) ** 2 @ (0.5 * wx)
@@ -185,10 +185,10 @@ class TestEvolveRotated:
         x, wx = well_rule(w)
         rot = RotatedExpansion(x, p, w, t, t)
         residues = rot.residues
-        kn = residues.k[0]
+        kn = residues.poles.k[0]
         psi1 = rot.mode_values[0] * np.exp(-1j * kn * kn * t)
         P1 = float(wx @ np.abs(psi1) ** 2)
-        expect = residues.weights[0] * math.exp(-t / residues.poles[0].tau)
+        expect = residues.weights[0] * math.exp(-t / residues.poles.tau[0])
         assert P1 == pytest.approx(expect, rel=0.01)
         P_full = float(wx @ np.abs(evolve_rotated(p, t, x, w).psi) ** 2)
         assert P_full == pytest.approx(expect, rel=0.01)
@@ -212,7 +212,7 @@ class TestEvolveRotated:
         w, t = W100, 1.0
         grid = well_grid(w, 65)
         rot = RotatedExpansion(grid, box_mode(3), w, t, t)
-        k = rot.residues.k.astype(np.clongdouble)
+        k = rot.residues.poles.k.astype(np.clongdouble)
         phase = np.exp(-1j * (k * k) * np.longdouble(t))
         ref = (rot.background(t)[0][0].astype(np.clongdouble)
                + phase @ rot.mode_values.astype(np.clongdouble))
@@ -220,7 +220,7 @@ class TestEvolveRotated:
         assert np.max(np.abs(psi - ref)) < 1e-14
 
     def test_sector_discipline(self):
-        for kn in residue_terms(box_mode(1), W10, 40.0).k:
+        for kn in residue_terms(box_mode(1), W10, 40.0).poles.k:
             assert -math.pi / 4 < cmath.phase(kn) < 0
 
 

@@ -161,6 +161,43 @@ def test_knob_census():
     assert found == KNOBS
 
 
+#: every name gamow_lab/__init__.py re-exports; a new export needs an
+#: entry here
+EXPORTED = {
+    # exceptions
+    "CountMismatch", "GamowLabError", "GridTooCoarse", "NoConvergence",
+    "NoCrossing", "PoleProximity", "QuadratureNotConverged",
+    "ResidueMismatch", "SeedOutOfRegime", "WindowBeforeCrossover",
+    "WindowTooSmall", "WrongQuadrant",
+    # potential_model
+    "Poles", "WellParameters", "coefficient_A", "coefficient_A_bar",
+    "coefficient_B", "enumerate_poles", "refine_pole",
+    # profiles
+    "InitialProfile", "box_mode", "custom_samples", "overlap_transform",
+    "parse_profile", "truncated_gaussian",
+    # spectral_evolution
+    "WaveState", "evolve_direct", "resonances", "spectral_tail_mass",
+    "unitarity_audit", "well_grid",
+    # gamow_expansion
+    "Residues", "RotatedExpansion", "asymptotic_background",
+    "background_integral", "crossover_time", "evolve_rotated",
+    "integrand_f", "nonescape_asymptote", "verify_residue",
+    # decay_analysis
+    "DecayCurve", "RegimeReport", "fit_exponential", "fit_tail_exponent",
+    "flux_derivative", "geometric_times", "nonescape_curve",
+    "regime_report",
+}
+
+
+def test_export_census():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert set(imported) == EXPORTED
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # the package needs no root finder; scipy.optimize is scipy's heaviest
     # import and would dominate every command's start-up

@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 from gamow_lab import potential_model
-from gamow_lab.exceptions import CountMismatch, SeedOutOfRegime, WrongQuadrant
+from gamow_lab.spectral_evolution import resonances
+from gamow_lab.exceptions import (
+    CountMismatch,
+    NoConvergence,
+    SeedOutOfRegime,
+    WrongQuadrant,
+)
 from gamow_lab.potential_model import (
-    Resonance,
+    MAX_POLES,
+    Poles,
     WellParameters,
     asymptotic_pole_seed,
     coefficient_A,
@@ -57,7 +64,7 @@ class TestCoefficientA:
         assert abs(val) == pytest.approx(0.02362, abs=5e-5)
 
     def test_blows_up_near_first_pole(self):
-        k1 = enumerate_poles(W100, 4.0)[0].k
+        k1 = enumerate_poles(W100, 4.0).k[0]
         assert abs(coefficient_A(k1 + 1e-6, W100)) > 1e3
 
     def test_matches_oracle_on_complex_samples(self):
@@ -100,8 +107,8 @@ class TestCoefficientABar:
         k = cmath.exp(-1j * math.pi / 4) * 2.0
         val = coefficient_A_bar(k, W100)
         assert np.isfinite(val)
-        for r in enumerate_poles(W100, 8.0):
-            assert abs(k - np.conj(r.k)) > 0.1
+        for k_n in enumerate_poles(W100, 8.0).k:
+            assert abs(k - np.conj(k_n)) > 0.1
 
 
 class TestQuantizationResidual:
@@ -111,8 +118,8 @@ class TestQuantizationResidual:
             assert val == pytest.approx(n * math.pi * (-1.0) ** n, rel=1e-12)
 
     def test_vanishes_at_refined_pole(self):
-        r = enumerate_poles(W100, 4.0)[0]
-        assert abs(quantization_residual(r.k, W100)) < 1e-12
+        k1 = enumerate_poles(W100, 4.0).k[0]
+        assert abs(quantization_residual(k1, W100)) < 1e-12
 
     def test_explicit_value(self):
         val = quantization_residual(3.0, W10)
@@ -152,48 +159,53 @@ class TestAsymptoticSeed:
 
 class TestRefinePole:
     def test_postcondition_residual(self):
-        r = refine_pole(asymptotic_pole_seed(1, W100), W100)
-        assert abs(quantization_residual(r.k, W100)) < 1e-12
+        pole = refine_pole(asymptotic_pole_seed(1, W100), W100)
+        assert len(pole) == 1
+        assert abs(quantization_residual(pole.k[0], W100)) < 1e-12
 
     def test_near_seed(self):
-        r = refine_pole(asymptotic_pole_seed(1, W100), W100)
-        assert abs(r.k - (3.110467 - 0.000986960j)) < 5e-3
+        pole = refine_pole(asymptotic_pole_seed(1, W100), W100)
+        assert abs(pole.k[0] - (3.110467 - 0.000986960j)) < 5e-3
 
     def test_lifetime_near_inverse_cube_law(self):
-        r = refine_pole(asymptotic_pole_seed(1, W100), W100)
-        assert r.tau == pytest.approx(1e4 / (4 * math.pi ** 3), rel=0.05)
+        pole = refine_pole(asymptotic_pole_seed(1, W100), W100)
+        assert pole.tau[0] == pytest.approx(1e4 / (4 * math.pi ** 3),
+                                            rel=0.05)
 
     def test_rejects_wrong_quadrant(self):
         # a seed near the mirror root converges outside the sector
-        r = enumerate_poles(W100, 4.0)[0]
+        k1 = enumerate_poles(W100, 4.0).k[0]
         with pytest.raises(WrongQuadrant):
-            refine_pole(-np.conj(r.k), W100)
+            refine_pole(-np.conj(k1), W100)
 
 
 class TestEnumeratePoles:
     def test_five_poles_below_16(self):
         poles = enumerate_poles(W100, 16.0)
         assert len(poles) == 5
-        for r in poles:
-            expect = r.n * math.pi * 100 / 101
-            assert abs(r.k.real - expect) / expect < 0.01
+        expect = np.arange(1, 6) * math.pi * 100 / 101
+        assert np.all(np.abs(poles.k.real - expect) / expect < 0.01)
 
     def test_empty_below_first_pole(self):
-        assert enumerate_poles(W100, 3.0) == []
+        poles = enumerate_poles(W100, 3.0)
+        assert len(poles) == 0
+        assert poles.k.shape == poles.residual.shape == (0,)
 
     def test_derived_quantities(self):
         poles = enumerate_poles(W100, 16.0)
-        gammas = [r.gamma for r in poles]
-        for r in poles:
-            assert r.E == r.k ** 2
-            assert r.E.real > 0 and r.gamma > 0
-            assert -math.pi / 4 < cmath.phase(r.k) < 0
-        assert all(g2 > g1 for g1, g2 in zip(gammas, gammas[1:]))
+        # E is Python's complex product k * k, bit for bit
+        assert poles.E.tolist() == [k * k for k in poles.k.tolist()]
+        assert np.all(poles.E.real > 0) and np.all(poles.gamma > 0)
+        assert np.array_equal(poles.gamma, -2.0 * poles.E.imag)
+        assert np.array_equal(poles.tau, 1.0 / poles.gamma)
+        for k in poles.k:
+            assert -math.pi / 4 < cmath.phase(k) < 0
+        assert np.all(np.diff(poles.gamma) > 0)
 
     def test_mirror_roots(self):
         # each decaying root has a growing partner at -conj(k)
-        for r in enumerate_poles(W10, 10.0):
-            assert abs(quantization_residual(-np.conj(r.k), W10)) < 1e-10
+        for k in enumerate_poles(W10, 10.0).k:
+            assert abs(quantization_residual(-np.conj(k), W10)) < 1e-10
 
     def test_count_agrees_with_winding_number(self):
         # enumeration audits itself; reaching here means counts agreed
@@ -203,7 +215,7 @@ class TestEnumeratePoles:
     def test_closed_form_seeds_beyond_asymptotic_regime(self):
         poles = enumerate_poles(W10, 40.0)
         assert len(poles) == 12
-        spacings = np.diff([r.k.real for r in poles])
+        spacings = np.diff(poles.k.real)
         assert np.all(spacings > 2.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
@@ -213,10 +225,10 @@ class TestEnumeratePoles:
         # seed still finds its own root, and the audit agrees with the count
         w = WellParameters(lam=lam, a=a)
         poles = enumerate_poles(w, 40.0 / a)
-        assert [r.n for r in poles] == list(range(1, 13))
-        for r in poles:
-            r.validate()
-            assert r.residual < 1e-12 * max(1.0, abs(r.k * a))
+        assert len(poles) == 12
+        for k, residual in zip(poles.k, poles.residual):
+            assert -math.pi / 4 < cmath.phase(k) < 0
+            assert residual < 1e-12 * max(1.0, abs(k * a))
 
     def test_steep_first_root_rejected(self):
         # at lam = 0.1 the first root lies below arg k = -pi/4
@@ -236,12 +248,58 @@ class TestEnumeratePoles:
         # the n-th seed converges to the n-th root
         assert np.all((k.real > (n - 0.5) * math.pi) & (k.real < n * math.pi))
 
+    @pytest.mark.parametrize("k_max", [1000.0, 3000.0])
+    def test_opaque_barrier_audit(self, k_max):
+        # at lam = 1000 the audit's phase tracking needs 17 and 18
+        # bisection rounds; the winding then equals the root count
+        w = WellParameters(lam=1000.0)
+        count = {1000.0: 318, 3000.0: 955}[k_max]
+        assert len(enumerate_poles(w, k_max)) == count
 
-class TestResonanceInvariants:
-    def test_validate_rejects_upper_half_plane(self):
-        with pytest.raises(WrongQuadrant):
-            Resonance(n=1, k=3.0 + 0.1j, residual=0.0).validate()
+    def test_pole_bound_checked_before_refinement(self, monkeypatch):
+        def refine(w, k_max):
+            raise NoConvergence("refinement reached")
 
-    def test_validate_rejects_steep_sector(self):
+        monkeypatch.setattr(potential_model, "_seeded_roots", refine)
+        # the cutoff whose seeds just fit reaches the refinement; the
+        # next one is refused before any seed exists
+        with pytest.raises(NoConvergence):
+            enumerate_poles(W10, (MAX_POLES - 1) * math.pi)
+        for k_max in (MAX_POLES * math.pi, 1e12):
+            with pytest.raises(ValueError, match="poles"):
+                enumerate_poles(W10, k_max)
+
+
+class TestPolesInvariants:
+    def test_rejects_upper_half_plane(self):
         with pytest.raises(WrongQuadrant):
-            Resonance(n=1, k=1.0 - 2.0j, residual=0.0).validate()
+            Poles(k=[3.0 + 0.1j], residual=[0.0])
+
+    def test_rejects_steep_sector(self):
+        with pytest.raises(WrongQuadrant):
+            Poles(k=[1.0 - 2.0j], residual=[0.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(WrongQuadrant):
+            Poles(k=[complex(math.nan, -0.1)], residual=[0.0])
+
+    @pytest.mark.parametrize("k", [[3.0 - 0.01j, 3.0 - 0.01j],
+                                   [6.0 - 0.01j, 3.0 - 0.01j]],
+                             ids=["repeated", "descending"])
+    def test_rejects_repeated_root(self, k):
+        with pytest.raises(CountMismatch, match="duplicate root"):
+            Poles(k=k, residual=[0.0, 0.0])
+
+    def test_cached_table_is_read_only(self):
+        poles = resonances(W100, 16.0)
+        assert len(poles) == poles.k.size == 5
+        for column in (poles.k, poles.residual):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        assert resonances(W100, 16.0) is poles
+
+    def test_copies_its_input(self):
+        k = np.array([3.0 - 0.01j])
+        poles = Poles(k=k, residual=[0.0])
+        k[0] = 1.0 + 1.0j
+        assert poles.k[0] == 3.0 - 0.01j

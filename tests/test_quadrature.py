@@ -8,6 +8,7 @@ import pytest
 from gamow_lab.exceptions import QuadratureNotConverged
 from gamow_lab.quadrature import (
     _BLOCK_NODES,
+    _SPIKE_RATIO,
     CONTROL_ORDER,
     MAIN_ORDER,
     adaptive_gl,
@@ -15,6 +16,7 @@ from gamow_lab.quadrature import (
     panel_nodes,
     panel_sine_sum,
     panel_sine_transform,
+    spike_edges,
 )
 
 
@@ -32,6 +34,29 @@ def random_coefficients(rng, shape):
 def dense_sum(c, k, x):
     """The oracle: sum_j c_j sin(k_j x) from the full sine matrix."""
     return np.ravel(c) @ np.sin(np.multiply.outer(np.ravel(k), x))
+
+
+def one_spike_edges(center, width, reach):
+    """The reference: one spike's edges by the scalar loop."""
+    offs = [width / 2.0]
+    while offs[-1] < reach:
+        offs.append(offs[-1] * _SPIKE_RATIO)
+    offs = np.asarray(offs)
+    return np.concatenate([center - offs, [center], center + offs])
+
+
+def test_spike_edges_match_one_spike_at_a_time():
+    # widths from the 1e-9 floor to beyond reach, so spikes stop after
+    # one to ~70 offsets; the edge sets agree bit for bit
+    rng = np.random.default_rng(5)
+    centers = np.sort(rng.uniform(0.0, 100.0, 40))
+    widths = 10.0 ** rng.uniform(-9.0, 0.5, 40)
+    reach = 1.4
+    ref = np.concatenate([one_spike_edges(c, w, reach)
+                          for c, w in zip(centers.tolist(), widths.tolist())])
+    assert np.array_equal(np.sort(spike_edges(centers, widths, reach)),
+                          np.sort(ref))
+    assert spike_edges(np.array([]), np.array([]), reach).size == 0
 
 
 def dense_transform(coef, x, k):
