@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .exceptions import NoCrossing, QuadratureNotConverged, ResidueMismatch
 from .potential_model import (
@@ -189,8 +188,7 @@ class RotatedExpansion:
         x = np.asarray(x, dtype=float).ravel()
         edges = _ray_edges(w, t_min, t_max)
         self.residues = residue_terms(p, w, pole_cutoff(w, t_min))
-        k = self.residues.poles.k
-        self.energies = k * k
+        self.energies = self.residues.poles.E
         self.mode_values = self.residues.modes(x)
         rules = []
         for order in (MAIN_ORDER, CONTROL_ORDER):
@@ -283,6 +281,88 @@ def nonescape_asymptote(t, p: InitialProfile, w: WellParameters):
     return float(out) if out.ndim == 0 else out
 
 
+#: 1/e as the double math.exp(-1) plus its rounding error, so that
+#: e z + 1 keeps its relative accuracy as z approaches -1/e
+_INV_E = math.exp(-1.0)
+_INV_E_LO = -1.2428753672788363e-17
+#: below this e z + 1 the Lambert W root is taken in u = W + 1
+#: (|u| < 1 there)
+_BRANCH_ZONE = 0.25
+#: Halley steps allowed per Lambert W root (three or four suffice)
+_HALLEY_STEPS = 12
+#: beyond this |W| the root is taken from W + ln|W| = ln|z|, where e^W
+#: would under- or overflow
+_LOG_FORM = 500.0
+
+
+def _branch_series(u: float) -> float:
+    """g(u) = (u - 1) e^u + 1 = sum_{n>=2} (n - 1) u^n / n!, summed
+    term by term so that it keeps its relative accuracy near u = 0."""
+    term = 0.5 * u * u
+    total = term
+    n = 2
+    while abs(term) * n > 1e-17 * abs(total):
+        n += 1
+        term *= u / n
+        total += (n - 1) * term
+    return total
+
+
+def _lambert_w(z: float, branch: int) -> float:
+    """Real Lambert W, the root of W e^W = z, on branch 0 (z >= -1/e) or
+    branch -1 (-1/e <= z < 0); nan outside that domain or for non-finite z.
+
+    Halley's iteration (Corless et al., Adv. Comput. Math. 5, 329 (1996)).
+    Near the branch point it starts from the series in p = +-sqrt(2(ez+1))
+    and solves g(u) = e z + 1 for u = W + 1, so the root keeps its
+    relative accuracy where W e^W = z is ill-conditioned.  Elsewhere it
+    starts from log forms and solves W e^W = z, or W + ln|W| = ln|z| for
+    |W| > _LOG_FORM.
+    """
+    if not (math.isfinite(z) and z >= -_INV_E) or (branch == -1 and z >= 0.0):
+        return math.nan
+    ez1 = math.e * ((z + _INV_E) + _INV_E_LO)
+    if ez1 < _BRANCH_ZONE:
+        if ez1 <= 0.0:
+            return -1.0
+        p = math.sqrt(2.0 * ez1) * (1.0 if branch == 0 else -1.0)
+        u = p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+        for _ in range(_HALLEY_STEPS):
+            f = _branch_series(u) - ez1
+            e = math.exp(u)
+            d1 = u * e
+            step = f / (d1 - 0.5 * f * (1.0 + u) * e / d1)
+            u -= step
+            if abs(step) <= 1e-16 * abs(u):
+                break
+        return u - 1.0
+    if branch == 0:
+        lz = math.log1p(z)
+        w = lz * (1.0 - math.log1p(lz) / (2.0 + lz))
+    else:
+        l1 = math.log(-z)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    if abs(w) < _LOG_FORM:
+        for _ in range(_HALLEY_STEPS):
+            e = math.exp(w)
+            f = w * e - z
+            step = f / (e * (w + 1.0) - 0.5 * (w + 2.0) * f / (w + 1.0))
+            w -= step
+            if abs(step) <= 1e-16 * abs(w):
+                break
+        return w
+    log_z = math.log(abs(z))
+    for _ in range(_HALLEY_STEPS):
+        h = w + math.log(abs(w)) - log_z
+        d1 = 1.0 + 1.0 / w
+        step = h / (d1 + 0.5 * h / (w * w * d1))
+        w -= step
+        if abs(step) <= 1e-16 * abs(w):
+            break
+    return w
+
+
 def crossing_time(log_c: float, rate: float, log_k: float, s: float,
                   lo: float, hi: float) -> float:
     """Time t in [lo, hi] where the exponential branch log c - rate t meets
@@ -292,9 +372,10 @@ def crossing_time(log_c: float, rate: float, log_k: float, s: float,
 
     on the Lambert-W branch -1 for s < 0 (the later of the two crossings)
     and branch 0 for s > 0.  Raises NoCrossing unless the exponential lies
-    above the power law at lo and below it at hi, and also when W is not
-    finite and real or the root falls outside [lo, hi] (a nearly flat power
-    law far from the exponential pushes z beyond the doubles' range).
+    above the power law at lo and below it at hi, and also when W is nan
+    (z off the branch's real domain) or the root falls outside [lo, hi] (a
+    nearly flat power law far from the exponential pushes z beyond the
+    doubles' range).
     """
     def gap(t):
         return log_c - rate * t - log_k - s * math.log(t)
@@ -304,9 +385,9 @@ def crossing_time(log_c: float, rate: float, log_k: float, s: float,
                          f"in [{lo:g}, {hi:g}]")
     with np.errstate(over="ignore"):
         z = rate / s * np.exp((log_c - log_k) / s)
-    W = lambertw(z, -1 if s < 0.0 else 0)
-    t = s / rate * W.real
-    if not (np.isfinite(W) and W.imag == 0.0 and lo <= t <= hi):
+    W = _lambert_w(z, -1 if s < 0.0 else 0)
+    t = s / rate * W
+    if not (lo <= t <= hi):
         raise NoCrossing(f"closed-form crossing W = {W} gives no root in "
                          f"[{lo:g}, {hi:g}]")
     return float(t)

@@ -101,9 +101,18 @@ class Poles:
 
     @property
     def E(self) -> np.ndarray:
-        # Python's complex product k * k, bit for bit (numpy's can differ)
+        """k**2 rounded once: Re E = kr^2 - ki^2 from exact products and an
+        exact difference (Dekker; Knuth's two-sum), Im E = 2 kr ki.  The
+        plain product rounds Re E three times and misses the last bit for
+        about a quarter of the poles, which the residue phases exp(-i E t)
+        magnify with t."""
         kr, ki = self.k.real, self.k.imag
-        return (kr * kr - ki * ki) + 1j * (kr * ki + ki * kr)
+        sr, er = _exact_square(kr)
+        si, ei = _exact_square(ki)
+        d = sr - si
+        b = d - sr
+        ed = (sr - (d - b)) - (si + b)
+        return (d + (ed + (er - ei))) + 1j * (2.0 * kr * ki)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -112,6 +121,15 @@ class Poles:
     @property
     def tau(self) -> np.ndarray:
         return 1.0 / self.gamma
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * x as p + e exactly: Dekker's product on Veltkamp's split."""
+    p = x * x
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
 
 
 def _denominator(k, w):

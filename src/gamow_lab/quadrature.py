@@ -235,10 +235,14 @@ def spike_edges(centers: np.ndarray, widths: np.ndarray,
 
 def merge_edges(base: np.ndarray, extra: np.ndarray, lo: float,
                 hi: float) -> np.ndarray:
-    """Merge two edge sets on [lo, hi], dropping duplicate edges."""
+    """Merge two edge sets on [lo, hi], dropping duplicate edges.
+
+    Sorted once, keeping each edge that differs from its left neighbour:
+    np.unique's values, without the numpy.ma import its first call costs.
+    """
     e = np.concatenate([base, extra])
-    e = e[(e >= lo) & (e <= hi)]
-    return np.unique(np.concatenate([[lo, hi], e]))
+    e = np.sort(np.concatenate([[lo, hi], e[(e >= lo) & (e <= hi)]]))
+    return e[np.concatenate([[True], e[1:] != e[:-1]])]
 
 
 def adaptive_gl(f, a: float, b: float, tol: float):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy import fft
 
 from .exceptions import QuadratureNotConverged
 from .potential_model import (
@@ -335,14 +336,14 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     d[:n] = c[:n]
     d[nf - n:] = (c[:n] * B[:n])[::-1]
     del A, B, c
-    # no out= on np.fft (it needs numpy >= 2.0; the pin is numpy >= 1.24):
+    # no out= on numpy.fft (it needs numpy >= 2.0; the pin is numpy >= 1.24):
     # each nf-length array is dropped as soon as the next one exists
-    f = np.fft.fft(d)
+    f = fft.fft(d)
     del d
     g = np.abs(f)
     del f
     g *= g
-    g_hat = np.fft.rfft(g)
+    g_hat = fft.rfft(g)
     del g
     g_hat /= nf
     x_hi = 2.2 * k_max * t + 50.0 * w.a

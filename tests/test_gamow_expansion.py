@@ -17,6 +17,7 @@ from gamow_lab.exceptions import (
 from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
     RotatedExpansion,
+    _lambert_w,
     _ray_edges,
     asymptotic_background,
     background_integral,
@@ -268,6 +269,51 @@ def mp_crossing(log_c, rate, log_k, s, lo, hi):
         return float(mpmath.findroot(
             lambda t: log_c - rate * t - log_k - s * mpmath.log(t),
             (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson"))
+
+
+def mp_lambert_w(z, branch):
+    """W at the double z on the branch, in 50-digit arithmetic.  At the
+    double nearest -1/e, which lies just below it, the root is complex
+    and its real part rounds to -1."""
+    with mpmath.workdps(50):
+        return float(mpmath.lambertw(mpmath.mpf(z), branch).real)
+
+
+INV_E = math.exp(-1.0)
+#: negative z from -1e-300 up to the double nearest -1/e
+NEGATIVE = -np.logspace(-300.0, math.log10(INV_E), 400)
+NEGATIVE[-1] = -INV_E
+#: z within 1e-12 of -1/e
+NEAR_BRANCH_POINT = np.concatenate([
+    -INV_E + np.linspace(0.0, 1e-12, 41),
+    -INV_E + np.logspace(-16.0, -12.0, 41),
+])
+
+
+class TestLambertW:
+    @pytest.mark.parametrize("branch,z", [
+        (0, np.concatenate([np.logspace(-300.0, 300.0, 601), [5e-324],
+                            NEGATIVE, NEAR_BRANCH_POINT])),
+        (-1, np.concatenate([NEGATIVE, [-5e-324], NEAR_BRANCH_POINT])),
+    ], ids=["branch0", "branch-1"])
+    def test_matches_mpmath(self, branch, z):
+        got = np.array([_lambert_w(v, branch) for v in z.tolist()])
+        ref = np.array([mp_lambert_w(v, branch) for v in z.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+    def test_branch_point_and_origin(self):
+        assert _lambert_w(-INV_E, 0) == _lambert_w(-INV_E, -1) == -1.0
+        assert _lambert_w(0.0, 0) == 0.0
+
+    @pytest.mark.parametrize("branch,z", [
+        (0, np.nextafter(-INV_E, -1.0)), (-1, np.nextafter(-INV_E, -1.0)),
+        (0, -1.0), (-1, -1e300),
+        (-1, 0.0), (-1, -0.0), (-1, 1e-300), (-1, 2.0),
+        (0, math.inf), (0, -math.inf), (-1, math.inf), (-1, -math.inf),
+        (0, math.nan), (-1, math.nan),
+    ])
+    def test_nan_off_the_real_domain(self, branch, z):
+        assert math.isnan(_lambert_w(float(z), branch))
 
 
 class TestCrossingTime:

@@ -198,12 +198,35 @@ def test_export_census():
     assert set(imported) == EXPORTED
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # the package needs no root finder; scipy.optimize is scipy's heaviest
-    # import and would dominate every command's start-up
-    code = ("import sys, gamow_lab.cli; "
-            "print('scipy.optimize' in sys.modules)")
+def heavy_modules_after(code: str) -> str:
+    """The sorted list of scipy and numpy.ma modules loaded once ``code``
+    has run in a fresh interpreter."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' "
+             "or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy's import would be most of every command's start-up; only
+    # sici (direct psi at t = 0) and CubicSpline (custom_samples) load it,
+    # on first use
+    assert heavy_modules_after("import gamow_lab.cli") == "[]"
+
+
+def test_job_paths_leave_out_scipy_and_numpy_ma():
+    # one small job per route: regime analysis (Lambert-W crossings), the
+    # direct route (merged panel edges) and the audit (its FFTs)
+    code = """
+import gamow_lab.cli
+from gamow_lab import (WellParameters, evolve_direct, parse_profile,
+                       regime_report, unitarity_audit, well_grid)
+w, p = WellParameters(10.0), parse_profile("box:1")
+regime_report(p, w)
+evolve_direct(p, 0.05, well_grid(w, 65), w)
+unitarity_audit(p, 1.0, w)
+"""
+    assert heavy_modules_after(code) == "[]"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -193,14 +194,24 @@ class TestEnumeratePoles:
 
     def test_derived_quantities(self):
         poles = enumerate_poles(W100, 16.0)
-        # E is Python's complex product k * k, bit for bit
-        assert poles.E.tolist() == [k * k for k in poles.k.tolist()]
         assert np.all(poles.E.real > 0) and np.all(poles.gamma > 0)
         assert np.array_equal(poles.gamma, -2.0 * poles.E.imag)
         assert np.array_equal(poles.tau, 1.0 / poles.gamma)
         for k in poles.k:
             assert -math.pi / 4 < cmath.phase(k) < 0
         assert np.all(np.diff(poles.gamma) > 0)
+
+    @pytest.mark.parametrize("lam,k_max", [(100.0, 16.0), (10.0, 300.0),
+                                           (1.0, 300.0)])
+    def test_energies_rounded_once(self, lam, k_max):
+        # E = k**2 to the nearest double in both parts, against exact
+        # rational arithmetic; Python's k * k misses Re E by an ulp on
+        # some of these poles
+        poles = enumerate_poles(WellParameters(lam), k_max)
+        exact = [complex(float(Fraction(z.real) ** 2 - Fraction(z.imag) ** 2),
+                         float(2 * Fraction(z.real) * Fraction(z.imag)))
+                 for z in poles.k.tolist()]
+        assert poles.E.tolist() == exact
 
     def test_mirror_roots(self):
         # each decaying root has a growing partner at -conj(k)

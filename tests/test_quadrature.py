@@ -12,6 +12,7 @@ from gamow_lab.quadrature import (
     CONTROL_ORDER,
     MAIN_ORDER,
     adaptive_gl,
+    merge_edges,
     midpoint_panels,
     panel_nodes,
     panel_sine_sum,
@@ -43,6 +44,27 @@ def one_spike_edges(center, width, reach):
         offs.append(offs[-1] * _SPIKE_RATIO)
     offs = np.asarray(offs)
     return np.concatenate([center - offs, [center], center + offs])
+
+
+def test_merge_edges_matches_np_unique():
+    # exact duplicates within and across the sets, lo and hi repeated,
+    # edges outside [lo, hi], and an empty extra; np.unique's values bit
+    # for bit
+    rng = np.random.default_rng(3)
+    lo, hi = 0.0, 40.0
+    base = np.linspace(lo, hi, 17)
+    spikes = spike_edges(np.array([3.1, 3.1, 39.9]), np.array([1e-3] * 3),
+                         0.5)
+    extra = np.concatenate([rng.uniform(-5.0, 45.0, 300), base[::4],
+                            [lo, hi, lo, hi, 40.000000000000007],
+                            spikes])
+    rng.shuffle(extra)
+    for b, e in [(base, extra), (extra, base), (base, np.array([])),
+                 (np.array([]), np.array([]))]:
+        e_all = np.concatenate([b, e])
+        ref = np.unique(np.concatenate(
+            [[lo, hi], e_all[(e_all >= lo) & (e_all <= hi)]]))
+        assert merge_edges(b, e, lo, hi).tobytes() == ref.tobytes()
 
 
 def test_spike_edges_match_one_spike_at_a_time():
