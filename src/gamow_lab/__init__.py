@@ -17,7 +17,6 @@ from .exceptions import (
     NoCrossing,
     PoleProximity,
     QuadratureNotConverged,
-    ResidueMismatch,
     SeedOutOfRegime,
     WindowBeforeCrossover,
     WindowTooSmall,

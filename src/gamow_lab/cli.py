@@ -157,8 +157,7 @@ def cmd_evolve(config: RunConfig) -> int:
     p = parse_profile(config.profile, a=config.a)
     times = _parse_times(config.times)
     if np.any(times < 0.0):
-        print("snapshot times must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("snapshot times must be >= 0")
     # the rotated representation needs t > 0 (auto never picks it at 0);
     # nothing is written until every snapshot has succeeded
     if config.policy in ("rotated", "both") and np.any(times == 0.0):

@@ -36,10 +36,6 @@ class QuadratureNotConverged(GamowLabError):
         self.estimate = estimate
 
 
-class ResidueMismatch(GamowLabError):
-    """Analytic residue formula disagrees with the contour-integral check."""
-
-
 class GridTooCoarse(GamowLabError):
     """Spatial grid too coarse for the requested operation."""
 

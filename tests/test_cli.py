@@ -91,6 +91,8 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     (["poles", "--lambda", "30", "--width", "inf"], "width"),
     (["evolve", "--lambda", "30", "--profile", "box:1", "--times", "1,0",
       "--policy", "rotated"], "rotated representation requires t > 0"),
+    (["evolve", "--lambda", "30", "--profile", "box:1", "--times=-1,1"],
+     "snapshot times must be >= 0"),
     (["survival", "--lambda", "30", "--profile", "gauss:0.5,1e-10",
       "--times", "1,2"], "profile norm"),
     # more than 2**20 poles below the cutoff, 60 a / t on the direct route
@@ -98,7 +100,8 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     (["survival", "--lambda", "10", "--profile", "box:1",
       "--times", "1e-8,1"], "needs more than"),
 ], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
-        "evolve-rotated-t0-last", "survival-degenerate-profile",
+        "evolve-rotated-t0-last", "evolve-negative-time",
+        "survival-degenerate-profile",
         "poles-kmax-past-pole-bound", "survival-t-past-pole-bound"])
 def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,
                                                        reason):

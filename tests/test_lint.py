@@ -57,6 +57,39 @@ def test_no_unused_parameters(path):
     assert unused_parameters(path) == []
 
 
+def unread_private_names() -> list[str]:
+    """Top-level _names of the package's modules that no package source
+    reads, as 'module.name'."""
+    defined, read = [], set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [f"{path.stem}.{n}" for n in names
+                        if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(n for n in defined if n.split(".", 1)[1] not in read)
+
+
+def test_no_unread_private_names():
+    # a deleted routine leaves no private helper or constant behind
+    assert unread_private_names() == []
+
+
 def integration_rule_sources(path: Path) -> list[str]:
     """scipy.integrate imports and leggauss calls, as 'line name'."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -147,8 +180,6 @@ KNOBS = {
     "cli:main.argv",
     "decay_analysis:geometric_times.per_decade",
     "decay_analysis:nonescape_curve.policy",
-    "gamow_expansion:verify_residue.rtol",
-    "gamow_expansion:verify_residue.x",
     "potential_model:WellParameters.a",
     "profiles:box_mode.a",
     "profiles:parse_profile.a",
@@ -167,8 +198,8 @@ EXPORTED = {
     # exceptions
     "CountMismatch", "GamowLabError", "GridTooCoarse", "NoConvergence",
     "NoCrossing", "PoleProximity", "QuadratureNotConverged",
-    "ResidueMismatch", "SeedOutOfRegime", "WindowBeforeCrossover",
-    "WindowTooSmall", "WrongQuadrant",
+    "SeedOutOfRegime", "WindowBeforeCrossover", "WindowTooSmall",
+    "WrongQuadrant",
     # potential_model
     "Poles", "WellParameters", "coefficient_A", "coefficient_A_bar",
     "coefficient_B", "enumerate_poles", "refine_pole",
@@ -218,7 +249,7 @@ def test_cli_import_leaves_out_scipy():
 
 
 def test_job_paths_leave_out_scipy_and_numpy_ma():
-    # one small job per route: regime analysis (Lambert-W crossings), the
+    # one small job per route: regime analysis (both crossings), the
     # direct route (merged panel edges) and the audit (its FFTs)
     code = """
 import gamow_lab.cli
