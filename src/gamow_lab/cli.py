@@ -288,10 +288,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_times(argv: list[str]) -> list[str]:
+    """argv with each '--times V' written '--times=V': argparse takes a V
+    that starts with '-' and is not a plain number, such as -1,1, for an
+    option, so it would never reach _parse_times and the times checks."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--times":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = ap.parse_args(_glue_times(sys.argv[1:] if argv is None
+                                       else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0

@@ -137,7 +137,7 @@ def overlap_transform(p: InitialProfile, k):
     Box modes use the closed form with removable limits at k = +-n pi/a;
     other profiles use the cached Gauss-Legendre rule (entire integrand, so
     the fixed rule is superalgebraically accurate for |Im k| a below ~40),
-    with real sines when k is real.  Many real nodes grouped by panel are
+    with real sines when k is real.  Many nodes grouped by panel are
     cheaper through overlap_panels.
     """
     real = np.isrealobj(k)
@@ -162,10 +162,11 @@ def overlap_transform(p: InitialProfile, k):
 
 
 def overlap_panels(p: InitialProfile, ks, centres):
-    """overlap_transform at real nodes grouped by panel: each node set in
-    ks is (P, q), around the panel centres (P,), as panel_sine_transform
-    takes them.  Box modes take the closed form; other profiles the panel
-    expansion of their profile rule.  One array per node set."""
+    """overlap_transform at real or complex nodes grouped by panel: each
+    node set in ks is (P, q), around the panel centres (P,), as
+    panel_sine_transform takes them.  Box modes take the closed form;
+    other profiles the panel expansion of their profile rule.  One array
+    per node set."""
     if p.mode is not None:
         return [overlap_transform(p, k) for k in ks]
     return panel_sine_transform(p.coef, p.nodes, ks, centres)

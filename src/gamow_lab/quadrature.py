@@ -13,11 +13,13 @@ Every Gauss-Legendre rule in the package comes from panel_nodes, so each
 order is computed once per process.
 
 A sine matrix sin(k_j x_m) over panel-grouped nodes is summed by
-panel_sine_sum (over the nodes k_j: psi at x_m) or panel_sine_transform
-(over the points x_m: phi at k_j), never formed.  Both expand each node
-about its panel centre, k_j = K_p + delta_j, so sin and cos are taken once
-per panel and point rather than once per node, as in the low-rank panels
-of the nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004).
+panel_sine_sum (over real nodes k_j: psi at x_m) or panel_sine_transform
+(over the points x_m: phi at real nodes k_j, or at the rotated route's
+complex ones), never formed.  Both expand each node about its panel
+centre, k_j = K_p + delta_j, so sin and cos are taken once per panel and
+point rather than once per node, as in the low-rank panels of the
+nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004); every product is a
+real matrix product.
 """
 
 from __future__ import annotations
@@ -56,12 +58,17 @@ def _gl_rule(order: int):
 def panel_nodes(edges: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights on each [edges[i], edges[i+1]] panel,
     flattened into single arrays."""
+    nodes, weights = _panel_rule(edges[:-1], np.diff(edges), order)
+    return nodes.ravel(), weights.ravel()
+
+
+def _panel_rule(lo, h, order: int):
+    """Gauss-Legendre nodes/weights, shape (P, order), on the panels
+    [lo, lo + h]."""
     x, w = _gl_rule(order)
-    lo = edges[:-1]
-    h = np.diff(edges)
     nodes = lo[:, None] + 0.5 * h[:, None] * (x[None, :] + 1.0)
     weights = 0.5 * h[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    return nodes, weights
 
 
 def midpoint_panels(dk: float, n: int, a: float):
@@ -92,21 +99,44 @@ def _taylor_terms(r: float) -> int:
 def _expansion(ks, centres, x):
     """The node sets' scaled offsets u = (k - K_p) X from their panel
     centres, v = x / X with X = max |x|, and the term count for max |u|;
-    scaling keeps every (u v)^n / n! at most r^n / n!."""
+    scaling keeps every (u v)^n / n! at most r^n / n!.  Real or complex
+    nodes and centres."""
     scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
-    us = [(np.asarray(k, dtype=float) - centres[:, None]) * scale for k in ks]
+    us = [(np.asarray(k) - centres[:, None]) * scale for k in ks]
     r = max(float(np.max(np.abs(u), initial=0.0)) for u in us)
     return us, x / scale, _taylor_terms(r)
 
 
 def _panel_blocks(centres, x, nodes_per_panel):
     """(rows, sin(K_p x), cos(K_p x)) over blocks of panels holding at most
-    _BLOCK_NODES nodes (one panel at least)."""
+    _BLOCK_NODES nodes (one panel at least), each trig matrix as a tuple of
+    real parts: (value,) at real centres, (re, im) at complex ones.
+
+    Complex centres take sin(u + iv) = sin u cosh v + i cos u sinh v and
+    cos(u + iv) = cos u cosh v - i sin u sinh v from real kernels, accurate
+    near v = 0 (unlike (e^{iz} - e^{-iz}) / 2i) and clear of numpy's
+    complex sin, which can run ten times slower in a process that has
+    done a complex matrix product."""
     step = max(1, _BLOCK_NODES // max(nodes_per_panel, 1))
     for i in range(0, centres.size, step):
         rows = slice(i, i + step)
         kx = np.multiply.outer(centres[rows], x)
-        yield rows, np.sin(kx), np.cos(kx)
+        if np.isrealobj(kx):
+            yield rows, (np.sin(kx),), (np.cos(kx),)
+            continue
+        sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
+        cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
+        yield (rows, (sin_u * cosh_v, cos_u * sinh_v),
+               (cos_u * cosh_v, -sin_u * sinh_v))
+
+
+def _trig_product(trig, pairs):
+    """trig @ z for a trig matrix in _panel_blocks' real parts and z given
+    as _real_pairs(z): one real matrix product per part."""
+    out = (trig[0] @ pairs).view(complex)
+    if len(trig) > 1:
+        out = out + 1j * (trig[1] @ pairs).view(complex)
+    return out
 
 
 def _real_pairs(z):
@@ -144,8 +174,8 @@ def panel_sine_sum(cs, ks, centres, x):
     # by parity of n: (x.size, node sets, terms), summed over the panels
     acc = [np.zeros((x.size, len(us), (n + 1 - p) // 2), dtype=complex)
            for p in (0, 1)]
-    for rows, sin_kx, cos_kx in _panel_blocks(centres, x,
-                                              sum(u.shape[1] for u in us)):
+    for rows, (sin_kx,), (cos_kx,) in _panel_blocks(
+            centres, x, sum(u.shape[1] for u in us)):
         moments = []
         for c, u in zip(cs, us):
             u = u[rows]
@@ -166,16 +196,18 @@ def panel_sine_sum(cs, ks, centres, x):
 
 
 def panel_sine_transform(coef, x, ks, centres):
-    """sum_m coef_m sin(k x_m) at every real node k of each node set in
-    ks, grouped by panel as for panel_sine_sum.  Returns one complex array
-    shaped like each node set.
+    """sum_m coef_m sin(k x_m) at every node k of each node set in ks, real
+    or complex, grouped by panel as for panel_sine_sum around real or
+    complex panel centres.  Returns one complex array shaped like each
+    node set.
 
     The same expansion, summed the other way: one matrix product per block
     of panels gives sum_m coef_m x_m^n sin(K_p x_m + n pi/2) / n!, and
-    each node takes a Horner sum in its offset delta.
+    each node takes a Horner sum in its offset delta.  The products are
+    real (two per trig matrix at complex centres), never complex ones.
     """
     x = np.asarray(x, dtype=float)
-    centres = np.asarray(centres, dtype=float)
+    centres = np.asarray(centres)
     us, v, n = _expansion(ks, centres, x)
     scaled = (np.asarray(coef, dtype=complex)[:, None]
               * np.power.outer(v, np.arange(n)) * _taylor_signs(n))
@@ -183,9 +215,9 @@ def panel_sine_transform(coef, x, ks, centres):
     outs = [np.empty(u.shape, dtype=complex) for u in us]
     for rows, sin_kx, cos_kx in _panel_blocks(centres, x,
                                               sum(u.shape[1] for u in us)):
-        g = np.empty((sin_kx.shape[0], n), dtype=complex)
-        g[:, 0::2] = (sin_kx @ halves[0]).view(complex)
-        g[:, 1::2] = (cos_kx @ halves[1]).view(complex)
+        g = np.empty((sin_kx[0].shape[0], n), dtype=complex)
+        g[:, 0::2] = _trig_product(sin_kx, halves[0])
+        g[:, 1::2] = _trig_product(cos_kx, halves[1])
         for out, u in zip(outs, us):
             u = u[rows]
             acc = g[:, n - 1, None] * np.ones_like(u)
@@ -251,27 +283,28 @@ def adaptive_gl(f, a: float, b: float, tol: float):
     ``f`` maps a node array (n,) to values of shape (n,) or (n, m); the
     integral is taken along axis 0.  Per-panel error is estimated from the
     order vs order//2 difference; panels are split until the summed estimate
-    is below ``tol`` (absolute, per output component).
+    is below ``tol`` (absolute, per output component).  Each round takes
+    every new panel's nodes in one call of ``f`` per order.
 
     Returns (value, error_estimate); raises QuadratureNotConverged, with
     the summed estimate of the last evaluated panels, when the rounds run
     out or no panel is over its share of ``tol``.
     """
     edges = np.linspace(a, b, _ADAPTIVE_PANELS + 1)
-    panels = [(edges[i], edges[i + 1]) for i in range(_ADAPTIVE_PANELS)]
-
-    def _panel_val(lo, hi):
-        n_hi, w_hi = panel_nodes(np.array([lo, hi]), _ADAPTIVE_ORDER)
-        n_lo, w_lo = panel_nodes(np.array([lo, hi]), _ADAPTIVE_ORDER // 2)
-        v_hi = np.tensordot(w_hi, np.asarray(f(n_hi)), axes=(0, 0))
-        v_lo = np.tensordot(w_lo, np.asarray(f(n_lo)), axes=(0, 0))
-        return v_hi, float(np.max(np.abs(v_hi - v_lo)))
-
+    lo, hi = edges[:-1], edges[1:]
     results = []
     for _ in range(_ADAPTIVE_DEPTH):
-        for lo, hi in panels:
-            val, err = _panel_val(lo, hi)
-            results.append((lo, hi, val, err))
+        sums = []
+        for order in (_ADAPTIVE_ORDER, _ADAPTIVE_ORDER // 2):
+            nodes, weights = _panel_rule(lo, hi - lo, order)
+            vals = np.asarray(f(nodes.ravel()))
+            # per panel: weights (1, order) @ values (order, m)
+            sums.append((weights[:, None, :] @ vals.reshape(
+                lo.size, order, -1))[:, 0].reshape(
+                    (lo.size,) + vals.shape[1:]))
+        v_hi, v_lo = sums
+        errs = np.abs(v_hi - v_lo).reshape(lo.size, -1).max(axis=1)
+        results.extend(zip(lo, hi, v_hi, errs.tolist()))
         results.sort(key=lambda r: -r[3])
         total_err = sum(r[3] for r in results)
         if total_err < tol:
@@ -282,10 +315,11 @@ def adaptive_gl(f, a: float, b: float, tol: float):
         if not worst:
             break
         results = [r for r in results if r[3] <= budget]
-        panels = []
-        for lo, hi, _, _ in worst:
-            mid = 0.5 * (lo + hi)
-            panels.extend([(lo, mid), (mid, hi)])
+        lo = np.array([r[0] for r in worst])
+        hi = np.array([r[1] for r in worst])
+        mid = 0.5 * (lo + hi)
+        lo, hi = (np.stack([lo, mid], axis=1).ravel(),
+                  np.stack([mid, hi], axis=1).ravel())
     raise QuadratureNotConverged(
         f"adaptive quadrature error estimate {total_err:.3e} > {tol:.1e}",
         estimate=total_err)

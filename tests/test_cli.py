@@ -93,6 +93,11 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
       "--policy", "rotated"], "rotated representation requires t > 0"),
     (["evolve", "--lambda", "30", "--profile", "box:1", "--times=-1,1"],
      "snapshot times must be >= 0"),
+    # a value after a separate --times reaches the same checks
+    (["evolve", "--lambda", "30", "--profile", "box:1", "--times", "-1,1"],
+     "snapshot times must be >= 0"),
+    (["survival", "--lambda", "30", "--profile", "box:1",
+      "--times", "-1,1"], "times must be >= 0"),
     (["survival", "--lambda", "30", "--profile", "gauss:0.5,1e-10",
       "--times", "1,2"], "profile norm"),
     # more than 2**20 poles below the cutoff, 60 a / t on the direct route
@@ -101,6 +106,7 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
       "--times", "1e-8,1"], "needs more than"),
 ], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
         "evolve-rotated-t0-last", "evolve-negative-time",
+        "evolve-negative-time-spaced", "survival-negative-time-spaced",
         "survival-degenerate-profile",
         "poles-kmax-past-pole-bound", "survival-t-past-pole-bound"])
 def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,
@@ -241,6 +247,19 @@ class TestExitCodes:
                    "--times", "0.001:0.01:5", "--out", str(out)])
         assert rc == EXIT_POLE_AUDIT
         assert not out.exists() or os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--times", "0.0025"],
+        ["survival", "--times", "0.0025,1"],
+    ], ids=["evolve", "survival"])
+    def test_nan_background_is_a_quadrature_failure(self, tmp_path, argv):
+        # below ~0.003 a^2 the ray integrand's factors overflow to NaN;
+        # the background's gate must refuse it, not pass it on
+        rc = main([argv[0], "--lambda", "10", "--profile", "box:1",
+                   *argv[1:], "--policy", "rotated", "--out", str(tmp_path)])
+        assert rc == EXIT_QUADRATURE
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("exc, code", [
         (CountMismatch("x"), EXIT_POLE_AUDIT),

@@ -103,7 +103,8 @@ class TestDecayPlan:
     RotatedExpansion for the rotated times, evolve_direct for the rest."""
 
     def test_setup_independent_of_point_count(self, monkeypatch):
-        calls = {"integrand_f": 0, "residue_prefactor": 0}
+        # overlap_panels is the ray's phi pass
+        calls = {"overlap_panels": 0, "residue_prefactor": 0}
 
         def counted(name):
             fn = getattr(gamow_expansion, name)
@@ -162,7 +163,7 @@ class TestDecayPlan:
         def forbidden(*args, **kwargs):
             raise AssertionError("rotated set-up on a direct-only call")
 
-        monkeypatch.setattr(gamow_expansion, "integrand_f", forbidden)
+        monkeypatch.setattr(gamow_expansion, "overlap_panels", forbidden)
         monkeypatch.setattr(gamow_expansion, "residue_prefactor", forbidden)
         curve = nonescape_curve(box_mode(1), [0.0, 0.019], W10)
         assert curve.methods == ("direct", "direct")

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from gamow_lab.exceptions import QuadratureNotConverged
+from gamow_lab.gamow_expansion import _ray_edges
+from gamow_lab.potential_model import WellParameters
+from gamow_lab.profiles import truncated_gaussian
 from gamow_lab.quadrature import (
     _BLOCK_NODES,
     _SPIKE_RATIO,
@@ -19,6 +22,10 @@ from gamow_lab.quadrature import (
     panel_sine_transform,
     spike_edges,
 )
+
+
+#: the rotated route's ray direction, k = ROT s
+ROT = np.exp(-0.25j * np.pi)
 
 
 def gl_panels(edges, order):
@@ -146,14 +153,37 @@ def test_panel_sums_match_dense_oracle(case):
         assert np.max(np.abs(phi - dense_transform(coef, xm, k))) < 1e-14
 
 
+@pytest.mark.parametrize("lam", [10.0, 100.0], ids=["lam10", "lam100"])
+@pytest.mark.parametrize("t_min", [0.02, 0.05])
+def test_panel_sine_transform_on_the_ray(lam, t_min):
+    # the rotated route's complex nodes e^{-i pi/4} s, both rules, around
+    # complex centres; |sin(k x)| grows like e^{s x / sqrt 2}, so the bar
+    # is set on the largest sum_m |coef_m sin(k x_m)|
+    w = WellParameters(lam=lam)
+    p = truncated_gaussian(0.5672, 0.0565)
+    edges = _ray_edges(w, t_min, 1e3)
+    centres = ROT * 0.5 * (edges[:-1] + edges[1:])
+    ks = [ROT * gl_panels(edges, order)[0]
+          for order in (MAIN_ORDER, CONTROL_ORDER)]
+    for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks, centres),
+                      ks):
+        terms = np.sin(np.multiply.outer(k.ravel(), p.nodes)) * p.coef
+        bar = 1e-13 * np.max(np.sum(np.abs(terms), axis=1))
+        assert phi.shape == k.shape
+        assert np.max(np.abs(phi.ravel() - terms.sum(axis=1))) < bar
+
+
 def test_too_wide_panels_refused():
-    # one panel [0, 10] on x in [0, 1]: max |(k - K) x| is near 5
+    # one panel [0, 10] on x in [0, 1]: max |(k - K) x| is near 5, on the
+    # real axis and on the ray
     k, centres = gl_panels(np.array([0.0, 10.0]), MAIN_ORDER)
     x = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="panel too wide"):
         panel_sine_sum([np.ones(k.shape)], [k], centres, x)
-    with pytest.raises(ValueError, match="panel too wide"):
-        panel_sine_transform(np.ones(x.size), x, [k], centres)
+    for rot in (1.0, ROT):
+        with pytest.raises(ValueError, match="panel too wide"):
+            panel_sine_transform(np.ones(x.size), x, [rot * k],
+                                 rot * centres)
 
 
 def test_workspace_stays_below_one_dense_block():
