@@ -190,8 +190,8 @@ class RotatedExpansion:
     the background is I(x, t) = sum_j exp(-s_j^2 t) F_j(x), where
     F_j(x) = w_j e^{-i pi/4} f(e^{-i pi/4} s_j, x); a control rule (lower
     order, same panels) gives its error estimate.  phi at both rules' nodes
-    comes from one overlap_panels call, the ray panels grouped around
-    their complex midpoints.
+    comes from one overlap_panels call, whose cells on the ray are set by
+    the nodes' radii, not by the ray's panels.
     """
 
     def __init__(self, x, p: InitialProfile, w: WellParameters,
@@ -209,11 +209,9 @@ class RotatedExpansion:
         self.mode_values = self.residues.modes(x)
         rules = [panel_nodes(edges, order)
                  for order in (MAIN_ORDER, CONTROL_ORDER)]
-        # phi on both rules' ray nodes, grouped by panel, in one pass
-        mid = _ROT * 0.5 * (edges[:-1] + edges[1:])
-        phis = overlap_panels(p, [_ROT * s.reshape(mid.size, -1)
-                                  for s, _ in rules], mid)
-        self._main, self._control = [_ray_rule(s, ws, phi.ravel(), x, w)
+        # phi on both rules' ray nodes in one pass
+        phis = overlap_panels(p, [_ROT * s for s, _ in rules])
+        self._main, self._control = [_ray_rule(s, ws, phi, x, w)
                                      for (s, ws), phi in zip(rules, phis)]
 
     def background(self, times) -> tuple[np.ndarray, np.ndarray]:

@@ -136,22 +136,21 @@ def overlap_transform(p: InitialProfile, k):
 
     Box modes use the closed form with removable limits at k = +-n pi/a;
     other profiles use the cached Gauss-Legendre rule (entire integrand, so
-    the fixed rule is superalgebraically accurate for |Im k| a below ~40),
-    with real sines when k is real.  Many nodes grouped by panel are
-    cheaper through overlap_panels.
+    the fixed rule is superalgebraically accurate for |Im k| a below ~40).
+    Both take real sines when k is real.  Many nodes are cheaper through
+    overlap_panels.
     """
-    real = np.isrealobj(k)
-    k = np.asarray(k, dtype=complex)
+    k = np.asarray(k, dtype=float if np.isrealobj(k) else complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
     if p.mode is not None:
         kn = p.mode * np.pi / p.a
         amp = math.sqrt(2.0 / p.a)
-        out = amp * sine_overlap(k, kn, p.a)
+        out = (amp * sine_overlap(k, kn, p.a)).astype(complex)
     else:
         # nodes: (m,), k chunked to bound the outer-product workspace;
         # real k takes real sines, with the same sums
-        flat = k.real.ravel() if real else k.ravel()
+        flat = k.ravel()
         out = np.empty(flat.shape, dtype=complex)
         step = 8192
         for i in range(0, flat.size, step):
@@ -161,15 +160,14 @@ def overlap_transform(p: InitialProfile, k):
     return complex(out[0]) if scalar else out
 
 
-def overlap_panels(p: InitialProfile, ks, centres):
-    """overlap_transform at real or complex nodes grouped by panel: each
-    node set in ks is (P, q), around the panel centres (P,), as
-    panel_sine_transform takes them.  Box modes take the closed form;
-    other profiles the panel expansion of their profile rule.  One array
-    per node set."""
+def overlap_panels(p: InitialProfile, ks):
+    """overlap_transform at every node set in ks, real nodes or complex
+    ones on one ray from 0, as panel_sine_transform takes them.  Box modes
+    take the closed form; other profiles the cell expansion of their
+    profile rule.  One array per node set."""
     if p.mode is not None:
         return [overlap_transform(p, k) for k in ks]
-    return panel_sine_transform(p.coef, p.nodes, ks, centres)
+    return panel_sine_transform(p.coef, p.nodes, ks)
 
 
 def sine_overlap(p, q, a):
@@ -179,8 +177,9 @@ def sine_overlap(p, q, a):
 
 
 def _sinc_diff(q, a):
-    """sin(q a) / (2 q) with its removable limit a/2 at q = 0."""
-    q = np.asarray(q, dtype=complex)
+    """sin(q a) / (2 q) with its removable limit a/2 at q = 0, in real
+    arithmetic at real q."""
+    q = np.asarray(q, dtype=float if np.isrealobj(q) else complex)
     small = np.abs(q) * a < 1e-8
     safe = np.where(small, 1.0, q)
     return np.where(small, a / 2.0, np.sin(safe * a) / (2.0 * safe))

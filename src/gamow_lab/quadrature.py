@@ -12,14 +12,17 @@ around each spike) rather than by blind global adaptivity.
 Every Gauss-Legendre rule in the package comes from panel_nodes, so each
 order is computed once per process.
 
-A sine matrix sin(k_j x_m) over panel-grouped nodes is summed by
-panel_sine_sum (over real nodes k_j: psi at x_m) or panel_sine_transform
-(over the points x_m: phi at real nodes k_j, or at the rotated route's
-complex ones), never formed.  Both expand each node about its panel
-centre, k_j = K_p + delta_j, so sin and cos are taken once per panel and
-point rather than once per node, as in the low-rank panels of the
-nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004); every product is a
-real matrix product.
+A sine matrix sin(k_j x_m) is summed by panel_sine_sum (over real nodes
+k_j: psi at x_m) or panel_sine_transform (over the points x_m: phi at real
+nodes k_j, or at the rotated route's complex ones), never formed.  Both
+take flat nodes and sort them into cells of a fixed k lattice of width
+2 / max|x| (dyadic cells near k = 0), whatever quadrature panels they came
+from, and expand each node about its cell's centre, k_j = K_c + delta_j.
+So sin and cos are taken once per cell and point, about k_max max|x| / 2
+cells rather than once per node or per panel, as in the low-rank panels
+of the nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004; Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14, 1993); every product is a real matrix
+product.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ _SPIKE_RATIO = 1.35
 _ADAPTIVE_ORDER, _ADAPTIVE_PANELS, _ADAPTIVE_DEPTH = 16, 8, 30
 #: nodes per block of the panel sine sums (bounds their workspace)
 _BLOCK_NODES = 32768
-#: most Taylor terms of the panel sine sums; wider panels are refused
-_MAX_TERMS = 24
+#: how far past its cell's half-width a node may round before it counts as
+#: off one ray (relative; 1.000001^19 / 19! is still below 2^-56)
+_OFF_RAY = 1e-6
 
 
 @lru_cache(maxsize=32)
@@ -71,67 +75,129 @@ def _panel_rule(lo, h, order: int):
     return nodes, weights
 
 
-def midpoint_panels(dk: float, n: int, a: float):
-    """The midpoints (j + 1/2) dk, j < n, grouped by panel for the panel
-    sine sums: (k, centres) with k of shape (P, q), padded past the n-th
-    midpoint to whole panels, and each panel's half-width (q - 1) dk / 2
-    at most 1/a, as on the direct route's panels."""
-    q = 1 + int(2.0 / (a * dk))
-    rows = -(-n // q)
-    k = ((np.arange(rows * q) + 0.5) * dk).reshape(rows, q)
-    return k, (np.arange(rows) + 0.5) * q * dk
-
-
 def _taylor_terms(r: float) -> int:
     """Terms n < N of sum_n r^n / n! such that the first dropped term is
-    below 2^-56, a sixteenth of double-precision rounding."""
+    below 2^-56, a sixteenth of double-precision rounding: 19 at r = 1."""
     n, term = 0, 1.0
     while term > 2.0 ** -56:
         n += 1
         term *= r / n
-        if n > _MAX_TERMS:
-            raise ValueError(
-                f"panel too wide for the sine expansion: max |(k - K) x| = "
-                f"{r:.3g} needs more than {_MAX_TERMS} Taylor terms")
     return n
 
 
-def _expansion(ks, centres, x):
-    """The node sets' scaled offsets u = (k - K_p) X from their panel
-    centres, v = x / X with X = max |x|, and the term count for max |u|;
-    scaling keeps every (u v)^n / n! at most r^n / n!.  Real or complex
-    nodes and centres."""
+def _run_starts(sorted_values):
+    """Index of the first element of each run of equal values."""
+    new = np.ones(sorted_values.size, dtype=bool)
+    new[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(new)
+
+
+def _cell_floors(r, h):
+    """Lower edge of each radius r's cell: m h on the lattice cells
+    [m h, (m + 1) h), m >= 1; h 2^(e - 1) on the dyadic cells
+    [h 2^(e - 1), h 2^e) below h; 0 at r = 0.  It increases with r, so
+    equal floors mean one cell."""
+    floors = np.floor(r / h)
+    floors *= h
+    low = np.flatnonzero(r < h)
+    dyadic = np.ldexp(h, np.frexp(r[low] / h)[1] - 1)
+    floors[low] = np.where(r[low] > 0.0, dyadic, 0.0)
+    return floors
+
+
+def _expansion(ks, x):
+    """The cells that every node set in ks (real nodes, or complex ones on
+    one ray from 0) shares, and each set's nodes in them.
+
+    A node's cell depends on |k| alone (see _cell_floors, with h = 2 / X
+    and X = max |x|), and its centre K_c sits at the cell's mid-radius on
+    the nodes' ray, so every offset has |k - K_c| X <= r, the largest
+    half-width times X of the cells present: 1 with a lattice cell, less
+    with dyadic ones alone.  The dyadic cells keep the expansion exact to
+    rounding relative to phi near k = 0.
+
+    Returns (centres, counts, sets, X, r): the cell centres in increasing
+    radius, the nodes per cell over all sets, per node set (k, order,
+    starts, cells) -- its flat nodes, the stable permutation that sorts
+    them by cell, the first sorted node of each run of nodes in one cell
+    with the node count appended, and the runs' cells -- and X and r.
+    """
     scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
-    us = [(np.asarray(k) - centres[:, None]) * scale for k in ks]
-    r = max(float(np.max(np.abs(u), initial=0.0)) for u in us)
-    return us, x / scale, _taylor_terms(r)
+    h = 2.0 / scale
+    ks = [np.ravel(k) for k in ks]
+    ray = 1.0
+    if any(np.iscomplexobj(k) for k in ks):
+        far = max((complex(k[np.argmax(np.abs(k))]) for k in ks if k.size),
+                  key=abs, default=0j)
+        ray = far / abs(far) if far else 1.0 + 0j
+    runs = []
+    for k in ks:
+        floors = _cell_floors(np.abs(k), h)
+        order = np.argsort(floors, kind="stable")
+        floors = floors[order]
+        starts = _run_starts(floors)
+        runs.append((order, floors[starts], starts))
+    floors = np.sort(np.concatenate([f for _, f, _ in runs]))
+    floors = floors[_run_starts(floors)]
+    half = np.where(floors >= h, 0.5 * h, 0.5 * floors)
+    centres = (floors + half) * ray
+    reach = float(np.max(half, initial=0.0)) * scale
+    counts = np.zeros(centres.size, dtype=np.int64)
+    sets = []
+    for k, (order, f, starts) in zip(ks, runs):
+        cells = np.searchsorted(floors, f)
+        starts = np.append(starts, k.size)
+        counts[cells] += np.diff(starts)
+        sets.append((k, order, starts, cells))
+    return centres, counts, sets, scale, reach
 
 
-def _panel_blocks(centres, x, nodes_per_panel):
-    """(rows, sin(K_p x), cos(K_p x)) over blocks of panels holding at most
-    _BLOCK_NODES nodes (one panel at least), each trig matrix as a tuple of
-    real parts: (value,) at real centres, (re, im) at complex ones.
+def _block_nodes(node_set, centres, scale, reach, lo, hi):
+    """A node set's nodes (see _expansion) in the cells lo <= c < hi:
+    (idx, rows, u, at) -- their indices into the set, their cells less lo,
+    their scaled offsets u = (k - K_c) X, and the first of each run of
+    them in one cell.  ValueError on nodes off one ray (|u| past reach)."""
+    k, order, starts, cells = node_set
+    ra, rb = np.searchsorted(cells, [lo, hi])
+    idx = order[starts[ra]:starts[rb]]
+    rows = np.repeat(cells[ra:rb] - lo, np.diff(starts[ra:rb + 1]))
+    u = (k[idx] - centres[lo + rows]) * scale
+    if not np.max(np.abs(u), initial=0.0) <= reach * (1.0 + _OFF_RAY):
+        raise ValueError("the sine expansion needs nodes on one ray from 0: "
+                         "real k >= 0, or complex k of one phase")
+    return idx, rows, u, starts[ra:rb] - starts[ra]
+
+
+def _cell_blocks(centres, x, counts):
+    """((lo, hi), sin(K_c x), cos(K_c x)) over blocks of whole cells
+    lo <= c < hi holding at most _BLOCK_NODES nodes (one cell at least),
+    each trig matrix as a tuple of real parts: (value,) at real centres,
+    (re, im) at complex ones.
 
     Complex centres take sin(u + iv) = sin u cosh v + i cos u sinh v and
     cos(u + iv) = cos u cosh v - i sin u sinh v from real kernels, accurate
     near v = 0 (unlike (e^{iz} - e^{-iz}) / 2i) and clear of numpy's
     complex sin, which can run ten times slower in a process that has
     done a complex matrix product."""
-    step = max(1, _BLOCK_NODES // max(nodes_per_panel, 1))
-    for i in range(0, centres.size, step):
-        rows = slice(i, i + step)
-        kx = np.multiply.outer(centres[rows], x)
+    total = np.cumsum(counts)
+    lo = 0
+    while lo < centres.size:
+        done = total[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(total, done + _BLOCK_NODES,
+                                             side="right")))
+        kx = np.multiply.outer(centres[lo:hi], x)
         if np.isrealobj(kx):
-            yield rows, (np.sin(kx),), (np.cos(kx),)
-            continue
-        sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
-        cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
-        yield (rows, (sin_u * cosh_v, cos_u * sinh_v),
-               (cos_u * cosh_v, -sin_u * sinh_v))
+            yield (lo, hi), (np.sin(kx),), (np.cos(kx),)
+        else:
+            sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
+            cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
+            yield ((lo, hi), (sin_u * cosh_v, cos_u * sinh_v),
+                   (cos_u * cosh_v, -sin_u * sinh_v))
+        lo = hi
 
 
 def _trig_product(trig, pairs):
-    """trig @ z for a trig matrix in _panel_blocks' real parts and z given
+    """trig @ z for a trig matrix in _cell_blocks' real parts and z given
     as _real_pairs(z): one real matrix product per part."""
     out = (trig[0] @ pairs).view(complex)
     if len(trig) > 1:
@@ -153,77 +219,81 @@ def _taylor_signs(n: int) -> np.ndarray:
     return sign / np.cumprod(np.r_[1.0, np.arange(1.0, n)])
 
 
-def panel_sine_sum(cs, ks, centres, x):
+def panel_sine_sum(cs, ks, x):
     """sum_j c_j sin(k_j x) at each point x, for each real node set k in
-    ks with its coefficients c in cs.  Every node set is grouped by panel,
-    shape (P, q), around the same panel centres K_p, shape (P,).  Returns
-    one complex array shaped like x per node set.
+    ks with its coefficients c in cs (any order, any shape).  Returns one
+    complex array shaped like x per node set.
 
-    With k = K_p + delta, sin(k x) = sum_n (delta x)^n / n!
-    sin(K_p x + n pi/2): sines and cosines of K_p x are formed once per
-    panel and point and shared by the node sets, whose nodes enter through
-    the panel moments sum_i c_i delta_i^n; the sums over panels are matrix
-    products.  The term count follows from max |delta x| (ValueError past
-    _MAX_TERMS), and the work goes in blocks of panels.
+    With k = K_c + delta about its cell's centre (see _expansion),
+    sin(k x) = sum_n (delta x)^n / n! sin(K_c x + n pi/2): sines and
+    cosines of K_c x are formed once per cell and point and shared by the
+    node sets, whose nodes enter through the cell moments
+    sum_i c_i delta_i^n (sums over runs of sorted nodes); the sums over
+    cells are matrix products, in blocks of cells.
     """
     x = np.asarray(x, dtype=float)
-    centres = np.asarray(centres, dtype=float)
-    us, v, n = _expansion(ks, centres, x)
-    cs = [np.asarray(c, dtype=complex) for c in cs]
+    centres, counts, sets, scale, reach = _expansion(ks, x)
+    cs = [np.ravel(np.asarray(c, dtype=complex)) for c in cs]
+    n = _taylor_terms(reach)
     coeff = _taylor_signs(n)
-    # by parity of n: (x.size, node sets, terms), summed over the panels
-    acc = [np.zeros((x.size, len(us), (n + 1 - p) // 2), dtype=complex)
+    # by parity of n: (x.size, node sets, terms), summed over the cells
+    acc = [np.zeros((x.size, len(sets), (n + 1 - p) // 2), dtype=complex)
            for p in (0, 1)]
-    for rows, (sin_kx,), (cos_kx,) in _panel_blocks(
-            centres, x, sum(u.shape[1] for u in us)):
+    for (lo, hi), (sin_kx,), (cos_kx,) in _cell_blocks(centres, x, counts):
         moments = []
-        for c, u in zip(cs, us):
-            u = u[rows]
-            term = c[rows]
-            mom = np.empty((u.shape[0], n), dtype=complex)
-            for j in range(n):
-                mom[:, j] = term.sum(axis=1)
-                term = term * u
-            moments.append(mom * coeff)
+        for c, node_set in zip(cs, sets):
+            idx, rows, u, at = _block_nodes(node_set, centres, scale, reach,
+                                            lo, hi)
+            mom = np.zeros((hi - lo, n), dtype=complex)
+            if idx.size:
+                term = c[idx]
+                sums = np.empty((at.size, n), dtype=complex)
+                for j in range(n):
+                    sums[:, j] = np.add.reduceat(term, at)
+                    term *= u
+                mom[rows[at]] = sums * coeff
+            moments.append(mom)
         for p, trig in enumerate((sin_kx, cos_kx)):
             both = np.concatenate([m[:, p::2] for m in moments], axis=1)
             acc[p] += (trig.T @ _real_pairs(both)).view(complex).reshape(
                 acc[p].shape)
-    powers = np.power.outer(v, np.arange(n))
+    powers = np.power.outer(x / scale, np.arange(n))
     return [np.einsum("mj,mj->m", acc[0][:, r], powers[:, 0::2])
             + np.einsum("mj,mj->m", acc[1][:, r], powers[:, 1::2])
-            for r in range(len(us))]
+            for r in range(len(sets))]
 
 
-def panel_sine_transform(coef, x, ks, centres):
-    """sum_m coef_m sin(k x_m) at every node k of each node set in ks, real
-    or complex, grouped by panel as for panel_sine_sum around real or
-    complex panel centres.  Returns one complex array shaped like each
-    node set.
+def panel_sine_transform(coef, x, ks):
+    """sum_m coef_m sin(k x_m) at every node k of each node set in ks: real
+    nodes, or complex ones on one ray from 0, in any order and shape.
+    Returns one complex array shaped like each node set.
 
-    The same expansion, summed the other way: one matrix product per block
-    of panels gives sum_m coef_m x_m^n sin(K_p x_m + n pi/2) / n!, and
-    each node takes a Horner sum in its offset delta.  The products are
-    real (two per trig matrix at complex centres), never complex ones.
+    The expansion of panel_sine_sum, summed the other way: one matrix
+    product per block of cells gives
+    g_n = sum_m coef_m x_m^n sin(K_c x_m + n pi/2) / n!, and each node
+    takes a Horner sum in its offset delta over its cell's g.  The
+    products are real (two per trig matrix at complex centres), never
+    complex ones.
     """
     x = np.asarray(x, dtype=float)
-    centres = np.asarray(centres)
-    us, v, n = _expansion(ks, centres, x)
+    centres, counts, sets, scale, reach = _expansion(ks, x)
+    n = _taylor_terms(reach)
     scaled = (np.asarray(coef, dtype=complex)[:, None]
-              * np.power.outer(v, np.arange(n)) * _taylor_signs(n))
+              * np.power.outer(x / scale, np.arange(n)) * _taylor_signs(n))
     halves = [_real_pairs(scaled[:, p::2]) for p in (0, 1)]
-    outs = [np.empty(u.shape, dtype=complex) for u in us]
-    for rows, sin_kx, cos_kx in _panel_blocks(centres, x,
-                                              sum(u.shape[1] for u in us)):
-        g = np.empty((sin_kx[0].shape[0], n), dtype=complex)
-        g[:, 0::2] = _trig_product(sin_kx, halves[0])
-        g[:, 1::2] = _trig_product(cos_kx, halves[1])
-        for out, u in zip(outs, us):
-            u = u[rows]
-            acc = g[:, n - 1, None] * np.ones_like(u)
+    outs = [np.empty(np.shape(k), dtype=complex) for k in ks]
+    for (lo, hi), sin_kx, cos_kx in _cell_blocks(centres, x, counts):
+        g = np.empty((n, hi - lo), dtype=complex)
+        g[0::2] = _trig_product(sin_kx, halves[0]).T
+        g[1::2] = _trig_product(cos_kx, halves[1]).T
+        for out, node_set in zip(outs, sets):
+            idx, rows, u, _ = _block_nodes(node_set, centres, scale, reach,
+                                           lo, hi)
+            acc = g[n - 1, rows]
             for j in range(n - 2, -1, -1):
-                acc = acc * u + g[:, j, None]
-            out[rows] = acc
+                acc *= u
+                acc += g[j, rows]
+            out.reshape(-1)[idx] = acc
     return outs
 
 
@@ -269,12 +339,12 @@ def merge_edges(base: np.ndarray, extra: np.ndarray, lo: float,
                 hi: float) -> np.ndarray:
     """Merge two edge sets on [lo, hi], dropping duplicate edges.
 
-    Sorted once, keeping each edge that differs from its left neighbour:
+    Sorted once, keeping the first edge of each run of equal ones:
     np.unique's values, without the numpy.ma import its first call costs.
     """
     e = np.concatenate([base, extra])
     e = np.sort(np.concatenate([[lo, hi], e[(e >= lo) & (e <= hi)]]))
-    return e[np.concatenate([[True], e[1:] != e[:-1]])]
+    return e[_run_starts(e)]
 
 
 def adaptive_gl(f, a: float, b: float, tol: float):

@@ -11,9 +11,9 @@ both features explicitly (see quadrature.py) and the truncated tail beyond
 k_max is restored with a two-term stationary-phase endpoint correction.
 
 Both sine sums on those panels, phi(k) at the nodes and psi(x) over them,
-go through the panel expansion of quadrature.panel_sine_sum and
+go through the cell expansion of quadrature.panel_sine_sum and
 panel_sine_transform, which the main and control rules share; so does the
-interior sum of unitarity_audit, on its midpoint rule grouped by panel.
+interior sum of unitarity_audit, on its flat midpoint rule.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .potential_model import (
     coefficient_A,
     coefficient_B,
     enumerate_poles,
+    interior_weight,
 )
 from .profiles import InitialProfile, overlap_panels, overlap_transform
 from .quadrature import (
@@ -41,7 +42,6 @@ from .quadrature import (
     WELL_ORDER,
     adaptive_gl,
     merge_edges,
-    midpoint_panels,
     panel_nodes,
     panel_sine_sum,
     phase_budget_edges,
@@ -56,8 +56,9 @@ T0_KMAX = 800.0
 
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
-#: zero padding of unitarity_audit's exterior FFT: nf >= 4n samples the
-#: 4n-1 modes of |psi_out|^2 without aliasing
+#: zero padding of unitarity_audit's exterior FFT: any even length
+#: nf >= 4n samples the 4n-1 modes of |psi_out|^2 without aliasing, and
+#: _fft_length takes the smallest with no prime factor above 5
 _FFT_PAD = 4
 #: |phi|^2 (units of a) that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
@@ -143,8 +144,7 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
 
 def _spectral_weight(phi, k, w: WellParameters):
     """(1/2pi) phi(k) |A(k)|^2 at real k, given phi(k)."""
-    A = coefficient_A(k, w)
-    return phi * (A * np.conj(A)).real / (2.0 * math.pi)
+    return phi * (interior_weight(k, w) / (2.0 * math.pi))
 
 
 def _tail_correction(p: InitialProfile, k_max: float, t: float,
@@ -231,14 +231,12 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
 def _direct_sum(p, t, grid, w, edges):
     """(1/2pi) int e^{-ik^2 t} phi(k) |A(k)|^2 sin(kx) dk on the panels,
     by the main and by the control rule, from one panel sine sum."""
-    centres = 0.5 * (edges[:-1] + edges[1:])
     rules = [panel_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    ks = [nodes.reshape(centres.size, -1) for nodes, _ in rules]
-    phis = overlap_panels(p, ks, centres)
-    cs = [weights.reshape(k.shape) * _spectral_weight(phi, k, w)
-          * np.exp(-1j * k * k * t)
+    ks = [nodes for nodes, _ in rules]
+    phis = overlap_panels(p, ks)
+    cs = [weights * _spectral_weight(phi, k, w) * np.exp(-1j * k * k * t)
           for (_, weights), phi, k in zip(rules, phis, ks)]
-    return panel_sine_sum(cs, ks, centres, grid)
+    return panel_sine_sum(cs, ks, grid)
 
 
 def spectral_tail_mass(p: InitialProfile, w: WellParameters,
@@ -254,9 +252,8 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
     k_far = 10.0 * k_max
 
     def dens(k):
-        A = coefficient_A(k, w)
-        phi = overlap_transform(p, k)
-        return np.abs(A) ** 2 * np.abs(phi) ** 2 / (2.0 * math.pi)
+        return (interior_weight(k, w) * np.abs(overlap_transform(p, k)) ** 2
+                / (2.0 * math.pi))
 
     val, _ = adaptive_gl(dens, k_max, k_far, tol=1e-13)
     remainder = abs(p.barrier_slope) ** 2 / (3.0 * math.pi * k_far ** 3)
@@ -284,20 +281,52 @@ def audit_cutoff(p: InitialProfile, w: WellParameters) -> float:
     return m * step
 
 
+def _fft_length(m: int) -> int:
+    """The smallest even 2^i 3^j 5^l >= m: the FFT's fast lengths."""
+    best = max(2, 1 << (m - 1).bit_length())
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power of two, at least 2, with odd * two >= m
+            two = max(2, 1 << (-(-m // odd) - 1).bit_length())
+            best = min(best, odd * two)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _audit_series(p: InitialProfile, t: float, w: WellParameters,
+                  dk: float, n: int, x_in: np.ndarray):
+    """unitarity_audit's midpoint series at k_j = (j + 1/2) dk, j < n:
+    the interior psi on x_in and the exterior coefficients
+    c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B.  A, B and their sines
+    die on return, before the exterior FFTs.  B is named so that c B is
+    always taken in that order: numpy may reuse a temporary right operand
+    and swap the factors, which moves the last bit of a complex product."""
+    k = (np.arange(n) + 0.5) * dk
+    A = coefficient_A(k, w)
+    c = (np.exp(-1j * k * k * t) * np.conj(A) * dk / (2.0 * math.pi)
+         * overlap_panels(p, [k])[0])
+    psi_in, = panel_sine_sum([A * c], [k], x_in)
+    B = coefficient_B(k, w)
+    return psi_in, c, c * B
+
+
 def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     """Decompose total probability at time t into inside + outside + tail.
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
     series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
-    nodes by panel_sine_sum (phi by overlap_panels, on the same panels of
-    midpoint_panels) and integrated with its weights, and the exterior branch
-    (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), the latter
-    synthesized by one zero-padded complex FFT (both moving pieces in one
-    array), its |psi|^2 taken to Fourier modes by one real FFT and
-    integrated over the window mode by mode.  The step resolves both the
-    narrowest resonance spike (10 points per width) and the chirp e^{-ik^2 t}
-    (the wrap length 2pi/dk exceeds 2.2x the ballistic range 2 k_max t, so
-    nothing aliases back); the exterior integral stops at the wavefront
+    nodes by panel_sine_sum (phi by overlap_panels, both at the flat
+    midpoints k_j = (j + 1/2) dk) and integrated with its weights, and the
+    exterior branch (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}),
+    the latter synthesized by one zero-padded complex FFT of even 5-smooth
+    length (both moving pieces in one array), its |psi|^2 taken to Fourier
+    modes by one real FFT and integrated over the window mode by mode.
+    The step resolves both the narrowest resonance spike (10 points per
+    width) and the chirp e^{-ik^2 t} (the wrap length 2pi/dk exceeds 2.2x
+    the ballistic range 2 k_max t, so nothing aliases back); the exterior integral stops at the wavefront
     x_hi = 2.2 k_max t + 50 a, beyond which the signal has no support and
     only the periodic image of the x < 0 continuation lives.
 
@@ -312,18 +341,8 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
         dk = min(dk, math.pi / (2.2 * k_max * t))
     n = int(math.ceil(k_max / dk))
     dk = k_max / n
-    k_pan, centres = midpoint_panels(dk, n, w.a)
-    k = k_pan.ravel()
-    A = coefficient_A(k, w)
-    B = coefficient_B(k, w)
-    c = (np.exp(-1j * k * k * t) * np.conj(A) * dk / (2.0 * math.pi)
-         * overlap_panels(p, [k_pan], centres)[0].ravel())
-    c[n:] = 0.0  # the panels' padding past k_max
-
-    # interior: same k rule, sine series against A(k) c(k) on the well rule
     x_in, wx = well_rule(w)
-    psi_in, = panel_sine_sum([(A * c).reshape(k_pan.shape)], [k_pan],
-                             centres, x_in)
+    psi_in, c, c_b = _audit_series(p, t, w, dk, n, x_in)
     inside = float(wx @ np.abs(psi_in) ** 2)
 
     # exterior on x_j = 2pi j / (nf dk), with k_m = (m + 1/2) dk:
@@ -331,11 +350,11 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     #   e^{+ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j (nf-1-m)/nf},
     # so with c B reversed into the top of d, psi_out = e^{-i pi j/nf} fft(d)
     # and |psi_out|^2 = |fft(d)|^2
-    nf = 1 << int(_FFT_PAD * n - 1).bit_length()
+    nf = _fft_length(_FFT_PAD * n)
     d = np.zeros(nf, dtype=complex)
-    d[:n] = c[:n]
-    d[nf - n:] = (c[:n] * B[:n])[::-1]
-    del A, B, c
+    d[:n] = c
+    d[nf - n:] = c_b[::-1]
+    del c, c_b
     # no out= on numpy.fft (it needs numpy >= 2.0; the pin is numpy >= 1.24):
     # each nf-length array is dropped as soon as the next one exists
     f = fft.fft(d)
@@ -348,11 +367,11 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     g_hat /= nf
     x_hi = 2.2 * k_max * t + 50.0 * w.a
     # d lives on the cyclic indices -n .. n-1, so |fft(d)|^2 has modes
-    # |nu| <= 2n-1 < nf/2 (padding >= 4): its sampled Fourier series is
+    # |nu| <= 2n-1 < nf/2 (nf >= 4n): its sampled Fourier series is
     # exact and the window integral over [a, x_hi] is taken in closed form
     # per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x} dx) -- no endpoint
-    # error.  g is real, so the modes nu and -nu pair up and those in
-    # 1 .. nf/2-1 count twice.
+    # error.  g is real and nf even, so the modes nu and -nu pair up and
+    # those in 1 .. nf/2-1 count twice.
     mu = dk * np.arange(1, g_hat.size)
     terms = (g_hat.real[1:] * (np.sin(mu * x_hi) - np.sin(mu * w.a))
              + g_hat.imag[1:] * (np.cos(mu * x_hi) - np.cos(mu * w.a))) / mu

@@ -25,6 +25,7 @@ from gamow_lab.potential_model import (
     coefficient_A_bar,
     coefficient_B,
     enumerate_poles,
+    interior_weight,
     quantization_residual,
     refine_pole,
 )
@@ -90,6 +91,28 @@ class TestCoefficientB:
         k = 2.5
         d = k + 10.0 * cmath.exp(1j * k) * cmath.sin(k)
         assert coefficient_B(k, W10) == pytest.approx(-np.conj(d) / d, rel=1e-14)
+
+
+@pytest.mark.parametrize("w", [W10, W100], ids=["lam10", "lam100"])
+def test_real_k_takes_real_arithmetic(w):
+    # A and B from D = (ka + lam sin ka cos ka) + i lam sin^2 ka agree with
+    # the complex path, at k = 0, near it, across [0, 60] and on each
+    # resonance peak Re k_n (measured <= 4.7e-15 relative); scalars stay
+    # Python complex
+    k = np.r_[0.0, 1e-9, 1e-7, np.linspace(1e-3, 60.0, 4001),
+              resonances(w, 60.0).k.real]
+    for f in (coefficient_A, coefficient_B):
+        real, cplx = f(k, w), f(k.astype(complex), w)
+        assert real.dtype == complex
+        assert np.max(np.abs(real - cplx) / np.abs(cplx)) < 2e-14
+        assert isinstance(f(2.5, w), complex)
+    assert coefficient_A(0.0, w) == -2j / (1.0 + w.lam)
+    assert coefficient_B(1e-9, w) == -1.0
+    # |A|^2 = 4 (ka)^2 / |D|^2 directly, and its limit at k = 0
+    A = coefficient_A(k.astype(complex), w)
+    weight = interior_weight(k, w)
+    assert np.max(np.abs(weight - np.abs(A) ** 2) / np.abs(A) ** 2) < 2e-14
+    assert weight[0] == 4.0 / (1.0 + w.lam) ** 2
 
 
 class TestCoefficientABar:

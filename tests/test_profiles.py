@@ -8,7 +8,6 @@ import pytest
 from numpy.polynomial import legendre
 
 from gamow_lab import quadrature
-from gamow_lab.quadrature import midpoint_panels
 from gamow_lab.profiles import (
     box_mode,
     custom_samples,
@@ -148,15 +147,15 @@ class TestOverlapTransform:
 
     @pytest.mark.parametrize("n", [1, 127, 128, 5000])
     def test_midpoints_match_transform(self, n):
-        # the audit's rule: n midpoints on [0, 120], grouped by panel
-        k, centres = midpoint_panels(120.0 / n, n, 1.0)
+        # the audit's rule: n midpoints on [0, 120]
+        k = (np.arange(n) + 0.5) * (120.0 / n)
         for p in (truncated_gaussian(0.45, 0.06), custom_samples(
                 np.linspace(0.0, 1.0, 41),
                 np.sin(np.pi * np.linspace(0.0, 1.0, 41)) ** 3)):
-            phi, = overlap_panels(p, [k], centres)
+            phi, = overlap_panels(p, [k])
             assert np.max(np.abs(phi - overlap_transform(p, k))) < 1e-14
         # box modes take the closed form on the same nodes
-        phi, = overlap_panels(box_mode(2), [k], centres)
+        phi, = overlap_panels(box_mode(2), [k])
         assert np.array_equal(phi, overlap_transform(box_mode(2), k))
 
     def test_real_k_takes_real_sines_bit_identically(self):
@@ -166,6 +165,18 @@ class TestOverlapTransform:
         assert np.array_equal(overlap_transform(p, k),
                               overlap_transform(p, k.astype(complex)))
         assert overlap_transform(p, 3.0) == overlap_transform(p, 3.0 + 0j)
+
+    def test_box_mode_real_k_takes_real_sines(self):
+        # the closed form at real k, k = 0 and k = n pi / a included,
+        # against the complex path (measured <= 2.3e-16)
+        p = box_mode(2)
+        k = np.r_[0.0, 1e-9, 2.0 * np.pi, np.linspace(0.0, 200.0, 2001)]
+        real = overlap_transform(p, k)
+        assert real.dtype == complex
+        assert np.max(np.abs(real - overlap_transform(p, k.astype(complex)))) \
+            < 1e-15
+        assert overlap_transform(p, 2.0 * np.pi) == pytest.approx(
+            math.sqrt(0.5))
 
 
 class TestParseProfile:

@@ -1,10 +1,12 @@
 """Shared quadrature rules and spectral sums."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gamow_lab import quadrature
 from gamow_lab.exceptions import QuadratureNotConverged
 from gamow_lab.gamow_expansion import _ray_edges
 from gamow_lab.potential_model import WellParameters
@@ -16,22 +18,21 @@ from gamow_lab.quadrature import (
     MAIN_ORDER,
     adaptive_gl,
     merge_edges,
-    midpoint_panels,
     panel_nodes,
     panel_sine_sum,
     panel_sine_transform,
     spike_edges,
 )
+from gamow_lab.spectral_evolution import direct_cutoff, evolve_direct, well_grid
 
 
 #: the rotated route's ray direction, k = ROT s
 ROT = np.exp(-0.25j * np.pi)
 
 
-def gl_panels(edges, order):
-    """Gauss-Legendre nodes grouped by panel, and the panel centres."""
-    k, _ = panel_nodes(edges, order)
-    return k.reshape(edges.size - 1, order), 0.5 * (edges[:-1] + edges[1:])
+def gl_nodes(edges, order):
+    """Gauss-Legendre nodes on the panels between edges, flat."""
+    return panel_nodes(edges, order)[0]
 
 
 def random_coefficients(rng, shape):
@@ -93,97 +94,189 @@ def dense_transform(coef, x, k):
     return (np.sin(np.multiply.outer(np.ravel(k), x)) @ coef).reshape(k.shape)
 
 
+def profile_rule(a):
+    """A smooth profile-like rule on [0, a]: sum |coef| is 1."""
+    xm, wm = panel_nodes(np.array([0.0, a]), 64)
+    coef = wm * np.exp(-((xm - 0.5 * a) / (0.1 * a)) ** 2) * (1 + 0.5j)
+    return xm, coef / np.sum(np.abs(coef))
+
+
 def test_panel_sine_sum_matches_one_product_across_blocks():
     rng = np.random.default_rng(7)
     # 2 * _BLOCK_NODES + 32 nodes on random panels of [0, 300]
     edges = np.sort(np.r_[0.0, 300.0, rng.uniform(
         0.0, 300.0, 2 * _BLOCK_NODES // MAIN_ORDER + 1)])
-    k, centres = gl_panels(edges, MAIN_ORDER)
+    k = gl_nodes(edges, MAIN_ORDER)
     assert k.size == 2 * _BLOCK_NODES + 32
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, 1.0, 9)
-    psi, = panel_sine_sum([c], [k], centres, x)
+    psi, = panel_sine_sum([c], [k], x)
     assert np.max(np.abs(psi - dense_sum(c, k, x))) < 1e-13
 
 
 def _gl_case():
-    # main and control rules on panels of the largest half-width, 1/a
+    # main and control rules on panels as wide as a cell, 2/a
     a = 1.5
     edges = np.r_[np.linspace(0.0, 60.0, 46), 61.0, 61.5, 61.6]
-    sets = [gl_panels(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    return a, [s[0] for s in sets], sets[0][1]
+    return a, [gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
 
 
 def _midpoint_case():
-    a = 1.0
-    k, centres = midpoint_panels(120.0 / 5000, 5000, a)
-    return a, [k], centres
+    # the audit's rule, k_j = (j + 1/2) dk
+    return 1.0, [(np.arange(5000) + 0.5) * (120.0 / 5000)]
 
 
 def _block_case():
     # 2100 panels of 16 and 12 nodes: 58,800 nodes, so blocks of at most
-    # _BLOCK_NODES nodes split the panels
+    # _BLOCK_NODES nodes split the cells
     a = 1.0
     rng = np.random.default_rng(3)
     edges = np.cumsum(np.r_[0.0, rng.uniform(0.02, 0.1, 2100)])
-    sets = [gl_panels(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    assert sum(s[0].size for s in sets) > _BLOCK_NODES
-    return a, [s[0] for s in sets], sets[0][1]
+    ks = [gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
+    assert sum(k.size for k in ks) > _BLOCK_NODES
+    return a, ks
+
+
+def _cell_edge_case():
+    # nodes on, and one ulp either side of, the cell edges m h (h = 2 / X,
+    # X = max x = a) and the dyadic edges h 2^-j below h
+    a = 1.25
+    h = 2.0 / a
+    edges = np.r_[h * np.arange(1, 40), h * 2.0 ** -np.arange(1, 30)]
+    k = np.concatenate([np.nextafter(edges, 0.0), edges,
+                        np.nextafter(edges, np.inf)])
+    return a, [k]
+
+
+def _shuffled_case():
+    # the block case's nodes in random order, in arrays of two shapes
+    a, ks = _block_case()
+    rng = np.random.default_rng(9)
+    return a, [rng.permutation(ks[0]).reshape(-1, 16), rng.permutation(ks[1])]
+
+
+def _unequal_sets_case():
+    # a main set of order 16 and a control set of order 5 on other panels,
+    # each with cells the other lacks
+    a = 1.0
+    main = gl_nodes(np.linspace(0.0, 30.0, 7), MAIN_ORDER)
+    control = gl_nodes(np.r_[0.0, 0.3, 2.0, 40.0, 41.0], 5)
+    return a, [main, control]
 
 
 CASES = {"gl-max-width": _gl_case, "midpoints": _midpoint_case,
-         "block-boundary": _block_case}
+         "block-boundary": _block_case, "cell-edges": _cell_edge_case,
+         "out-of-order": _shuffled_case, "unequal-sets": _unequal_sets_case}
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_panel_sums_match_dense_oracle(case):
     rng = np.random.default_rng(11)
-    a, ks, centres = CASES[case]()
+    a, ks = CASES[case]()
     x = np.linspace(0.0, a, 33)
     cs = [random_coefficients(rng, k.shape) for k in ks]
-    for psi, c, k in zip(panel_sine_sum(cs, ks, centres, x), cs, ks):
+    for psi, c, k in zip(panel_sine_sum(cs, ks, x), cs, ks):
         assert psi.shape == x.shape
         assert np.max(np.abs(psi - dense_sum(c, k, x))) < 1e-13
-    # a smooth profile-like rule on [0, a]: sum |coef| is about 1
-    xm, wm = panel_nodes(np.array([0.0, a]), 64)
-    coef = wm * np.exp(-((xm - 0.5 * a) / (0.1 * a)) ** 2) * (1 + 0.5j)
-    coef /= np.sum(np.abs(coef))
-    for phi, k in zip(panel_sine_transform(coef, xm, ks, centres), ks):
+    xm, coef = profile_rule(a)
+    for phi, k in zip(panel_sine_transform(coef, xm, ks), ks):
         assert phi.shape == k.shape
         assert np.max(np.abs(phi - dense_transform(coef, xm, k))) < 1e-14
+
+
+def test_sparse_nodes_match_dense_oracle():
+    # one node set over [0, 3000/a] with gaps wider than a cell, so most
+    # cells hold one to three nodes
+    rng = np.random.default_rng(13)
+    a = 1.0
+    k = np.concatenate([rng.uniform(lo, lo + 5.0, 3) for lo in
+                        np.arange(0.0, 3000.0, 40.0)])
+    x = np.linspace(0.0, a, 33)
+    c = random_coefficients(rng, k.shape)
+    psi, = panel_sine_sum([c], [k], x)
+    assert np.max(np.abs(psi - dense_sum(c, k, x))) < 1e-13 * np.max(
+        np.sum(np.abs(c[:, None] * np.sin(np.multiply.outer(k, x))), axis=0))
+    xm, coef = profile_rule(a)
+    phi, = panel_sine_transform(coef, xm, [k])
+    assert np.max(np.abs(phi - dense_transform(coef, xm, k))) < 1e-13
+
+
+def test_transform_near_zero_is_relatively_exact():
+    # the dyadic cells: phi(k) ~ k int x psi0 near k = 0 keeps 1e-14
+    # relative accuracy down to k = 1e-9 / a, and phi(0) is 0
+    a = 1.0
+    xm, coef = profile_rule(a)
+    coef = coef.real  # one sign, so the dense oracle does not cancel
+    k = np.r_[0.0, np.geomspace(1e-9, 1e-3, 61) / a, 0.5, 3.0]
+    phi, = panel_sine_transform(coef, xm, [k])
+    assert phi[0] == 0.0
+    ref = dense_transform(coef, xm, k[1:])
+    assert np.max(np.abs(phi[1:] - ref) / np.abs(ref)) < 1e-14
+    # psi from nodes near 0, relative to sum |c sin(k x)|
+    rng = np.random.default_rng(17)
+    c = random_coefficients(rng, k.shape)
+    x = np.linspace(0.0, a, 17)
+    psi, = panel_sine_sum([c], [k], x)
+    scale = np.abs(c) @ np.abs(np.sin(np.multiply.outer(k, x)))
+    assert np.all(np.abs(psi - dense_sum(c, k, x)) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("lam", [10.0, 100.0], ids=["lam10", "lam100"])
 @pytest.mark.parametrize("t_min", [0.02, 0.05])
 def test_panel_sine_transform_on_the_ray(lam, t_min):
-    # the rotated route's complex nodes e^{-i pi/4} s, both rules, around
-    # complex centres; |sin(k x)| grows like e^{s x / sqrt 2}, so the bar
-    # is set on the largest sum_m |coef_m sin(k x_m)|
+    # the rotated route's complex nodes e^{-i pi/4} s, both rules;
+    # |sin(k x)| grows like e^{s x / sqrt 2}, so the bar is set on the
+    # largest sum_m |coef_m sin(k x_m)|
     w = WellParameters(lam=lam)
     p = truncated_gaussian(0.5672, 0.0565)
     edges = _ray_edges(w, t_min, 1e3)
-    centres = ROT * 0.5 * (edges[:-1] + edges[1:])
-    ks = [ROT * gl_panels(edges, order)[0]
-          for order in (MAIN_ORDER, CONTROL_ORDER)]
-    for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks, centres),
-                      ks):
-        terms = np.sin(np.multiply.outer(k.ravel(), p.nodes)) * p.coef
+    ks = [ROT * gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
+    for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks), ks):
+        terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
         bar = 1e-13 * np.max(np.sum(np.abs(terms), axis=1))
         assert phi.shape == k.shape
-        assert np.max(np.abs(phi.ravel() - terms.sum(axis=1))) < bar
+        assert np.max(np.abs(phi - terms.sum(axis=1))) < bar
 
 
-def test_too_wide_panels_refused():
-    # one panel [0, 10] on x in [0, 1]: max |(k - K) x| is near 5, on the
-    # real axis and on the ray
-    k, centres = gl_panels(np.array([0.0, 10.0]), MAIN_ORDER)
+def test_ray_nodes_from_near_zero_to_far():
+    # e^{-i pi/4} s, s from 1e-6 to 300/a, in and out of the dyadic cells;
+    # the bar is set on each node's sum_m |coef_m sin(k x_m)|
+    a = 1.0
+    p = truncated_gaussian(0.5, 0.08, a=a)
+    k = ROT * np.geomspace(1e-6, 300.0, 400) / a
+    phi, = panel_sine_transform(p.coef, p.nodes, [k])
+    terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
+    assert np.all(np.abs(phi - terms.sum(axis=1))
+                  <= 1e-13 * np.sum(np.abs(terms), axis=1))
+
+
+def test_nodes_off_one_ray_refused():
+    # complex nodes of two phases share no cell centre
     x = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError, match="panel too wide"):
-        panel_sine_sum([np.ones(k.shape)], [k], centres, x)
-    for rot in (1.0, ROT):
-        with pytest.raises(ValueError, match="panel too wide"):
-            panel_sine_transform(np.ones(x.size), x, [rot * k],
-                                 rot * centres)
+    k = np.r_[ROT * np.linspace(1.0, 5.0, 8), np.linspace(1.0, 5.0, 8)]
+    with pytest.raises(ValueError, match="one ray"):
+        panel_sine_transform(np.ones(x.size), x, [k])
+
+
+def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
+    # one evolve_direct call: each kernel takes sin and cos on at most
+    # ceil(k_max a / 2) lattice cells plus the dyadic ones near k = 0,
+    # however many phase-budget and spike panels the route builds
+    w = WellParameters(lam=81.8)
+    t = 0.0548
+    rows = []
+    blocks = quadrature._cell_blocks
+
+    def counted(centres, x, counts):
+        rows.append(0)
+        for block in blocks(centres, x, counts):
+            rows[-1] += block[1][0].shape[0]
+            yield block
+
+    monkeypatch.setattr(quadrature, "_cell_blocks", counted)
+    evolve_direct(truncated_gaussian(0.5, 0.06), t, well_grid(w, 33), w)
+    assert len(rows) == 2  # phi at the nodes, psi over them
+    assert max(rows) <= math.ceil(direct_cutoff(w, t) * w.a / 2.0) + 64
 
 
 def test_workspace_stays_below_one_dense_block():
@@ -191,13 +284,13 @@ def test_workspace_stays_below_one_dense_block():
     # block of _BLOCK_NODES x 257 doubles
     rng = np.random.default_rng(5)
     edges = np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, 50_000 // MAIN_ORDER)])
-    k, centres = gl_panels(edges, MAIN_ORDER)
+    k = gl_nodes(edges, MAIN_ORDER)
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, 1.0, 257)
     coef = random_coefficients(rng, x.shape)
     bound = _BLOCK_NODES * x.size * 8
-    for call in (lambda: panel_sine_sum([c], [k], centres, x),
-                 lambda: panel_sine_transform(coef, x, [k], centres)):
+    for call in (lambda: panel_sine_sum([c], [k], x),
+                 lambda: panel_sine_transform(coef, x, [k])):
         tracemalloc.start()
         try:
             call()

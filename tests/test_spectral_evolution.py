@@ -18,6 +18,7 @@ from gamow_lab.potential_model import (
 from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.quadrature import MAIN_ORDER, panel_nodes
 from gamow_lab.spectral_evolution import (
+    _audit_series,
     _evolve_direct_raw,
     _kink_tail_t0,
     _spectral_edges,
@@ -282,9 +283,21 @@ class TestUnitarity:
         # the two sums agree to 5.6e-16 at most over these four cases
         assert abs(audit["outside"] - outside) < 5e-15
 
+    def test_exterior_coefficients_in_one_order(self):
+        # c B bit for bit as c times a named B: a temporary B on the right
+        # lets numpy reuse it and swap the complex factors, whose product
+        # then differs in the last bit from run to run of the harness
+        n, dk, t = 40_000, 1e-3, 0.3
+        x_in, _ = well_rule(W10)
+        k = (np.arange(n) + 0.5) * dk
+        _, c, c_b = _audit_series(box_mode(1), t, W10, dk, n, x_in)
+        B = coefficient_B(k, W10)
+        assert np.array_equal(c_b, c * B)
+
     def test_exterior_peak_memory(self):
-        # lambda = 100, box:1: n = 418,347 midpoints, nf = 2**21; the peak
-        # is the FFT's input and output, two complex arrays of nf
+        # lambda = 100, box:1: n = 418,347 midpoints, nf = 1,679,616 (the
+        # smallest even 5-smooth length >= 4n, below 2**21); the peak is
+        # the FFT's input and output, two complex arrays of nf
         resonances(W100, audit_cutoff(box_mode(1), W100))
         tracemalloc.start()
         try:
