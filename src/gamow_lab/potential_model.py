@@ -161,41 +161,69 @@ def _coefficient(k, ka, num, den, limit, name: str):
                                    num / np.where(small, 1.0, den)))
 
 
-def _real_denominator(k, w):
-    """(ka, Re D, Im D, |D|^2) at real k, from real sines:
-    D = (ka + lam sin ka cos ka) + i lam sin^2 ka."""
+def real_trig(k, w: WellParameters):
+    """(ka, sin ka, cos ka) at real k: the one sine and cosine per node that
+    A, B and |A|^2 at real k (and a box mode's phi, see
+    profiles.box_overlap) are built from."""
     ka = np.asarray(k, dtype=float) * w.a
-    s = np.sin(ka)
-    re = ka + w.lam * s * np.cos(ka)
+    return ka, np.sin(ka), np.cos(ka)
+
+
+def _real_denominator(trig, w):
+    """(Re D, Im D, |D|^2) from real_trig's (ka, s, c):
+    D = (ka + lam s c) + i lam s^2."""
+    ka, s, c = trig
+    re = ka + w.lam * s * c
     im = w.lam * s * s
-    return ka, re, im, re * re + im * im
+    return re, im, re * re + im * im
+
+
+def A_from_trig(trig, w: WellParameters):
+    """A = -2ka (Im D + i Re D) / |D|^2 from real_trig(k, w), with its
+    removable value -2i/(1 + lam) at k = 0."""
+    ka = trig[0]
+    re, im, d2 = _real_denominator(trig, w)
+    return _coefficient(ka, ka, -2.0 * ka * (im + 1j * re), d2,
+                        -2j / (1.0 + w.lam), "A(k)")
+
+
+def B_from_trig(trig, w: WellParameters):
+    """B = -conj(D)^2 / |D|^2 from real_trig(k, w), with its removable
+    value -1 at k = 0."""
+    ka = trig[0]
+    re, im, d2 = _real_denominator(trig, w)
+    return _coefficient(ka, ka, (im * im - re * re) + 2j * (re * im), d2,
+                        -1.0 + 0j, "B(k)")
+
+
+def weight_from_trig(trig, w: WellParameters):
+    """|A|^2 = 4 (ka)^2 / |D|^2 from real_trig(k, w), with its removable
+    value 4/(1 + lam)^2 at k = 0: the spectral weight of the continuum
+    inside the well."""
+    ka = trig[0]
+    d2 = _real_denominator(trig, w)[2]
+    small = np.abs(ka) < _SMALL_KA
+    return np.where(small, 4.0 / (1.0 + w.lam) ** 2,
+                    4.0 * ka * ka / np.where(small, 1.0, d2))
 
 
 def coefficient_A(k, w: WellParameters):
     """Interior scattering amplitude A(k) = -2ika / (ka + lam e^{ika} sin ka).
 
     Accepts scalar or ndarray ``k`` (real or complex); real k takes real
-    arithmetic, A = -2ka (Im D + i Re D) / |D|^2.  The k = 0 limit is
-    removable and evaluates to -2i/(1 + lam).
+    arithmetic (A_from_trig).  The k = 0 limit is removable and evaluates
+    to -2i/(1 + lam).
     """
-    limit = -2j / (1.0 + w.lam)
     if np.isrealobj(k):
-        ka, re, im, d2 = _real_denominator(k, w)
-        return _coefficient(k, ka, -2.0 * ka * (im + 1j * re), d2, limit,
-                            "A(k)")
+        return A_from_trig(real_trig(k, w), w)
     ka = np.asarray(k, dtype=complex) * w.a
-    return _coefficient(k, ka, -2j * ka, _denominator(ka / w.a, w), limit,
-                        "A(k)")
+    return _coefficient(k, ka, -2j * ka, _denominator(ka / w.a, w),
+                        -2j / (1.0 + w.lam), "A(k)")
 
 
 def interior_weight(k, w: WellParameters):
-    """|A(k)|^2 = 4 (ka)^2 / |D|^2 at real k, in real arithmetic, with its
-    removable value 4/(1 + lam)^2 at k = 0: the spectral weight of the
-    continuum inside the well."""
-    ka, _, _, d2 = _real_denominator(k, w)
-    small = np.abs(ka) < _SMALL_KA
-    return np.where(small, 4.0 / (1.0 + w.lam) ** 2,
-                    4.0 * ka * ka / np.where(small, 1.0, d2))
+    """|A(k)|^2 at real k, in real arithmetic (weight_from_trig)."""
+    return weight_from_trig(real_trig(k, w), w)
 
 
 def coefficient_A_bar(k, w: WellParameters):
@@ -212,11 +240,9 @@ def coefficient_A_bar(k, w: WellParameters):
 
 def coefficient_B(k, w: WellParameters):
     """Exterior reflection amplitude B(k) = -Dbar(k)/D(k); |B| = 1 for real
-    k, where it takes real arithmetic, B = -conj(D)^2 / |D|^2."""
+    k, where it takes real arithmetic (B_from_trig)."""
     if np.isrealobj(k):
-        ka, re, im, d2 = _real_denominator(k, w)
-        return _coefficient(k, ka, (im * im - re * re) + 2j * (re * im), d2,
-                            -1.0 + 0j, "B(k)")
+        return B_from_trig(real_trig(k, w), w)
     ka = np.asarray(k, dtype=complex) * w.a
     return _coefficient(k, ka, -_denominator_bar(ka / w.a, w),
                         _denominator(ka / w.a, w), -1.0 + 0j, "B(k)")

@@ -17,10 +17,20 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import WELL_ORDER, panel_nodes, panel_sine_transform
+from .quadrature import (
+    WELL_ORDER,
+    _complex_sin,
+    panel_nodes,
+    panel_sine_transform,
+)
 
 _NORM_TOL = 1e-10
 _EDGE_TOL = 1e-8
+#: pi = _PI_HI + _PI_MID + _PI_LO: the first two hold at most 27 bits, so
+#: n times either is exact for n < 2^26, and _PI_LO is pi - math.pi
+_PI_HI = math.pi - math.pi % 2.0 ** -24
+_PI_MID = math.pi - _PI_HI
+_PI_LO = 1.2246467991473532e-16
 
 
 @dataclass(frozen=True)
@@ -134,30 +144,48 @@ def _normalized(a, shape):
 def overlap_transform(p: InitialProfile, k):
     """Sine transform phi(k) = int_0^a psi0(x) sin(kx) dx at real or complex k.
 
-    Box modes use the closed form with removable limits at k = +-n pi/a;
-    other profiles use the cached Gauss-Legendre rule (entire integrand, so
-    the fixed rule is superalgebraically accurate for |Im k| a below ~40).
-    Both take real sines when k is real.  Many nodes are cheaper through
-    overlap_panels.
+    Box modes use the closed form of box_overlap; other profiles use the
+    cached Gauss-Legendre rule (entire integrand, so the fixed rule is
+    superalgebraically accurate for |Im k| a below ~40).  Both take real
+    sines when k is real, and sin u cosh v + i cos u sinh v when it is
+    not.  Many nodes are cheaper through overlap_panels.
     """
     k = np.asarray(k, dtype=float if np.isrealobj(k) else complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
+    sin = np.sin if np.isrealobj(k) else _complex_sin
     if p.mode is not None:
-        kn = p.mode * np.pi / p.a
-        amp = math.sqrt(2.0 / p.a)
-        out = (amp * sine_overlap(k, kn, p.a)).astype(complex)
+        z = k * p.a
+        out = box_overlap(p, z, sin(z)).astype(complex)
     else:
-        # nodes: (m,), k chunked to bound the outer-product workspace;
+        # nodes: (m,), k chunked to bound the outer-product workspace (at
+        # complex k, _complex_sin's real factors add half of it again);
         # real k takes real sines, with the same sums
         flat = k.ravel()
         out = np.empty(flat.shape, dtype=complex)
-        step = 8192
+        step = 128
         for i in range(0, flat.size, step):
             blk = flat[i:i + step]
-            out[i:i + step] = np.sin(np.multiply.outer(blk, p.nodes)) @ p.coef
+            out[i:i + step] = sin(np.multiply.outer(blk, p.nodes)) @ p.coef
         out = out.reshape(k.shape)
     return complex(out[0]) if scalar else out
+
+
+def box_overlap(p: InitialProfile, z, s):
+    """A box mode's phi(k) at z = k a from s = sin z, so that the direct
+    route and the audit share the sine of |A|^2 (potential_model.real_trig):
+
+        phi_n = sqrt(2a) (-1)^n n pi sin z / ((z - n pi)(z + n pi)).
+
+    z - n pi is taken with n pi split in three (Cody and Waite), so it is
+    accurate to rounding however near z lies to n pi, as sin z is, and
+    never 0 at a double z: the removable point phi_n(n pi / a) =
+    sqrt(a/2) needs no branch.
+    """
+    n = p.mode
+    lead = math.sqrt(2.0 * p.a) * n * math.pi * (-1.0) ** n
+    near = ((z - n * _PI_HI) - n * _PI_MID) - n * _PI_LO
+    return lead * s / (near * (z + n * math.pi))
 
 
 def overlap_panels(p: InitialProfile, ks):

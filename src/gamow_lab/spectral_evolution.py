@@ -14,6 +14,13 @@ Both sine sums on those panels, phi(k) at the nodes and psi(x) over them,
 go through the cell expansion of quadrature.panel_sine_sum and
 panel_sine_transform, which the main and control rules share; so does the
 interior sum of unitarity_audit, on its flat midpoint rule.
+
+The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
+so the direct sum walks the panels in chunks whose nodes of both rules
+fill one block of the panel sine sum, and adds each chunk's sums into the
+result: its memory is flat in t, and only its time grows.  A chunk's
+coefficients take real arithmetic, one sine and cosine of ka per node for
+|A|^2 and a box mode's phi.
 """
 
 from __future__ import annotations
@@ -28,15 +35,23 @@ from numpy import fft
 
 from .exceptions import QuadratureNotConverged
 from .potential_model import (
+    A_from_trig,
+    B_from_trig,
     Poles,
     WellParameters,
-    coefficient_A,
-    coefficient_B,
     enumerate_poles,
     interior_weight,
+    real_trig,
+    weight_from_trig,
 )
-from .profiles import InitialProfile, overlap_panels, overlap_transform
+from .profiles import (
+    InitialProfile,
+    box_overlap,
+    overlap_panels,
+    overlap_transform,
+)
 from .quadrature import (
+    _BLOCK_NODES,
     CONTROL_ORDER,
     MAIN_ORDER,
     WELL_ORDER,
@@ -56,6 +71,9 @@ T0_KMAX = 800.0
 
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
+#: panels per chunk of the direct sum: both rules' nodes on them fill at
+#: most one block of the panel sine sums
+_CHUNK_PANELS = _BLOCK_NODES // (MAIN_ORDER + CONTROL_ORDER)
 #: zero padding of unitarity_audit's exterior FFT: any even length
 #: nf >= 4n samples the 4n-1 modes of |psi_out|^2 without aliasing, and
 #: _fft_length takes the smallest with no prime factor above 5
@@ -142,9 +160,29 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     return merge_edges(base, extra, 0.0, k_max)
 
 
-def _spectral_weight(phi, k, w: WellParameters):
-    """(1/2pi) phi(k) |A(k)|^2 at real k, given phi(k)."""
-    return phi * (interior_weight(k, w) / (2.0 * math.pi))
+def _spectrum(p: InitialProfile, ks, w: WellParameters):
+    """real_trig(k, w) and phi(k) for each real node set k in ks: a box
+    mode's phi reads the same sine (box_overlap) when the profile spans
+    the well; other profiles take one overlap_panels call for all sets."""
+    trigs = [real_trig(k, w) for k in ks]
+    if p.mode is None:
+        phis = overlap_panels(p, ks)
+    else:
+        phis = [box_overlap(p, trig[0], trig[1]) if p.a == w.a
+                else overlap_transform(p, k) for trig, k in zip(trigs, ks)]
+    return trigs, phis
+
+
+def _chirped(z, k, t):
+    """z e^{-ik^2 t} at real k, from a real cos/sin pair of k^2 t written
+    into one complex array (no complex exp or its temporaries)."""
+    theta = k * k * t
+    cos, sin = np.cos(theta), np.sin(theta)
+    re, im = z.real, z.imag
+    out = np.empty(k.shape, dtype=complex)
+    out.real = re * cos + im * sin
+    out.imag = im * cos - re * sin
+    return out
 
 
 def _tail_correction(p: InitialProfile, k_max: float, t: float,
@@ -153,7 +191,8 @@ def _tail_correction(p: InitialProfile, k_max: float, t: float,
     int_{k_max}^inf f(k, x) exp(-i k^2 t) dk for t != 0."""
     h = 1e-4 / w.a
     ks = np.array([k_max, k_max + h, k_max - h])
-    g0, g_hi, g_lo = _spectral_weight(overlap_transform(p, ks), ks, w)
+    g0, g_hi, g_lo = (overlap_transform(p, ks) * interior_weight(ks, w)
+                      / (2.0 * math.pi))
     gp = (g_hi - g_lo) / (2.0 * h)
     sin_x = np.sin(k_max * grid)
     cos_x = np.cos(k_max * grid)
@@ -230,13 +269,28 @@ def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
 
 def _direct_sum(p, t, grid, w, edges):
     """(1/2pi) int e^{-ik^2 t} phi(k) |A(k)|^2 sin(kx) dk on the panels,
-    by the main and by the control rule, from one panel sine sum."""
-    rules = [panel_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    ks = [nodes for nodes, _ in rules]
-    phis = overlap_panels(p, ks)
-    cs = [weights * _spectral_weight(phi, k, w) * np.exp(-1j * k * k * t)
-          for (_, weights), phi, k in zip(rules, phis, ks)]
-    return panel_sine_sum(cs, ks, grid)
+    by the main and by the control rule.
+
+    The panels are walked in chunks of _CHUNK_PANELS, whose nodes of both
+    rules make one block of the panel sine sum; each chunk's sums are added
+    into the two results, so no array grows with the node count and the
+    memory is flat in t (the node count grows like 1/t).  A chunk's
+    coefficients w phi |A|^2 / 2pi e^{-ik^2 t} take real arithmetic: one
+    sine and cosine of ka per node for |A|^2 and a box mode's phi, and one
+    of k^2 t for the phase.
+    """
+    psi = [np.zeros(grid.shape, dtype=complex) for _ in range(2)]
+    for i in range(0, edges.size - 1, _CHUNK_PANELS):
+        rules = [panel_nodes(edges[i:i + _CHUNK_PANELS + 1], order)
+                 for order in (MAIN_ORDER, CONTROL_ORDER)]
+        ks = [k for k, _ in rules]
+        trigs, phis = _spectrum(p, ks, w)
+        cs = [_chirped(phi * (weights * weight_from_trig(trig, w)
+                              / (2.0 * math.pi)), k, t)
+              for (k, weights), trig, phi in zip(rules, trigs, phis)]
+        for acc, part in zip(psi, panel_sine_sum(cs, ks, grid)):
+            acc += part
+    return psi
 
 
 def spectral_tail_mass(p: InitialProfile, w: WellParameters,
@@ -300,17 +354,33 @@ def _audit_series(p: InitialProfile, t: float, w: WellParameters,
                   dk: float, n: int, x_in: np.ndarray):
     """unitarity_audit's midpoint series at k_j = (j + 1/2) dk, j < n:
     the interior psi on x_in and the exterior coefficients
-    c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B.  A, B and their sines
-    die on return, before the exterior FFTs.  B is named so that c B is
-    always taken in that order: numpy may reuse a temporary right operand
-    and swap the factors, which moves the last bit of a complex product."""
+    c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B, with A, B (and a box
+    mode's phi) from one sine and cosine of ka per midpoint.  A, B and
+    their sines die on return, before the exterior FFTs.  B is named so
+    that c B is always taken in that order: numpy may reuse a temporary
+    right operand and swap the factors, which moves the last bit of a
+    complex product."""
     k = (np.arange(n) + 0.5) * dk
-    A = coefficient_A(k, w)
-    c = (np.exp(-1j * k * k * t) * np.conj(A) * dk / (2.0 * math.pi)
-         * overlap_panels(p, [k])[0])
+    (trig,), (phi,) = _spectrum(p, [k], w)
+    A = A_from_trig(trig, w)
+    c = _chirped(np.conj(A) * (dk / (2.0 * math.pi)) * phi, k, t)
     psi_in, = panel_sine_sum([A * c], [k], x_in)
-    B = coefficient_B(k, w)
+    del A
+    B = B_from_trig(trig, w)
     return psi_in, c, c * B
+
+
+def _unit_phases(theta: float, m: int) -> np.ndarray:
+    """e^{i nu theta} for nu = 1 .. m, as the products of two tables of
+    about sqrt(m) exponentials each, e^{i q b theta} e^{i r theta} with
+    nu = q b + r: one complex product per mode instead of a sine and a
+    cosine."""
+    b = math.isqrt(m) + 1
+    r = theta * np.arange(b)
+    q = (b * theta) * np.arange(m // b + 1)
+    small = np.cos(r) + 1j * np.sin(r)
+    big = np.cos(q) + 1j * np.sin(q)
+    return np.multiply.outer(big, small).ravel()[1:m + 1]
 
 
 def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
@@ -372,9 +442,14 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     # per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x} dx) -- no endpoint
     # error.  g is real and nf even, so the modes nu and -nu pair up and
     # those in 1 .. nf/2-1 count twice.
-    mu = dk * np.arange(1, g_hat.size)
-    terms = (g_hat.real[1:] * (np.sin(mu * x_hi) - np.sin(mu * w.a))
-             + g_hat.imag[1:] * (np.cos(mu * x_hi) - np.cos(mu * w.a))) / mu
+    # e^{i nu dk x} at both window ends from _unit_phases' tables
+    m = g_hat.size - 1
+    ends = _unit_phases(dk * x_hi, m)
+    ends -= _unit_phases(dk * w.a, m)
+    terms = g_hat.real[1:] * ends.imag
+    terms += g_hat.imag[1:] * ends.real
+    del ends
+    terms /= dk * np.arange(1, m + 1)
     terms[:-1] *= 2.0
     outside = float(g_hat[0].real * (x_hi - w.a) + np.sum(terms))
 

@@ -10,10 +10,12 @@ from numpy.polynomial import legendre
 from gamow_lab import quadrature
 from gamow_lab.profiles import (
     box_mode,
+    box_overlap,
     custom_samples,
     overlap_panels,
     overlap_transform,
     parse_profile,
+    sine_overlap,
     truncated_gaussian,
 )
 
@@ -177,6 +179,44 @@ class TestOverlapTransform:
             < 1e-15
         assert overlap_transform(p, 2.0 * np.pi) == pytest.approx(
             math.sqrt(0.5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_sine_box_form(self, n):
+        # box_overlap from sin(ka) alone against sine_overlap's two-sine
+        # form and against the closed form in 40 digits, at k_n = n pi / a,
+        # one part in 1e9 either side of it, near k = 0, at ka ~ 3000 and
+        # on the ray e^{-i pi/4} s.  sine_overlap's difference of two
+        # sines cancels near k = 0, at large |k| and on the ray, so it is
+        # held to rounding of its terms' size, sqrt(a/2) cosh(Im ka);
+        # mpmath to 2e-15 relative (measured <= 3.5e-16).
+        a = 1.0
+        p = box_mode(n, a=a)
+        kn = n * math.pi / a
+        ray = np.exp(-0.25j * math.pi)
+        ks = [kn, kn * (1 + 1e-9), kn * (1 - 1e-9), np.nextafter(kn, 0.0),
+              1e-9 / a, 3000.0 / a, 2999.7 / a, ray * 1e-6, ray * 0.3,
+              ray * 5.0, ray * 50.0, ray * 300.0]
+        for k in ks:
+            z = k * a
+            got = overlap_transform(p, k)
+            if np.isrealobj(z):
+                assert got == box_overlap(p, z, np.sin(z))
+            two_sines = math.sqrt(2.0 / a) * complex(sine_overlap(k, kn, a))
+            assert abs(got - two_sines) <= (
+                1e-15 * math.sqrt(a / 2.0) * math.cosh(np.imag(z)))
+            with mpmath.workdps(40):
+                kk, mkn = mpmath.mpmathify(k), n * mpmath.pi / a
+                ref = complex(mpmath.sqrt(2 / mpmath.mpf(a)) * (
+                    mpmath.sin((kk - mkn) * a) / (2 * (kk - mkn))
+                    - mpmath.sin((kk + mkn) * a) / (2 * (kk + mkn))))
+            assert abs(got - ref) <= 2e-15 * abs(ref)
+
+    def test_box_mode_at_its_own_wavenumber(self):
+        # phi_n(n pi / a) = sqrt(a/2) with no branch: z - n pi is formed to
+        # rounding of itself, so it is never 0 at a double z
+        for n, a in ((1, 1.0), (3, 0.7), (7, 2.0)):
+            got = overlap_transform(box_mode(n, a=a), n * math.pi / a)
+            assert got == pytest.approx(math.sqrt(a / 2.0), rel=1e-15)
 
 
 class TestParseProfile:

@@ -1,5 +1,6 @@
 """Shared quadrature rules and spectral sums."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from gamow_lab.profiles import truncated_gaussian
 from gamow_lab.quadrature import (
     _BLOCK_NODES,
     _SPIKE_RATIO,
+    _complex_sin,
     CONTROL_ORDER,
     MAIN_ORDER,
     adaptive_gl,
@@ -258,25 +260,41 @@ def test_nodes_off_one_ray_refused():
         panel_sine_transform(np.ones(x.size), x, [k])
 
 
+def test_complex_sin_from_real_kernels():
+    # sin u cosh v + i cos u sinh v against the libm complex sine, on the
+    # ray and off it, and the real sine bit for bit at v = 0
+    rng = np.random.default_rng(6)
+    z = np.r_[ROT * np.geomspace(1e-6, 300.0, 200),
+              rng.uniform(-50.0, 50.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)]
+    ref = np.array([cmath.sin(v) for v in z])
+    assert np.all(np.abs(_complex_sin(z) - ref) <= 4e-16 * np.abs(ref)
+                  + 4e-16 * np.cosh(z.imag))
+    u = rng.uniform(0.0, 3000.0, 100)
+    assert np.array_equal(_complex_sin(u.astype(complex)).real, np.sin(u))
+
+
 def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
-    # one evolve_direct call: each kernel takes sin and cos on at most
-    # ceil(k_max a / 2) lattice cells plus the dyadic ones near k = 0,
-    # however many phase-budget and spike panels the route builds
+    # one evolve_direct call: each kernel, summed over the direct sum's
+    # chunks, takes sin and cos on at most ceil(k_max a / 2) lattice cells
+    # plus the dyadic ones near k = 0 (a cell split by a chunk boundary
+    # counts twice), however many phase-budget and spike panels the route
+    # builds
     w = WellParameters(lam=81.8)
     t = 0.0548
-    rows = []
+    p = truncated_gaussian(0.5, 0.06)
+    grid = well_grid(w, 33)
+    rows = {}  # kernel (by its points: the profile rule or the grid) -> rows
     blocks = quadrature._cell_blocks
 
     def counted(centres, x, counts):
-        rows.append(0)
         for block in blocks(centres, x, counts):
-            rows[-1] += block[1][0].shape[0]
+            rows[x.size] = rows.get(x.size, 0) + block[1][0].shape[0]
             yield block
 
     monkeypatch.setattr(quadrature, "_cell_blocks", counted)
-    evolve_direct(truncated_gaussian(0.5, 0.06), t, well_grid(w, 33), w)
-    assert len(rows) == 2  # phi at the nodes, psi over them
-    assert max(rows) <= math.ceil(direct_cutoff(w, t) * w.a / 2.0) + 64
+    evolve_direct(p, t, grid, w)
+    assert sorted(rows) == sorted([p.nodes.size, grid.size])
+    assert max(rows.values()) <= math.ceil(direct_cutoff(w, t) * w.a / 2.0) + 64
 
 
 def test_workspace_stays_below_one_dense_block():

@@ -19,10 +19,12 @@ from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.quadrature import MAIN_ORDER, panel_nodes
 from gamow_lab.spectral_evolution import (
     _audit_series,
+    _direct_sum,
     _evolve_direct_raw,
     _kink_tail_t0,
     _spectral_edges,
     _tail_correction,
+    _unit_phases,
     direct_cutoff,
     evolve_direct,
     pole_cutoff,
@@ -197,6 +199,51 @@ class TestPanelSums:
         assert abs(audit["inside"] - inside) < 1e-13
 
 
+class TestDirectChunks:
+    W = WellParameters(26.2)
+
+    @pytest.mark.parametrize("t", [0.0, 0.0186, 0.5])
+    @pytest.mark.parametrize("profile", [box_mode(2),
+                                         truncated_gaussian(0.5, 0.06)],
+                             ids=["box2", "gauss"])
+    def test_chunk_size_leaves_psi(self, monkeypatch, profile, t):
+        # the main and control sums with one panel per chunk and with all
+        # panels in one chunk agree with the default chunks.  One panel
+        # per chunk costs about a millisecond a panel, so that case runs
+        # on the route's first 256 and last 128 panels (the dyadic cells,
+        # the spikes and the top lattice cells), joined by one wide panel
+        w = self.W
+        x, _ = well_rule(w)
+        edges = _spectral_edges(w, t, direct_cutoff(w, t))
+        for chunk, panels in ((1, np.r_[edges[:257], edges[-129:]]),
+                              (edges.size, edges)):
+            default = _direct_sum(profile, t, x, w, panels)
+            monkeypatch.setattr(spectral_evolution, "_CHUNK_PANELS", chunk)
+            got = _direct_sum(profile, t, x, w, panels)
+            monkeypatch.undo()
+            for g, d in zip(got, default):
+                assert np.max(np.abs(g - d)) <= 1e-14 * np.max(np.abs(d))
+
+    def test_peak_memory_flat_in_t(self):
+        # the direct route holds one chunk of nodes at a time: at
+        # t = 0.0186 a^2 (885,584 nodes; 57 MiB when every node was held
+        # at once) its traced peak stays below 8 MiB and within 1 MiB of
+        # the peak at t = 0.3 (measured 4.1 and 3.6 MiB)
+        w = WellParameters(26.2033)
+        x, _ = well_rule(w)
+        peaks = []
+        for t in (0.0186321, 0.3):
+            resonances(w, direct_cutoff(w, t))
+            tracemalloc.start()
+            try:
+                evolve_direct(box_mode(2), t, x, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 8 * 2 ** 20
+        assert abs(peaks[0] - peaks[1]) <= 2 ** 20
+
+
 class TestPoleCutoff:
     @pytest.mark.parametrize("lam", [10.0, 100.0, 250.0])
     def test_dropped_poles_have_decayed(self, lam):
@@ -293,6 +340,21 @@ class TestUnitarity:
         _, c, c_b = _audit_series(box_mode(1), t, W10, dk, n, x_in)
         B = coefficient_B(k, W10)
         assert np.array_equal(c_b, c * B)
+
+    def test_unit_phases_match_exp(self):
+        # the audit's window phases from two tables against e^{i nu theta}
+        # in 30 digits, at the lambda = 100 audit's mode count and a window
+        # end where nu theta reaches 1.2e6: within a few roundings of the
+        # argument nu theta, as one exp per mode is
+        m, theta = 839_808, 0.02868 * 50.0
+        got = _unit_phases(theta, m)
+        nu = np.r_[1:40, np.random.default_rng(4).integers(1, m, 200),
+                   m - 40:m + 1]
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.expj(mpmath.mpf(theta) * int(v)))
+                            for v in nu])
+        assert np.all(np.abs(got[nu - 1] - ref)
+                      <= 8 * 2.0 ** -53 * theta * nu + 1e-15)
 
     def test_exterior_peak_memory(self):
         # lambda = 100, box:1: n = 418,347 midpoints, nf = 1,679,616 (the
