@@ -162,6 +162,14 @@ def cmd_evolve(config: RunConfig) -> int:
     # nothing is written until every snapshot has succeeded
     if config.policy in ("rotated", "both") and np.any(times == 0.0):
         raise ValueError("rotated representation requires t > 0")
+    # one file per snapshot: two times of one name would lose a snapshot
+    names = {}
+    for t in times.tolist():
+        name = f"evolve_t{t:.6g}"
+        if name in names:
+            raise ValueError(f"snapshot times {names[name]!r} and {t!r} "
+                             f"share the file name {name}")
+        names[name] = t
     grid = well_grid(w, 257)
     snapshots = []
     for t in map(float, times):
@@ -173,14 +181,13 @@ def cmd_evolve(config: RunConfig) -> int:
         if config.policy in ("rotated", "both") or (
                 config.policy == "auto" and not early):
             states["rotated"] = evolve_rotated(p, t, grid, w)
-        snapshots.append((t, states))
-    for t, states in snapshots:
+        snapshots.append(states)
+    for name, states in zip(names, snapshots):
         rows = []
         for method, ws in states.items():
             for x, v in zip(ws.x, ws.psi):
                 rows.append([float(x), float(v.real), float(v.imag),
                              float(abs(v) ** 2), method])
-        name = f"evolve_t{t:.6g}"
         path = _emit(config, name,
                      ["x", "re_psi", "im_psi", "abs2_psi", "method"], rows)
         msg = f"wrote {path}"
@@ -254,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=False, times=False, policies=None):
+    def common(sp, profile, times, policies):
         sp.add_argument("--lambda", dest="lam", type=float, required=True,
                         help="dimensionless barrier strength")
         sp.add_argument("--width", type=float, default=1.0,
@@ -276,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="start:stop:points-per-decade (geometric) "
                                  "or comma-separated finite values")
 
-    common(sub.add_parser("poles", help="resonance pole table"))
+    common(sub.add_parser("poles", help="resonance pole table"),
+           profile=False, times=False, policies=None)
     common(sub.add_parser("evolve", help="wavefunction snapshots"),
            profile=True, times=True,
            policies=["direct", "rotated", "both", "auto"])
@@ -284,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
            profile=True, times=True,
            policies=["auto", "direct", "rotated", "asymptotic"])
     common(sub.add_parser("report", help="aggregate regime report"),
-           profile=True)
+           profile=True, times=False, policies=None)
     return ap
 
 

@@ -37,7 +37,7 @@ from .profiles import (
     overlap_transform,
     sine_overlap,
 )
-from .quadrature import CONTROL_ORDER, MAIN_ORDER, _complex_sin, panel_nodes
+from .quadrature import CONTROL_ORDER, MAIN_ORDER, complex_sin, panel_nodes
 from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
 
 _ROT = np.exp(-1j * math.pi / 4.0)
@@ -63,7 +63,7 @@ class Residues:
     def modes(self, x) -> np.ndarray:
         """C_n(x_j) with shape (n_poles, n_x)."""
         return (self.prefactors[:, None]
-                * _complex_sin(np.outer(self.poles.k, x)))
+                * complex_sin(np.outer(self.poles.k, x)))
 
 
 def integrand_f(k, x, p: InitialProfile, w: WellParameters):
@@ -76,7 +76,7 @@ def _integrand(k, phi, x, w: WellParameters):
     """f(k, x) from phi(k), at complex k (any shape) and x."""
     scal = np.asarray(phi * coefficient_A(k, w)
                       * coefficient_A_bar(k, w)) / (2.0 * math.pi)
-    osc = _complex_sin(np.multiply.outer(k, np.asarray(x)))
+    osc = complex_sin(np.multiply.outer(k, np.asarray(x)))
     return scal.reshape(scal.shape + (1,) * np.ndim(x)) * osc
 
 

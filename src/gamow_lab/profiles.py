@@ -19,7 +19,7 @@ import numpy as np
 
 from .quadrature import (
     WELL_ORDER,
-    _complex_sin,
+    complex_sin,
     panel_nodes,
     panel_sine_transform,
 )
@@ -153,13 +153,13 @@ def overlap_transform(p: InitialProfile, k):
     k = np.asarray(k, dtype=float if np.isrealobj(k) else complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    sin = np.sin if np.isrealobj(k) else _complex_sin
+    sin = np.sin if np.isrealobj(k) else complex_sin
     if p.mode is not None:
         z = k * p.a
         out = box_overlap(p, z, sin(z)).astype(complex)
     else:
         # nodes: (m,), k chunked to bound the outer-product workspace (at
-        # complex k, _complex_sin's real factors add half of it again);
+        # complex k, complex_sin's real factors add half of it again);
         # real k takes real sines, with the same sums
         flat = k.ravel()
         out = np.empty(flat.shape, dtype=complex)

@@ -22,7 +22,8 @@ So sin and cos are taken once per cell and point, about k_max max|x| / 2
 cells rather than once per node or per panel, as in the low-rank panels
 of the nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004; Dutt &
 Rokhlin, SIAM J. Sci. Comput. 14, 1993); every product is a real matrix
-product.
+product.  Each call takes its nodes in one pass, so its workspace grows
+with them; a caller with many nodes passes them in chunks.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ _PHASE_BUDGET = 8.0
 _SPIKE_RATIO = 1.35
 #: adaptive_gl: rule order (control at half of it), first panels, rounds
 _ADAPTIVE_ORDER, _ADAPTIVE_PANELS, _ADAPTIVE_DEPTH = 16, 8, 30
-#: nodes per block of the panel sine sums (bounds their workspace)
-_BLOCK_NODES = 32768
 #: how far past its cell's half-width a node may round before it counts as
 #: off one ray (relative; 1.000001^19 / 19! is still below 2^-56)
 _OFF_RAY = 1e-6
@@ -116,11 +115,11 @@ def _expansion(ks, x):
     with dyadic ones alone.  The dyadic cells keep the expansion exact to
     rounding relative to phi near k = 0.
 
-    Returns (centres, counts, sets, X, r): the cell centres in increasing
-    radius, the nodes per cell over all sets, per node set (k, order,
-    starts, cells) -- its flat nodes, the stable permutation that sorts
-    them by cell, the first sorted node of each run of nodes in one cell
-    with the node count appended, and the runs' cells -- and X and r.
+    Returns (centres, sets, X, r): the cell centres in increasing radius,
+    per node set (idx, rows, u, at) -- the stable permutation that sorts
+    its flat nodes by cell, each sorted node's cell, its scaled offset
+    u = (k - K_c) X, and the first sorted node of each run of nodes in one
+    cell -- and X and r.  ValueError on nodes off one ray (|u| past r).
     """
     scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
     h = 2.0 / scale
@@ -133,71 +132,48 @@ def _expansion(ks, x):
     runs = []
     for k in ks:
         floors = _cell_floors(np.abs(k), h)
-        order = np.argsort(floors, kind="stable")
-        floors = floors[order]
-        starts = _run_starts(floors)
-        runs.append((order, floors[starts], starts))
-    floors = np.sort(np.concatenate([f for _, f, _ in runs]))
-    floors = floors[_run_starts(floors)]
-    half = np.where(floors >= h, 0.5 * h, 0.5 * floors)
-    centres = (floors + half) * ray
+        idx = np.argsort(floors, kind="stable")
+        floors = floors[idx]
+        runs.append((idx, floors, _run_starts(floors)))
+    cells = np.sort(np.concatenate([f[at] for _, f, at in runs]))
+    cells = cells[_run_starts(cells)]
+    half = np.where(cells >= h, 0.5 * h, 0.5 * cells)
+    centres = (cells + half) * ray
     reach = float(np.max(half, initial=0.0)) * scale
-    counts = np.zeros(centres.size, dtype=np.int64)
     sets = []
-    for k, (order, f, starts) in zip(ks, runs):
-        cells = np.searchsorted(floors, f)
-        starts = np.append(starts, k.size)
-        counts[cells] += np.diff(starts)
-        sets.append((k, order, starts, cells))
-    return centres, counts, sets, scale, reach
+    for k, (idx, floors, at) in zip(ks, runs):
+        rows = np.repeat(np.searchsorted(cells, floors[at]),
+                         np.diff(np.append(at, k.size)))
+        u = (k[idx] - centres[rows]) * scale
+        if not np.max(np.abs(u), initial=0.0) <= reach * (1.0 + _OFF_RAY):
+            raise ValueError("the sine expansion needs nodes on one ray "
+                             "from 0: real k >= 0, or complex k of one "
+                             "phase")
+        sets.append((idx, rows, u, at))
+    return centres, sets, scale, reach
 
 
-def _block_nodes(node_set, centres, scale, reach, lo, hi):
-    """A node set's nodes (see _expansion) in the cells lo <= c < hi:
-    (idx, rows, u, at) -- their indices into the set, their cells less lo,
-    their scaled offsets u = (k - K_c) X, and the first of each run of
-    them in one cell.  ValueError on nodes off one ray (|u| past reach)."""
-    k, order, starts, cells = node_set
-    ra, rb = np.searchsorted(cells, [lo, hi])
-    idx = order[starts[ra]:starts[rb]]
-    rows = np.repeat(cells[ra:rb] - lo, np.diff(starts[ra:rb + 1]))
-    u = (k[idx] - centres[lo + rows]) * scale
-    if not np.max(np.abs(u), initial=0.0) <= reach * (1.0 + _OFF_RAY):
-        raise ValueError("the sine expansion needs nodes on one ray from 0: "
-                         "real k >= 0, or complex k of one phase")
-    return idx, rows, u, starts[ra:rb] - starts[ra]
-
-
-def _cell_blocks(centres, x, counts):
-    """((lo, hi), sin(K_c x), cos(K_c x)) over blocks of whole cells
-    lo <= c < hi holding at most _BLOCK_NODES nodes (one cell at least),
-    each trig matrix as a tuple of real parts: (value,) at real centres,
-    (re, im) at complex ones.
+def _cell_trig(centres, x):
+    """sin(K_c x) and cos(K_c x) at every cell centre and point, each as a
+    tuple of real parts: (value,) at real centres, (re, im) at complex
+    ones.
 
     Complex centres take sin(u + iv) = sin u cosh v + i cos u sinh v and
     cos(u + iv) = cos u cosh v - i sin u sinh v from real kernels, accurate
     near v = 0 (unlike (e^{iz} - e^{-iz}) / 2i) and clear of numpy's
-    complex sin (see _complex_sin)."""
-    total = np.cumsum(counts)
-    lo = 0
-    while lo < centres.size:
-        done = total[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(total, done + _BLOCK_NODES,
-                                             side="right")))
-        kx = np.multiply.outer(centres[lo:hi], x)
-        if np.isrealobj(kx):
-            yield (lo, hi), (np.sin(kx),), (np.cos(kx),)
-        else:
-            sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
-            cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
-            yield ((lo, hi), (sin_u * cosh_v, cos_u * sinh_v),
-                   (cos_u * cosh_v, -sin_u * sinh_v))
-        lo = hi
+    complex sin (see complex_sin)."""
+    kx = np.multiply.outer(centres, x)
+    if np.isrealobj(kx):
+        return (np.sin(kx),), (np.cos(kx),)
+    sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
+    cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
+    return ((sin_u * cosh_v, cos_u * sinh_v),
+            (cos_u * cosh_v, -sin_u * sinh_v))
 
 
-def _complex_sin(z):
+def complex_sin(z):
     """sin z at complex z from real kernels, sin u cosh v + i cos u sinh v,
-    as _cell_blocks takes it: numpy's complex sin runs up to ten times
+    as _cell_trig takes it: numpy's complex sin runs up to ten times
     slower in a process that has done a complex matrix product.  At v = 0
     it is sin u + 0i, the real sine."""
     z = np.asarray(z, dtype=complex)
@@ -210,7 +186,7 @@ def _complex_sin(z):
 
 
 def _trig_product(trig, pairs):
-    """trig @ z for a trig matrix in _cell_blocks' real parts and z given
+    """trig @ z for a trig matrix in _cell_trig's real parts and z given
     as _real_pairs(z): one real matrix product per part."""
     out = (trig[0] @ pairs).view(complex)
     if len(trig) > 1:
@@ -242,34 +218,30 @@ def panel_sine_sum(cs, ks, x):
     cosines of K_c x are formed once per cell and point and shared by the
     node sets, whose nodes enter through the cell moments
     sum_i c_i delta_i^n (sums over runs of sorted nodes); the sums over
-    cells are matrix products, in blocks of cells.
+    cells are one matrix product per parity of n.
     """
     x = np.asarray(x, dtype=float)
-    centres, counts, sets, scale, reach = _expansion(ks, x)
+    centres, sets, scale, reach = _expansion(ks, x)
     cs = [np.ravel(np.asarray(c, dtype=complex)) for c in cs]
     n = _taylor_terms(reach)
     coeff = _taylor_signs(n)
+    moments = []
+    for c, (idx, rows, u, at) in zip(cs, sets):
+        mom = np.zeros((centres.size, n), dtype=complex)
+        if idx.size:
+            term = c[idx]
+            sums = np.empty((at.size, n), dtype=complex)
+            for j in range(n):
+                sums[:, j] = np.add.reduceat(term, at)
+                term *= u
+            mom[rows[at]] = sums * coeff
+        moments.append(mom)
     # by parity of n: (x.size, node sets, terms), summed over the cells
-    acc = [np.zeros((x.size, len(sets), (n + 1 - p) // 2), dtype=complex)
-           for p in (0, 1)]
-    for (lo, hi), (sin_kx,), (cos_kx,) in _cell_blocks(centres, x, counts):
-        moments = []
-        for c, node_set in zip(cs, sets):
-            idx, rows, u, at = _block_nodes(node_set, centres, scale, reach,
-                                            lo, hi)
-            mom = np.zeros((hi - lo, n), dtype=complex)
-            if idx.size:
-                term = c[idx]
-                sums = np.empty((at.size, n), dtype=complex)
-                for j in range(n):
-                    sums[:, j] = np.add.reduceat(term, at)
-                    term *= u
-                mom[rows[at]] = sums * coeff
-            moments.append(mom)
-        for p, trig in enumerate((sin_kx, cos_kx)):
-            both = np.concatenate([m[:, p::2] for m in moments], axis=1)
-            acc[p] += (trig.T @ _real_pairs(both)).view(complex).reshape(
-                acc[p].shape)
+    acc = []
+    for p, (trig,) in enumerate(_cell_trig(centres, x)):
+        both = np.concatenate([m[:, p::2] for m in moments], axis=1)
+        acc.append((trig.T @ _real_pairs(both)).view(complex).reshape(
+            x.size, len(sets), -1))
     powers = np.power.outer(x / scale, np.arange(n))
     return [np.einsum("mj,mj->m", acc[0][:, r], powers[:, 0::2])
             + np.einsum("mj,mj->m", acc[1][:, r], powers[:, 1::2])
@@ -282,31 +254,29 @@ def panel_sine_transform(coef, x, ks):
     Returns one complex array shaped like each node set.
 
     The expansion of panel_sine_sum, summed the other way: one matrix
-    product per block of cells gives
-    g_n = sum_m coef_m x_m^n sin(K_c x_m + n pi/2) / n!, and each node
-    takes a Horner sum in its offset delta over its cell's g.  The
-    products are real (two per trig matrix at complex centres), never
+    product per trig matrix gives
+    g_n = sum_m coef_m x_m^n sin(K_c x_m + n pi/2) / n! at every cell, and
+    each node takes a Horner sum in its offset delta over its cell's g.
+    The products are real (two per trig matrix at complex centres), never
     complex ones.
     """
     x = np.asarray(x, dtype=float)
-    centres, counts, sets, scale, reach = _expansion(ks, x)
+    centres, sets, scale, reach = _expansion(ks, x)
     n = _taylor_terms(reach)
     scaled = (np.asarray(coef, dtype=complex)[:, None]
               * np.power.outer(x / scale, np.arange(n)) * _taylor_signs(n))
-    halves = [_real_pairs(scaled[:, p::2]) for p in (0, 1)]
-    outs = [np.empty(np.shape(k), dtype=complex) for k in ks]
-    for (lo, hi), sin_kx, cos_kx in _cell_blocks(centres, x, counts):
-        g = np.empty((n, hi - lo), dtype=complex)
-        g[0::2] = _trig_product(sin_kx, halves[0]).T
-        g[1::2] = _trig_product(cos_kx, halves[1]).T
-        for out, node_set in zip(outs, sets):
-            idx, rows, u, _ = _block_nodes(node_set, centres, scale, reach,
-                                           lo, hi)
-            acc = g[n - 1, rows]
-            for j in range(n - 2, -1, -1):
-                acc *= u
-                acc += g[j, rows]
-            out.reshape(-1)[idx] = acc
+    g = np.empty((n, centres.size), dtype=complex)
+    for p, trig in enumerate(_cell_trig(centres, x)):
+        g[p::2] = _trig_product(trig, _real_pairs(scaled[:, p::2])).T
+    outs = []
+    for k, (idx, rows, u, _) in zip(ks, sets):
+        acc = g[n - 1, rows]
+        for j in range(n - 2, -1, -1):
+            acc *= u
+            acc += g[j, rows]
+        out = np.empty(np.shape(k), dtype=complex)
+        out.reshape(-1)[idx] = acc
+        outs.append(out)
     return outs
 
 
@@ -363,11 +333,11 @@ def merge_edges(base: np.ndarray, extra: np.ndarray, lo: float,
 def adaptive_gl(f, a: float, b: float, tol: float):
     """Adaptive panel-splitting Gauss-Legendre quadrature.
 
-    ``f`` maps a node array (n,) to values of shape (n,) or (n, m); the
-    integral is taken along axis 0.  Per-panel error is estimated from the
-    order vs order//2 difference; panels are split until the summed estimate
-    is below ``tol`` (absolute, per output component).  Each round takes
-    every new panel's nodes in one call of ``f`` per order.
+    ``f`` maps a node array (n,) to real or complex values (n,).
+    Per-panel error is estimated from the order vs order//2 difference;
+    panels are split until the summed estimate is below ``tol``
+    (absolute).  Each round takes every new panel's nodes in one call of
+    ``f`` per order.
 
     Returns (value, error_estimate); raises QuadratureNotConverged, with
     the summed estimate of the last evaluated panels, when the rounds run
@@ -380,13 +350,11 @@ def adaptive_gl(f, a: float, b: float, tol: float):
         sums = []
         for order in (_ADAPTIVE_ORDER, _ADAPTIVE_ORDER // 2):
             nodes, weights = _panel_rule(lo, hi - lo, order)
-            vals = np.asarray(f(nodes.ravel()))
-            # per panel: weights (1, order) @ values (order, m)
-            sums.append((weights[:, None, :] @ vals.reshape(
-                lo.size, order, -1))[:, 0].reshape(
-                    (lo.size,) + vals.shape[1:]))
+            vals = np.asarray(f(nodes.ravel())).reshape(lo.size, order, 1)
+            # per panel: weights (1, order) @ values (order, 1)
+            sums.append((weights[:, None, :] @ vals)[:, 0, 0])
         v_hi, v_lo = sums
-        errs = np.abs(v_hi - v_lo).reshape(lo.size, -1).max(axis=1)
+        errs = np.abs(v_hi - v_lo)
         results.extend(zip(lo, hi, v_hi, errs.tolist()))
         results.sort(key=lambda r: -r[3])
         total_err = sum(r[3] for r in results)

@@ -16,8 +16,8 @@ panel_sine_transform, which the main and control rules share; so does the
 interior sum of unitarity_audit, on its flat midpoint rule.
 
 The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
-so the direct sum walks the panels in chunks whose nodes of both rules
-fill one block of the panel sine sum, and adds each chunk's sums into the
+so the direct sum walks the panels in chunks of at most 32,768 nodes of
+both rules, one panel sine sum each, and adds each chunk's sums into the
 result: its memory is flat in t, and only its time grows.  A chunk's
 coefficients take real arithmetic, one sine and cosine of ka per node for
 |A|^2 and a box mode's phi.
@@ -51,7 +51,6 @@ from .profiles import (
     overlap_transform,
 )
 from .quadrature import (
-    _BLOCK_NODES,
     CONTROL_ORDER,
     MAIN_ORDER,
     WELL_ORDER,
@@ -71,9 +70,9 @@ T0_KMAX = 800.0
 
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
-#: panels per chunk of the direct sum: both rules' nodes on them fill at
-#: most one block of the panel sine sums
-_CHUNK_PANELS = _BLOCK_NODES // (MAIN_ORDER + CONTROL_ORDER)
+#: panels per chunk of the direct sum: at most 32,768 nodes of both rules,
+#: which bounds the panel sine kernels' workspace
+_CHUNK_PANELS = 32768 // (MAIN_ORDER + CONTROL_ORDER)
 #: zero padding of unitarity_audit's exterior FFT: any even length
 #: nf >= 4n samples the 4n-1 modes of |psi_out|^2 without aliasing, and
 #: _fft_length takes the smallest with no prime factor above 5
@@ -272,7 +271,7 @@ def _direct_sum(p, t, grid, w, edges):
     by the main and by the control rule.
 
     The panels are walked in chunks of _CHUNK_PANELS, whose nodes of both
-    rules make one block of the panel sine sum; each chunk's sums are added
+    rules make one panel sine sum call; each chunk's sums are added
     into the two results, so no array grows with the node count and the
     memory is flat in t (the node count grows like 1/t).  A chunk's
     coefficients w phi |A|^2 / 2pi e^{-ik^2 t} take real arithmetic: one

@@ -98,6 +98,12 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
      "snapshot times must be >= 0"),
     (["survival", "--lambda", "30", "--profile", "box:1",
       "--times", "-1,1"], "times must be >= 0"),
+    # two snapshots of one file name, evolve_t1 at 6 significant digits
+    (["evolve", "--lambda", "10", "--profile", "box:1", "--times",
+      "1.0000001,1.0000002", "--policy", "direct"],
+     "share the file name evolve_t1"),
+    (["evolve", "--lambda", "10", "--profile", "box:1", "--times", "1,1"],
+     "share the file name evolve_t1"),
     (["survival", "--lambda", "30", "--profile", "gauss:0.5,1e-10",
       "--times", "1,2"], "profile norm"),
     # more than 2**20 poles below the cutoff, 60 a / t on the direct route
@@ -107,6 +113,7 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
 ], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
         "evolve-rotated-t0-last", "evolve-negative-time",
         "evolve-negative-time-spaced", "survival-negative-time-spaced",
+        "evolve-times-share-a-name", "evolve-repeated-time",
         "survival-degenerate-profile",
         "poles-kmax-past-pole-bound", "survival-t-past-pole-bound"])
 def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,

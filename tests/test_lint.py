@@ -90,6 +90,28 @@ def test_no_unread_private_names():
     assert unread_private_names() == []
 
 
+def private_imports(path: Path) -> list[str]:
+    """Private names a module imports from another package module, as
+    'line module.name' (relative imports, or absolute ones of gamow_lab)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (
+                node.level or (node.module or "").split(".")[0]
+                == "gamow_lab"):
+            continue
+        found += [f"{node.lineno} {node.module}.{alias.name}"
+                  for alias in node.names if alias.name.startswith("_")
+                  and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_private_imports_across_modules():
+    # a name another module needs is public in the module that owns it
+    assert [f"{p.name}:{line}" for p in SRC.glob("*.py")
+            for line in private_imports(p)] == []
+
+
 def integration_rule_sources(path: Path) -> list[str]:
     """scipy.integrate imports and leggauss calls, as 'line name'."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -174,9 +196,6 @@ def defaulted_parameters(path: Path) -> set[str]:
 #: every defaulted parameter and settable defaulted dataclass field in the
 #: package; a new knob needs an entry here
 KNOBS = {
-    "cli:_build_parser.common.policies",
-    "cli:_build_parser.common.profile",
-    "cli:_build_parser.common.times",
     "cli:main.argv",
     "decay_analysis:geometric_times.per_decade",
     "decay_analysis:nonescape_curve.policy",

@@ -13,12 +13,11 @@ from gamow_lab.gamow_expansion import _ray_edges
 from gamow_lab.potential_model import WellParameters
 from gamow_lab.profiles import truncated_gaussian
 from gamow_lab.quadrature import (
-    _BLOCK_NODES,
     _SPIKE_RATIO,
-    _complex_sin,
     CONTROL_ORDER,
     MAIN_ORDER,
     adaptive_gl,
+    complex_sin,
     merge_edges,
     panel_nodes,
     panel_sine_sum,
@@ -105,11 +104,11 @@ def profile_rule(a):
 
 def test_panel_sine_sum_matches_one_product_across_blocks():
     rng = np.random.default_rng(7)
-    # 2 * _BLOCK_NODES + 32 nodes on random panels of [0, 300]
-    edges = np.sort(np.r_[0.0, 300.0, rng.uniform(
-        0.0, 300.0, 2 * _BLOCK_NODES // MAIN_ORDER + 1)])
+    # 65,568 nodes on random panels of [0, 300], twice the direct route's
+    # 32,768-node chunk and more, in one call
+    edges = np.sort(np.r_[0.0, 300.0, rng.uniform(0.0, 300.0, 4097)])
     k = gl_nodes(edges, MAIN_ORDER)
-    assert k.size == 2 * _BLOCK_NODES + 32
+    assert k.size == 65_568
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, 1.0, 9)
     psi, = panel_sine_sum([c], [k], x)
@@ -129,13 +128,13 @@ def _midpoint_case():
 
 
 def _block_case():
-    # 2100 panels of 16 and 12 nodes: 58,800 nodes, so blocks of at most
-    # _BLOCK_NODES nodes split the cells
+    # 2100 panels of 16 and 12 nodes: 58,800 nodes, many per cell and
+    # more than the direct route's 32,768-node chunk
     a = 1.0
     rng = np.random.default_rng(3)
     edges = np.cumsum(np.r_[0.0, rng.uniform(0.02, 0.1, 2100)])
     ks = [gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    assert sum(k.size for k in ks) > _BLOCK_NODES
+    assert sum(k.size for k in ks) == 58_800
     return a, ks
 
 
@@ -267,10 +266,10 @@ def test_complex_sin_from_real_kernels():
     z = np.r_[ROT * np.geomspace(1e-6, 300.0, 200),
               rng.uniform(-50.0, 50.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)]
     ref = np.array([cmath.sin(v) for v in z])
-    assert np.all(np.abs(_complex_sin(z) - ref) <= 4e-16 * np.abs(ref)
+    assert np.all(np.abs(complex_sin(z) - ref) <= 4e-16 * np.abs(ref)
                   + 4e-16 * np.cosh(z.imag))
     u = rng.uniform(0.0, 3000.0, 100)
-    assert np.array_equal(_complex_sin(u.astype(complex)).real, np.sin(u))
+    assert np.array_equal(complex_sin(u.astype(complex)).real, np.sin(u))
 
 
 def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
@@ -284,14 +283,14 @@ def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
     p = truncated_gaussian(0.5, 0.06)
     grid = well_grid(w, 33)
     rows = {}  # kernel (by its points: the profile rule or the grid) -> rows
-    blocks = quadrature._cell_blocks
+    cell_trig = quadrature._cell_trig
 
-    def counted(centres, x, counts):
-        for block in blocks(centres, x, counts):
-            rows[x.size] = rows.get(x.size, 0) + block[1][0].shape[0]
-            yield block
+    def counted(centres, x):
+        trig = cell_trig(centres, x)
+        rows[x.size] = rows.get(x.size, 0) + trig[0][0].shape[0]
+        return trig
 
-    monkeypatch.setattr(quadrature, "_cell_blocks", counted)
+    monkeypatch.setattr(quadrature, "_cell_trig", counted)
     evolve_direct(p, t, grid, w)
     assert sorted(rows) == sorted([p.nodes.size, grid.size])
     assert max(rows.values()) <= math.ceil(direct_cutoff(w, t) * w.a / 2.0) + 64
@@ -299,14 +298,14 @@ def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
 
 def test_workspace_stays_below_one_dense_block():
     # 50k nodes on 257 points: the panel sums peak below one dense sine
-    # block of _BLOCK_NODES x 257 doubles
+    # block of 32,768 x 257 doubles
     rng = np.random.default_rng(5)
     edges = np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, 50_000 // MAIN_ORDER)])
     k = gl_nodes(edges, MAIN_ORDER)
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, 1.0, 257)
     coef = random_coefficients(rng, x.shape)
-    bound = _BLOCK_NODES * x.size * 8
+    bound = 32768 * x.size * 8
     for call in (lambda: panel_sine_sum([c], [k], x),
                  lambda: panel_sine_transform(coef, x, [k])):
         tracemalloc.start()
