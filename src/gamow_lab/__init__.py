@@ -13,7 +13,6 @@ from .exceptions import (
     CountMismatch,
     GamowLabError,
     GridTooCoarse,
-    NoConvergence,
     NoCrossing,
     PoleProximity,
     QuadratureNotConverged,

@@ -10,7 +10,7 @@ Exit codes:
   0  success
   1  usage error (bad arguments, profile, time grid or policy, a
      non-finite well or cutoff, or a well outside a command's range)
-  2  pole enumeration failure (CountMismatch, NoConvergence, WrongQuadrant)
+  2  pole enumeration failure (CountMismatch, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
   4  any other numerical failure (a GamowLabError, e.g. NoCrossing)
 """
@@ -31,7 +31,6 @@ from .decay_analysis import geometric_times, nonescape_curve, regime_report
 from .exceptions import (
     CountMismatch,
     GamowLabError,
-    NoConvergence,
     QuadratureNotConverged,
     SeedOutOfRegime,
     WrongQuadrant,
@@ -131,18 +130,20 @@ def _parse_times(spec: str) -> np.ndarray:
 
 
 def cmd_poles(config: RunConfig) -> int:
-    w = WellParameters(lam=config.lam, a=config.a)
-    poles = resonances(w, config.k_max / w.a)
+    # ka and F depend on lam alone: every width lists the a = 1 table
+    a2 = WellParameters(lam=config.lam, a=config.a).a ** 2
+    w = WellParameters(lam=config.lam)
+    poles = resonances(w, config.k_max)
     rows = []
-    for n, (k, E, gamma, tau, residual) in enumerate(zip(
+    for n, (ka, E, gamma, tau, residual) in enumerate(zip(
             poles.k.tolist(), poles.E.tolist(), poles.gamma.tolist(),
             poles.tau.tolist(), poles.residual.tolist()), start=1):
         try:
-            seed_dev = abs(k - asymptotic_pole_seed(n, w)) * w.a
+            seed_dev = abs(ka - asymptotic_pole_seed(n, w))
         except SeedOutOfRegime:
             seed_dev = float("nan")
         rows.append([
-            n, k.real * w.a, k.imag * w.a, E.real, gamma, tau, residual,
+            n, ka.real, ka.imag, E.real / a2, gamma / a2, tau * a2, residual,
             seed_dev, "" if w.metastable else "non-metastable",
         ])
     path = _emit(config, "poles",
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             "report": cmd_report,
         }[config.command]
         return handler(config)
-    except (CountMismatch, NoConvergence, WrongQuadrant) as exc:
+    except (CountMismatch, WrongQuadrant) as exc:
         print(f"pole enumeration failed ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return EXIT_POLE_AUDIT

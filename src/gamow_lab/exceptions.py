@@ -13,10 +13,6 @@ class SeedOutOfRegime(GamowLabError):
     """Asymptotic pole seed requested outside its validity range."""
 
 
-class NoConvergence(GamowLabError):
-    """Newton refinement did not converge within the iteration budget."""
-
-
 class WrongQuadrant(GamowLabError):
     """A refined root violates the decaying-state quadrant constraints."""
 

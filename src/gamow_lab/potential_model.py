@@ -13,6 +13,15 @@ function
     F(k) = k a cos(k a) + (lam - i k a) sin(k a),
 
 which are simultaneously the poles of the scattering coefficients A(k), B(k).
+
+One root per strip: with z = ka, F = 0 reads e^{2iz} = w(z) := 1 - 2iz/lam.
+For Re z > 0, Arg w lies in (-pi, 0) (Im w = -2 Re z/lam), so each such zero
+is a fixed point of g_n(z) = n pi - (i/2) Log w(z) for exactly one n >= 1.
+g_n maps the strip n pi - pi/2 <= Re z <= n pi into itself, with
+|g_n'| = 1/(lam |w|) = 1/|lam - 2iz| <= 1/(2 Re z) <= 1/pi there, so by
+Banach's theorem each strip holds exactly one zero, for every lam > 0, and
+iterating g_n from any start with Re z > 0 reaches it.  It lies below the
+real axis: Im z >= 0 gives |w| > 1 and so Im g_n(z) < 0.
 """
 
 from __future__ import annotations
@@ -24,20 +33,18 @@ import numpy as np
 
 from .exceptions import (
     CountMismatch,
-    NoConvergence,
     PoleProximity,
     SeedOutOfRegime,
     WrongQuadrant,
 )
 
-#: |F| convergence threshold for pole refinement, relative to max(1, |ka|).
-POLE_TOLERANCE = 1e-12
-
 _DENOM_FLOOR = 1e-300
 _SMALL_KA = 1e-8
-#: Newton iterations refine_pole allows
-_NEWTON_ITERATIONS = 50
-#: audit contour: radius of the indent at k = 0, points per rectangle edge
+#: fixed-point steps _contract allows: L <= 1/pi shrinks any start on a
+#: strip below 1e-30 of its width in 64
+_CONTRACTION_STEPS = 64
+#: audit contour: radius of the indent at k = 0 in units of 1/a, points
+#: per rectangle edge
 _AUDIT_INDENT = 1e-6
 _AUDIT_POINTS = 1024
 #: phase-tracking bisection rounds: 52 halvings reach the double-precision
@@ -257,16 +264,6 @@ def quantization_residual(k, w: WellParameters):
     return _like_input(k, ka * np.cos(ka) + (w.lam - 1j * ka) * np.sin(ka))
 
 
-def quantization_derivative(k, w: WellParameters):
-    """dF/dk, used by the Newton refinement."""
-    a = w.a
-    ka = np.asarray(k, dtype=complex) * a
-    return _like_input(k, a * np.cos(ka)
-                       - ka * a * np.sin(ka)
-                       - 1j * a * np.sin(ka)
-                       + (w.lam - 1j * ka) * a * np.cos(ka))
-
-
 def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
     """Closed-form pole seed k_n a ~ n pi lam/(1+lam) - i (n pi / lam)^2.
 
@@ -282,39 +279,44 @@ def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
     return (npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2) / w.a
 
 
-def _newton(k, w: WellParameters):
-    """Safeguarded Newton on F from every seed in k at once: each element
-    halves its own step while |F| fails to decrease, and stops once
-    |F(k)| < POLE_TOLERANCE * max(1, |ka|).  Returns the roots and their
-    |F|; a non-finite iterate never decreases |F|, so it never converges."""
-    k = np.array(k, dtype=complex)
+def _contract(z, npi, lam: float):
+    """Iterate z <- g_n(z), z = ka (module docstring), from every start in
+    z at once, n pi from npi, in real parts: Re g_n = n pi -
+    atan2(2x, lam + 2y)/2, Im g_n = -log1p(4 (y + |z|^2/lam)/lam)/4.  An
+    iterate is within (L |z_{m+1} - z_m| + eps |z|)/(1 - L) of the fixed
+    point, L = 1/|lam - 2iz| at z_{m+1} and eps |z| one rounding of g_n;
+    each element stops once that bound is 2 eps |z|, and L <= 1/pi makes
+    _CONTRACTION_STEPS a cap, not a failure path.  Returns the iterates
+    and their bounds."""
+    x, y = z.real.copy(), z.imag.copy()
+    bound = np.full(x.shape, np.inf)
+    live = np.arange(x.size)
+    eps = np.finfo(float).eps
     with np.errstate(all="ignore"):
-        f = quantization_residual(k, w)
-        for _ in range(_NEWTON_ITERATIONS):
-            tol = POLE_TOLERANCE * np.maximum(1.0, np.abs(k * w.a))
-            live = np.flatnonzero(~(np.abs(f) < tol))
+        for _ in range(_CONTRACTION_STEPS):
+            xl, yl = x[live], y[live]
+            xn = npi[live] - 0.5 * np.arctan2(2.0 * xl, lam + 2.0 * yl)
+            yn = -0.25 * np.log1p(4.0 * (yl + (xl * xl + yl * yl) / lam) / lam)
+            size = np.hypot(xn, yn)
+            lip = 1.0 / np.hypot(lam + 2.0 * yn, 2.0 * xn)
+            b = (lip * np.hypot(xn - xl, yn - yl) + eps * size) / (1.0 - lip)
+            x[live], y[live], bound[live] = xn, yn, b
+            live = live[~(b <= 2.0 * eps * size)]
             if live.size == 0:
-                return k, np.abs(f)
-            step = f[live] / quantization_derivative(k[live], w)
-            for _ in range(60):
-                trial = k[live] - step
-                f_trial = quantization_residual(trial, w)
-                down = np.abs(f_trial) < np.abs(f[live])
-                k[live[down]], f[live[down]] = trial[down], f_trial[down]
-                live, step = live[~down], 0.5 * step[~down]
-                if live.size == 0:
-                    break
-            else:
-                i = live[0]
-                raise NoConvergence(f"stalled at k={k[i]}, |F|={abs(f[i]):.3e}")
-    raise NoConvergence(f"no convergence after {_NEWTON_ITERATIONS} iterations")
+                break
+    return x + 1j * y, bound
 
 
 def refine_pole(seed: complex, w: WellParameters) -> Poles:
-    """Safeguarded Newton iteration on F(k) from one seed wavenumber, the
-    one-seed case of enumerate_poles' refinement, as a one-pole table
-    (so WrongQuadrant unless it lands in -pi/4 < arg k < 0)."""
-    return Poles(*_newton([seed], w))
+    """The root on the seed's strip n = ceil(Re(seed a)/pi), by the
+    contraction from the seed, as a one-pole table; WrongQuadrant for a
+    seed with Re k <= 0, which lies on no strip."""
+    z = np.array([complex(seed) * w.a])
+    if not 0.0 < z.real[0] < math.inf:
+        raise WrongQuadrant(f"seed {seed} lies on no strip: Re k <= 0")
+    npi = math.pi * np.ceil(z.real / math.pi)
+    k = _contract(z, npi, w.lam)[0] / w.a
+    return Poles(k, np.abs(quantization_residual(k, w)))
 
 
 def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
@@ -341,9 +343,9 @@ def _seeded_roots(w: WellParameters, k_max: float):
     k_n a = n pi - arctan(n pi / (lam - i n pi)), n = 1 .. k_max a/pi + 1.
     """
     npi = math.pi * np.arange(1, int(k_max * w.a / math.pi) + 2)
-    k, residual = _newton((npi - np.arctan(npi / (w.lam - 1j * npi))) / w.a, w)
-    keep = k.real < k_max
-    return k[keep], residual[keep]
+    z = _contract(npi - np.arctan(npi / (w.lam - 1j * npi)), npi, w.lam)[0]
+    k = z[z.real / w.a < k_max] / w.a
+    return k, np.abs(quantization_residual(k, w))
 
 
 def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
@@ -363,20 +365,21 @@ def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
 
     im_max = math.log1p(2.0 * k_max * w.a / w.lam) / (2.0 * w.a) + 0.5 / w.a
     # the audit contour runs clockwise around the fourth-quadrant rectangle
-    wind = -_winding_adaptive(_audit_contour(k_max, im_max), w)
+    wind = -_winding_adaptive(_audit_contour(k_max, im_max, w.a), w)
     if wind != len(found):
         raise CountMismatch(f"argument principle counts {wind} poles, "
                             f"found {len(found)}")
     return found
 
 
-def _audit_contour(k_max: float, im_max: float) -> np.ndarray:
-    """Closed rectangle boundary in the fourth quadrant, indented at 0."""
-    n = _AUDIT_POINTS
+def _audit_contour(k_max: float, im_max: float, a: float) -> np.ndarray:
+    """Closed rectangle boundary in the fourth quadrant, indented at 0 by
+    _AUDIT_INDENT / a."""
+    n, r = _AUDIT_POINTS, _AUDIT_INDENT / a
     return np.concatenate([
-        _AUDIT_INDENT * np.exp(1j * np.linspace(-np.pi / 2, 0.0, 64)),
-        np.linspace(_AUDIT_INDENT, k_max, n),
+        r * np.exp(1j * np.linspace(-np.pi / 2, 0.0, 64)),
+        np.linspace(r, k_max, n),
         k_max + 1j * np.linspace(0.0, -im_max, n),
         np.linspace(k_max, 0.0, n) - 1j * im_max,
-        1j * np.linspace(-im_max, -_AUDIT_INDENT, n),
+        1j * np.linspace(-im_max, -r, n),
     ])

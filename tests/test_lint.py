@@ -112,6 +112,27 @@ def test_no_private_imports_across_modules():
             for line in private_imports(p)] == []
 
 
+def unraised_exceptions() -> list[str]:
+    """Classes of exceptions.py, GamowLabError aside, that no raise
+    statement in the package names."""
+    tree = ast.parse((SRC / "exceptions.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)} - {"GamowLabError"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc,
+                                                  ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    return sorted(defined - raised)
+
+
+def test_every_exception_is_raised():
+    # a deleted failure path leaves no exception type behind
+    assert unraised_exceptions() == []
+
+
 def integration_rule_sources(path: Path) -> list[str]:
     """scipy.integrate imports and leggauss calls, as 'line name'."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -215,10 +236,9 @@ def test_knob_census():
 #: entry here
 EXPORTED = {
     # exceptions
-    "CountMismatch", "GamowLabError", "GridTooCoarse", "NoConvergence",
-    "NoCrossing", "PoleProximity", "QuadratureNotConverged",
-    "SeedOutOfRegime", "WindowBeforeCrossover", "WindowTooSmall",
-    "WrongQuadrant",
+    "CountMismatch", "GamowLabError", "GridTooCoarse", "NoCrossing",
+    "PoleProximity", "QuadratureNotConverged", "SeedOutOfRegime",
+    "WindowBeforeCrossover", "WindowTooSmall", "WrongQuadrant",
     # potential_model
     "Poles", "WellParameters", "coefficient_A", "coefficient_A_bar",
     "coefficient_B", "enumerate_poles", "refine_pole",

@@ -12,7 +12,6 @@ from gamow_lab import potential_model
 from gamow_lab.spectral_evolution import resonances
 from gamow_lab.exceptions import (
     CountMismatch,
-    NoConvergence,
     SeedOutOfRegime,
     WrongQuadrant,
 )
@@ -282,6 +281,15 @@ class TestEnumeratePoles:
         # the n-th seed converges to the n-th root
         assert np.all((k.real > (n - 0.5) * math.pi) & (k.real < n * math.pi))
 
+    def test_audit_indent_scales_with_width(self):
+        # at a = 1e7 the poles sit at k ~ 3e-7; an indent of 1e-6 in k
+        # would hold two of them, one of 1e-6/a holds none
+        w = WellParameters(lam=100.0, a=1e7)
+        poles = enumerate_poles(w, 16.0 / w.a)
+        assert len(poles) == 5
+        assert np.allclose(poles.k * w.a, enumerate_poles(W100, 16.0).k,
+                           rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("k_max", [1000.0, 3000.0])
     def test_opaque_barrier_audit(self, k_max):
         # at lam = 1000 the audit's phase tracking needs 17 and 18
@@ -291,17 +299,86 @@ class TestEnumeratePoles:
         assert len(enumerate_poles(w, k_max)) == count
 
     def test_pole_bound_checked_before_refinement(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
         def refine(w, k_max):
-            raise NoConvergence("refinement reached")
+            raise Reached
 
         monkeypatch.setattr(potential_model, "_seeded_roots", refine)
         # the cutoff whose seeds just fit reaches the refinement; the
         # next one is refused before any seed exists
-        with pytest.raises(NoConvergence):
+        with pytest.raises(Reached):
             enumerate_poles(W10, (MAX_POLES - 1) * math.pi)
         for k_max in (MAX_POLES * math.pi, 1e12):
             with pytest.raises(ValueError, match="poles"):
                 enumerate_poles(W10, k_max)
+
+
+#: the strips n pi - pi/2 <= Re ka <= n pi probed against mpmath (from
+#: _seeded_roots: the argument-principle audit fails at 5000 pi)
+STRIPS = [*range(1, 11), 100, 5000]
+
+
+def _mp_root(z, lam):
+    """A root of F(z) = z cos z + (lam - iz) sin z from the start z, at 40
+    digits (Muller's method: the secant diverges from some strip edges at
+    lam = 1000)."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(
+            lambda z: z * mpmath.cos(z) + (lam - 1j * z) * mpmath.sin(z),
+            mpmath.mpc(z), solver="muller")
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0])
+class TestStripContraction:
+    """Each strip n pi - pi/2 <= Re ka <= n pi holds exactly one root of F,
+    the fixed point of g_n (module docstring), and the package finds it."""
+
+    def test_one_root_per_strip(self, lam):
+        # findroot from both sides of each strip's two edges, at the height
+        # of that strip's pole: every root found lies inside a strip, and
+        # the roots found on one strip are one root
+        k = potential_model._seeded_roots(WellParameters(lam),
+                                          STRIPS[-1] * math.pi)[0]
+        roots = {}
+        for n in STRIPS:
+            im = k[n - 1].imag
+            for edge in (n * math.pi - math.pi / 2, n * math.pi):
+                for side in (-1e-3, 1e-3):
+                    r = _mp_root(complex(edge + side, im), lam)
+                    m = int(mpmath.ceil(r.real / mpmath.pi))
+                    assert 0 < m * mpmath.pi - r.real < mpmath.pi / 2
+                    roots.setdefault(m, []).append(r)
+        assert set(STRIPS) <= set(roots)
+        for found in roots.values():
+            assert max(abs(r - found[0]) for r in found) < 1e-30 * abs(
+                found[0])
+
+    def test_pole_is_the_strip_root(self, lam):
+        # the package's pole on each strip is that strip's root to a few
+        # ulp, and _contract's distance bound covers the true error
+        npi = math.pi * np.array(STRIPS, dtype=float)
+        seeds = npi - np.arctan(npi / (lam - 1j * npi))
+        z, bound = potential_model._contract(seeds, npi, lam)
+        k = potential_model._seeded_roots(WellParameters(lam),
+                                          STRIPS[-1] * math.pi)[0]
+        assert np.array_equal(z, k[np.array(STRIPS) - 1])
+        eps = np.finfo(float).eps
+        for zn, b in zip(z.tolist(), bound):
+            err = float(abs(_mp_root(zn, lam) - mpmath.mpc(zn)))
+            assert err <= b <= 2.0 * eps * abs(zn)
+
+    def test_refine_pole_takes_the_seed_strip(self, lam):
+        # any seed with (n - 1) pi < Re ka <= n pi reaches root n
+        w = WellParameters(lam=lam)
+        poles = enumerate_poles(w, 4 * math.pi).k
+        for n, pole in enumerate(poles, start=1):
+            for re in ((n - 1) * math.pi + 1e-9, n * math.pi):
+                k = refine_pole(complex(re, -1.0), w).k[0]
+                assert abs(k - pole) <= 4e-16 * abs(pole)
+        with pytest.raises(WrongQuadrant):
+            refine_pole(0.0 - 0.1j, w)
 
 
 class TestPolesInvariants:
