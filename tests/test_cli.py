@@ -24,11 +24,20 @@ from gamow_lab.cli import (
 )
 from gamow_lab.exceptions import (
     CountMismatch,
+    GamowLabError,
     NoCrossing,
     QuadratureNotConverged,
     WindowTooSmall,
     WrongQuadrant,
 )
+from gamow_lab.potential_model import WellParameters, refine_pole
+
+
+def raised_by(fn, *args):
+    """The GamowLabError that fn(*args) raises."""
+    with pytest.raises(GamowLabError) as info:
+        fn(*args)
+    return info.value
 
 
 def read_csv(path):
@@ -271,6 +280,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc, code", [
         (CountMismatch("x"), EXIT_POLE_AUDIT),
+        # the pole refinement's own failure: a seed on no strip
+        (raised_by(refine_pole, -1.0, WellParameters(10.0)), EXIT_POLE_AUDIT),
         (WrongQuadrant("x"), EXIT_POLE_AUDIT),
         (QuadratureNotConverged("x", estimate=1.0), EXIT_QUADRATURE),
         (NoCrossing("x"), EXIT_NUMERICS),
