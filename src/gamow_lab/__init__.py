@@ -44,7 +44,6 @@ from .spectral_evolution import (
     resonances,
     spectral_tail_mass,
     unitarity_audit,
-    well_grid,
 )
 from .gamow_expansion import (
     Residues,

@@ -6,9 +6,13 @@ decimal separator, LF line endings; JSON in UTF-8 with stable key order.
 Every output embeds the resolved run configuration and package version.
 Files are written atomically (temp file + rename).
 
+Units: the library works in units of the well width a.  This module alone
+knows a = --width: it checks it, divides --times by a^2 (and parse_profile
+a Gaussian's centre and width by a) and scales outputs in _in_width_units.
+
 Exit codes:
   0  success
-  1  usage error (bad arguments, profile, time grid or policy, a
+  1  usage error (bad arguments, profile, time grid, policy or width, a
      non-finite well or cutoff, or a well outside a command's range)
   2  pole enumeration failure (CountMismatch, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
@@ -38,12 +42,7 @@ from .exceptions import (
 from .gamow_expansion import DIRECT_TIME_LIMIT, crossover_time, evolve_rotated
 from .potential_model import WellParameters, asymptotic_pole_seed
 from .profiles import parse_profile
-from .spectral_evolution import (
-    DEFAULT_KMAX,
-    evolve_direct,
-    resonances,
-    well_grid,
-)
+from .spectral_evolution import DEFAULT_KMAX, evolve_direct, resonances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,6 +51,13 @@ EXIT_QUADRATURE = 3
 EXIT_NUMERICS = 4
 
 _FMT = "%.17g"
+#: each output field's power of a, from well-width units to --width's units
+_DIMENSIONS = {"x": 1.0, "re_psi": -0.5, "im_psi": -0.5, "abs2_psi": -1.0,
+               **dict.fromkeys(["re_E", "gamma", "gamma_fit",
+                                "gamma1_exact"], -2.0),
+               **dict.fromkeys(["tau", "tau1", "t_star", "t_star_measured",
+                                "rule_of_thumb", "crossover_estimate",
+                                "exp_window", "tail_window"], 2.0)}
 
 
 @dataclass
@@ -85,13 +91,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(config: RunConfig, header: list[str],
-              rows: list[list]) -> str:
+def _csv_text(config: RunConfig, header: list[str], records: list) -> str:
     lines = [f"# config: {json.dumps(config.as_dict(), sort_keys=True)}"]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            _FMT % v if isinstance(v, float) else str(v) for v in row))
+    for record in records:
+        lines.append(",".join(_FMT % v if isinstance(v, float) else str(v)
+                              for v in record.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -100,16 +105,28 @@ def _json_text(config: RunConfig, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _in_width_units(record: dict, a: float) -> dict:
+    """record with each field of _DIMENSIONS (a fit window by element)
+    taken from units of the well width to --width's units."""
+    out = dict(record)
+    for name in record.keys() & _DIMENSIONS.keys():
+        s, v = a ** _DIMENSIONS[name], record[name]
+        out[name] = [u * s for u in v] if isinstance(v, tuple) else v * s
+    return out
+
+
 def _emit(config: RunConfig, name: str, header: list[str],
           rows: list[list]) -> str:
-    """Write a table under the configured directory in csv or json form."""
+    """Write a table, in --width's units, under the configured directory in
+    csv or json form."""
     os.makedirs(config.out, exist_ok=True)
+    records = [_in_width_units(dict(zip(header, row)), config.a)
+               for row in rows]
     if config.format == "csv":
         path = os.path.join(config.out, name + ".csv")
-        _atomic_write(path, _csv_text(config, header, rows))
+        _atomic_write(path, _csv_text(config, header, records))
     else:
         path = os.path.join(config.out, name + ".json")
-        records = [dict(zip(header, row)) for row in rows]
         _atomic_write(path, _json_text(config, {"rows": records}))
     return path
 
@@ -130,8 +147,6 @@ def _parse_times(spec: str) -> np.ndarray:
 
 
 def cmd_poles(config: RunConfig) -> int:
-    # ka and F depend on lam alone: every width lists the a = 1 table
-    a2 = WellParameters(lam=config.lam, a=config.a).a ** 2
     w = WellParameters(lam=config.lam)
     poles = resonances(w, config.k_max)
     rows = []
@@ -142,10 +157,8 @@ def cmd_poles(config: RunConfig) -> int:
             seed_dev = abs(ka - asymptotic_pole_seed(n, w))
         except SeedOutOfRegime:
             seed_dev = float("nan")
-        rows.append([
-            n, ka.real, ka.imag, E.real / a2, gamma / a2, tau * a2, residual,
-            seed_dev, "" if w.metastable else "non-metastable",
-        ])
+        rows.append([n, ka.real, ka.imag, E.real, gamma, tau, residual,
+                     seed_dev, "" if w.metastable else "non-metastable"])
     path = _emit(config, "poles",
                  ["n", "re_ka", "im_ka", "re_E", "gamma", "tau",
                   "residual", "seed_deviation", "warning"], rows)
@@ -154,8 +167,8 @@ def cmd_poles(config: RunConfig) -> int:
 
 
 def cmd_evolve(config: RunConfig) -> int:
-    w = WellParameters(lam=config.lam, a=config.a)
-    p = parse_profile(config.profile, a=config.a)
+    w = WellParameters(lam=config.lam)
+    p = parse_profile(config.profile, config.a)
     times = _parse_times(config.times)
     if np.any(times < 0.0):
         raise ValueError("snapshot times must be >= 0")
@@ -171,11 +184,11 @@ def cmd_evolve(config: RunConfig) -> int:
             raise ValueError(f"snapshot times {names[name]!r} and {t!r} "
                              f"share the file name {name}")
         names[name] = t
-    grid = well_grid(w, 257)
+    grid = np.linspace(0.0, 1.0, 257)
     snapshots = []
-    for t in map(float, times):
+    for t in map(float, times / config.a ** 2):
         states = {}
-        early = t < DIRECT_TIME_LIMIT * w.a ** 2
+        early = t < DIRECT_TIME_LIMIT
         if config.policy in ("direct", "both") or (
                 config.policy == "auto" and early):
             states["direct"] = evolve_direct(p, t, grid, w)
@@ -194,54 +207,53 @@ def cmd_evolve(config: RunConfig) -> int:
         msg = f"wrote {path}"
         if len(states) == 2:
             sup = float(np.max(np.abs(states["direct"].psi
-                                      - states["rotated"].psi)))
+                                      - states["rotated"].psi))
+                        * config.a ** _DIMENSIONS["re_psi"])
             msg += f" (method discrepancy sup-norm {sup:.3e})"
         print(msg)
     return EXIT_OK
 
 
 def cmd_survival(config: RunConfig) -> int:
-    w = WellParameters(lam=config.lam, a=config.a)
-    p = parse_profile(config.profile, a=config.a)
+    w = WellParameters(lam=config.lam)
+    p = parse_profile(config.profile, config.a)
     times = _parse_times(config.times)
-    curve = nonescape_curve(p, times, w, policy=config.policy)
+    curve = nonescape_curve(p, times / config.a ** 2, w, config.policy)
     rows = [[float(t), float(P), m]
-            for t, P, m in zip(curve.times, curve.P, curve.methods)]
+            for t, P, m in zip(times, curve.P, curve.methods)]
     path = _emit(config, "survival", ["t", "P", "method"], rows)
     print(f"wrote {path}")
 
-    rep = regime_report(p, w)
+    regimes = _in_width_units(regime_report(p, w).as_dict(), config.a)
     report_path = os.path.join(config.out, "survival_report.json")
     _atomic_write(report_path, _json_text(config, {
-        "gamma_fit": rep.gamma_fit,
-        "gamma1_exact": rep.gamma1_exact,
-        "s_fit": rep.s_fit,
-        "t_star_measured": rep.t_star_measured,
-        "crossover_estimate": rep.crossover_estimate,
-    }))
+        name: regimes[name] for name in ("gamma_fit", "gamma1_exact", "s_fit",
+                                         "t_star_measured",
+                                         "crossover_estimate")}))
     print(f"wrote {report_path}")
     return EXIT_OK
 
 
 def cmd_report(config: RunConfig) -> int:
-    w = WellParameters(lam=config.lam, a=config.a)
-    p = parse_profile(config.profile, a=config.a)
-    poles = resonances(w, config.k_max / w.a)
+    w = WellParameters(lam=config.lam)
+    p = parse_profile(config.profile, config.a)
+    poles = resonances(w, config.k_max)
     rep = regime_report(p, w)
-    cross = crossover_time(p, w)
+    reg = _in_width_units(rep.as_dict(), config.a)
     payload = {
-        "poles": [{"n": n, "re_ka": k.real * w.a, "im_ka": k.imag * w.a,
-                   "gamma": gamma, "tau": tau} for n, k, gamma, tau in zip(
-                       range(1, len(poles) + 1), poles.k.tolist(),
-                       poles.gamma.tolist(), poles.tau.tolist())],
-        "regimes": rep.as_dict(),
-        "crossover": cross,
+        "poles": [_in_width_units(
+            {"n": n, "re_ka": k.real, "im_ka": k.imag, "gamma": gamma,
+             "tau": tau}, config.a) for n, k, gamma, tau in zip(
+                 range(1, len(poles) + 1), poles.k.tolist(),
+                 poles.gamma.tolist(), poles.tau.tolist())],
+        "regimes": reg,
+        "crossover": _in_width_units(crossover_time(p, w), config.a),
         "summary": (
-            f"lam={w.lam:g}, a={w.a:g}, profile={p.label}: "
-            f"tau1={rep.tau1:.6g}, Gamma_fit/Gamma1="
+            f"lam={w.lam:g}, a={config.a:g}, profile={p.label}: "
+            f"tau1={reg['tau1']:.6g}, Gamma_fit/Gamma1="
             f"{rep.gamma_fit / rep.gamma1_exact:.6f}, tail exponent "
-            f"{rep.s_fit:.4f}, crossover t*={rep.t_star_measured:.6g} "
-            f"(estimate {rep.crossover_estimate:.6g}), "
+            f"{rep.s_fit:.4f}, crossover t*={reg['t_star_measured']:.6g} "
+            f"(estimate {reg['crossover_estimate']:.6g}), "
             f"log10 P(t*)={rep.log10_P_at_t_star:.2f}"
         ),
     }
@@ -266,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", type=float, required=True,
                         help="dimensionless barrier strength")
         sp.add_argument("--width", type=float, default=1.0,
-                        help="well width a (default 1)")
+                        help="well width a (default 1), in the length unit "
+                             "of every input and output")
         # a command takes either a pole cutoff or a method policy
         if policies is None:
             sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX,
@@ -325,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         k_max=getattr(ns, "kmax", None), policy=getattr(ns, "policy", None),
         out=ns.out, format=ns.format)
     try:
+        if not (config.a > 0.0 and sys.float_info.min <= config.a * config.a
+                <= sys.float_info.max):
+            raise ValueError(f"width a must be > 0 with a^2 a positive "
+                             f"normal double, got {config.a}")
         handler = {
             "poles": cmd_poles,
             "evolve": cmd_evolve,

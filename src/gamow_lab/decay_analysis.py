@@ -1,7 +1,7 @@
 """Nonescape probability curves, flux-based decay rates, and regime fits.
 
 The probability of finding the particle inside the well,
-P(t) = int_0^a |psi(x,t)|^2 dx, passes through three regimes: a flat start
+P(t) = int_0^1 |psi(x,t)|^2 dx, passes through three regimes: a flat start
 (dP/dt = 0 at t = 0), a long quasi-exponential stretch governed by the
 first resonance, and a power-law t^-3 tail once the rotated background
 integral overtakes the last surviving exponential.  This module samples
@@ -100,7 +100,7 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
     """Sample P(t) = sum_j w_j |psi(x_j, t)|^2 (well_rule in x) on the
     given times with the stated method policy.
 
-    ``policy``: 'auto' (direct below t = DIRECT_TIME_LIMIT a^2, rotated
+    ``policy``: 'auto' (direct below t = DIRECT_TIME_LIMIT, rotated
     beyond), 'direct', 'rotated', or 'asymptotic' (closed-form tail
     overlay).  The t = 0 point is always taken from the (normalized)
     profile itself.  Direct times run one evolve_direct each; all rotated
@@ -121,11 +121,11 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
         methods[later] = "asymptotic"
     elif np.any(later):
         if policy == "auto":
-            direct = later & (times < DIRECT_TIME_LIMIT * w.a ** 2)
+            direct = later & (times < DIRECT_TIME_LIMIT)
         else:
             direct = later & (policy == "direct")
         rotated = later & ~direct
-        x, wx = well_rule(w)
+        x, wx = well_rule()
         for i in np.flatnonzero(direct):
             P[i] = wx @ np.abs(evolve_direct(p, times[i], x, w).psi) ** 2
         if np.any(rotated):
@@ -139,19 +139,19 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
                       methods=tuple(methods))
 
 
-def flux_derivative(ws: WaveState, w: WellParameters) -> float:
+def flux_derivative(ws: WaveState) -> float:
     """dP/dt from the probability current at the barrier,
-    dP/dt = -2 Im[psi* d_x psi] at x = a (one-sided interior stencil)."""
+    dP/dt = -2 Im[psi* d_x psi] at x = 1 (one-sided interior stencil)."""
     x, psi = ws.x, ws.psi
-    i_a = int(np.argmin(np.abs(x - w.a)))
-    if abs(x[i_a] - w.a) > 1e-12 * w.a or i_a < 2:
-        raise GridTooCoarse("grid must contain x = a with two interior "
+    i_a = int(np.argmin(np.abs(x - 1.0)))
+    if abs(x[i_a] - 1.0) > 1e-12 or i_a < 2:
+        raise GridTooCoarse("grid must contain x = 1 with two interior "
                             "neighbors")
     h1 = x[i_a] - x[i_a - 1]
     h2 = x[i_a] - x[i_a - 2]
-    if h1 > w.a / 512.0 + 1e-12:
+    if h1 > 1.0 / 512.0 + 1e-12:
         raise GridTooCoarse(
-            f"stencil spacing {h1:.3e} exceeds a/512 = {w.a / 512.0:.3e}")
+            f"stencil spacing {h1:.3e} exceeds 1/512 = {1.0 / 512.0:.3e}")
     # one-sided second-order derivative on a (possibly nonuniform) stencil
     d = (psi[i_a] * (1.0 / h1 + 1.0 / h2)
          - psi[i_a - 1] * h2 / (h1 * (h2 - h1))
@@ -208,7 +208,7 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
     if not w.metastable:
         raise ValueError("regime analysis requires the metastable regime "
                          "(lam >= 10)")
-    poles = resonances(w, DEFAULT_KMAX / w.a)
+    poles = resonances(w, DEFAULT_KMAX)
     tau1, gamma1 = float(poles.tau[0]), float(poles.gamma[0])
     cross = crossover_time(p, w)
     t_star = cross["t_star"]

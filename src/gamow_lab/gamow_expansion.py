@@ -53,7 +53,7 @@ class Residues:
     cutoff, as arrays over the poles.
 
     C_n(x) = prefactors[n] sin(k_n x), and weights[n] = c_n =
-    int_0^a |C_n(x)|^2 dx (raw residue weights, no renormalization).
+    int_0^1 |C_n(x)|^2 dx (raw residue weights, no renormalization).
     """
 
     poles: Poles
@@ -84,27 +84,27 @@ def residue_prefactor(k, p: InitialProfile, w: WellParameters):
     """Pole strength of C(k_n, x) = -2 pi i Res_{k_n} f(k, x) / sin(k_n x),
     at one pole wavenumber or an array of them.
 
-    With A = N/D, N = -2ika and D'(k) = a (1 + lam e^{2ika}), the residue of
+    With A = N/D, N = -2ik and D'(k) = 1 + lam e^{2ik}, the residue of
     f picks up N(k_n)/D'(k_n) in place of A.
     """
     k = np.asarray(k, dtype=complex)
-    N = -2j * k * w.a
-    Dp = w.a * (1.0 + w.lam * np.exp(2j * k * w.a))
+    N = -2j * k
+    Dp = 1.0 + w.lam * np.exp(2j * k)
     out = -1j * overlap_transform(p, k) * coefficient_A_bar(k, w) * N / Dp
     return complex(out) if np.ndim(out) == 0 else out
 
 
 def verify_residue(k: complex, p: InitialProfile, w: WellParameters) -> float:
     """Relative error of the analytic residue at the pole wavenumber k
-    against a small-circle contour integral, both at x = a/2.
+    against a small-circle contour integral, both at x = 1/2.
 
-    Integrates f around k on a circle of radius min(1e-3/a, |Im k|/10)
+    Integrates f around k on a circle of radius min(1e-3, |Im k|/10)
     (trapezoid rule, exponentially convergent) and compares with the
     closed form.
     """
-    x = 0.5 * w.a
+    x = 0.5
     k = complex(k)
-    radius = min(1e-3 / w.a, abs(k.imag) / 10.0)
+    radius = min(1e-3, abs(k.imag) / 10.0)
     theta = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
     ring = k + radius * np.exp(1j * theta)
     dk = 1j * radius * np.exp(1j * theta) * (2.0 * math.pi / _RESIDUE_NODES)
@@ -124,41 +124,40 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     poles = resonances(w, k_max)
     k = poles.k
     prefactors = residue_prefactor(k, p, w)
-    weights = (np.abs(prefactors) ** 2 * sine_overlap(np.conj(k), k, w.a)).real
+    weights = (np.abs(prefactors) ** 2 * sine_overlap(np.conj(k), k)).real
     return Residues(poles=poles, prefactors=prefactors, weights=weights)
 
 
 #: ray panels: the first is [0, _RAY_START / sqrt(t_max)], then each edge
-#: is _RAY_RATIO times the one before, until panels are _RAY_PANEL / a long
+#: is _RAY_RATIO times the one before, until panels are _RAY_PANEL long
 _RAY_START = 0.5
 _RAY_RATIO = 1.5
 _RAY_PANEL = 2.0
 #: f is evaluated on this many ray nodes at a time (bounds the workspace)
 _RAY_BLOCK = 128
-#: below this time (units a^2) the rotated route is dear (the ray rule's
+#: below this time the rotated route is dear (the ray rule's
 #: node count grows like 1/t_min), so shorter times take the direct route
 DIRECT_TIME_LIMIT = 0.02
 #: largest background error estimate accepted (absolute, on psi)
 BACKGROUND_TOLERANCE = 1e-10
 
 
-def _ray_edges(w: WellParameters, t_min: float, t_max: float) -> np.ndarray:
+def _ray_edges(t_min: float, t_max: float) -> np.ndarray:
     """Panel edges in s on the ray k = e^{-i pi/4} s for t in [t_min, t_max].
 
     On the ray exp(-i k^2 t) = exp(-s^2 t).  The first panel is
     [0, 0.5/sqrt(t_max)], on which exp(-s^2 t_max) is a smooth bump; the
-    panels then grow geometrically, at most to 2/a (f varies on the scale
-    1/a), up to where the Gaussian at t_min has beaten the
-    exp(sqrt(2) a s) growth of f by e^-40.
+    panels then grow geometrically, at most to 2 (f varies on the scale
+    1), up to where the Gaussian at t_min has beaten the exp(sqrt(2) s)
+    growth of f by e^-40.
     """
     if not (0.0 < t_min <= t_max < math.inf):
         raise ValueError("need 0 < t_min <= t_max < inf")
-    c = math.sqrt(2.0) * w.a / math.sqrt(t_min)
+    c = math.sqrt(2.0) / math.sqrt(t_min)
     top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
-    widest = _RAY_PANEL / w.a
-    edges = [0.0, min(_RAY_START / math.sqrt(t_max), widest, top)]
+    edges = [0.0, min(_RAY_START / math.sqrt(t_max), _RAY_PANEL, top)]
     while edges[-1] < top:
-        step = min(edges[-1] * (_RAY_RATIO - 1.0), widest)
+        step = min(edges[-1] * (_RAY_RATIO - 1.0), _RAY_PANEL)
         edges.append(min(edges[-1] + step, top))
     return np.asarray(edges)
 
@@ -197,14 +196,14 @@ class RotatedExpansion:
 
     def __init__(self, x, p: InitialProfile, w: WellParameters,
                  t_min: float, t_max: float):
-        if t_min < DIRECT_TIME_LIMIT * w.a ** 2:
+        if t_min < DIRECT_TIME_LIMIT:
             warnings.warn(
                 f"rotated background at t < {DIRECT_TIME_LIMIT:g} a^2: the "
                 "transform grows like exp(k a / sqrt(2)) before the Gaussian "
                 "damping wins, so the quadrature cost rises sharply; prefer "
                 "the direct route here", RuntimeWarning, stacklevel=2)
         x = np.asarray(x, dtype=float).ravel()
-        edges = _ray_edges(w, t_min, t_max)
+        edges = _ray_edges(t_min, t_max)
         self.residues = residue_terms(p, w, pole_cutoff(w, t_min))
         self.energies = self.residues.poles.E
         self.mode_values = self.residues.modes(x)
@@ -287,11 +286,11 @@ def _asym_prefactor(p: InitialProfile, w: WellParameters) -> complex:
 
 
 def nonescape_asymptote(t, p: InitialProfile, w: WellParameters):
-    """Closed-form long-time tail P(t) = |prefactor|^2 a^3 / (3 t^3)."""
+    """Closed-form long-time tail P(t) = |prefactor|^2 / (3 t^3)."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    pref = abs(_asym_prefactor(p, w)) ** 2 * w.a ** 3 / 3.0
+    pref = abs(_asym_prefactor(p, w)) ** 2 / 3.0
     out = pref / t ** 3
     return float(out) if out.ndim == 0 else out
 
@@ -340,7 +339,7 @@ def crossover_time(p: InitialProfile, w: WellParameters) -> dict:
     if not w.metastable:
         raise ValueError("crossover estimate requires the metastable regime "
                          "(lam >= 10)")
-    residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
+    residues = residue_terms(p, w, DEFAULT_KMAX)
     tau1 = float(residues.poles.tau[0])
     c1 = float(residues.weights[0])
     # the tail is K t^-3 with K its value at t = 1
@@ -361,9 +360,9 @@ def gram_matrix(p: InitialProfile, w: WellParameters) -> np.ndarray:
 
     Off-diagonal magnitudes quantify how close the Gamow functions are to
     orthogonal (they are only approximately so)."""
-    residues = residue_terms(p, w, DEFAULT_KMAX / w.a)
+    residues = residue_terms(p, w, DEFAULT_KMAX)
     k, c = residues.poles.k[:GRAM_TERMS], residues.prefactors[:GRAM_TERMS]
     g = (np.conj(c)[:, None] * c[None, :]
-         * sine_overlap(np.conj(k)[:, None], k[None, :], w.a))
+         * sine_overlap(np.conj(k)[:, None], k[None, :]))
     d = np.sqrt(np.real(np.diag(g)))
     return g / np.outer(d, d)

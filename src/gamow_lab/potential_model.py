@@ -5,7 +5,7 @@ dimensionless strength ``lam`` at x = a,
 
     V(x) = (lam / a) * delta(x - a),   V(x < 0) = +inf,
 
-in units hbar = 2m = 1 (so E = k^2 and times carry length^2).
+in units hbar = 2m = a = 1 (so E = k^2, k is in 1/a and t in a^2).
 
 Resonances are the fourth-quadrant zeros k_n of the entire quantization
 function
@@ -43,8 +43,7 @@ _SMALL_KA = 1e-8
 #: fixed-point steps _contract allows: L <= 1/pi shrinks any start on a
 #: strip below 1e-30 of its width in 64
 _CONTRACTION_STEPS = 64
-#: audit contour: radius of the indent at k = 0 in units of 1/a, points
-#: per rectangle edge
+#: audit contour: radius of the indent at k = 0, points per rectangle edge
 _AUDIT_INDENT = 1e-6
 _AUDIT_POINTS = 1024
 #: phase-tracking bisection rounds: 52 halvings reach the double-precision
@@ -56,23 +55,20 @@ MAX_POLES = 1 << 20
 
 @dataclass(frozen=True)
 class WellParameters:
-    """Barrier opacity ``lam`` (dimensionless) and well width ``a``."""
+    """Barrier opacity ``lam``, the one parameter of a well of unit width."""
 
     lam: float
-    a: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.lam < math.inf):
             raise ValueError(f"opacity lam must be finite and > 0, got {self.lam}")
-        if not (0.0 < self.a < math.inf):
-            raise ValueError(f"width a must be finite and > 0, got {self.a}")
 
     @property
     def metastable(self) -> bool:
         """True in the opaque-barrier regime where the asymptotic pole and
         lifetime formulas are meaningful (lam >= 10).
 
-        The leading-order lifetime (lam a)^2 / (4 pi^3) is still off by
+        The leading-order lifetime lam^2 / (4 pi^3) is still off by
         about 4/lam at large lam (4.3% at lam = 100) and by 62% at
         lam = 10.
         """
@@ -140,15 +136,13 @@ def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _denominator(k, w):
-    """D(k) = ka + lam e^{ika} sin(ka); poles of A and B are its zeros."""
-    ka = np.asarray(k) * w.a
-    return ka + w.lam * np.exp(1j * ka) * np.sin(ka)
+    """D(k) = k + lam e^{ik} sin(k); poles of A and B are its zeros."""
+    return k + w.lam * np.exp(1j * k) * np.sin(k)
 
 
 def _denominator_bar(k, w):
     """Reflected-conjugate denominator: conj(D(conj(k)))."""
-    ka = np.asarray(k) * w.a
-    return ka + w.lam * np.exp(-1j * ka) * np.sin(ka)
+    return k + w.lam * np.exp(-1j * k) * np.sin(k)
 
 
 def _like_input(k, out):
@@ -158,90 +152,89 @@ def _like_input(k, out):
     return out
 
 
-def _coefficient(k, ka, num, den, limit, name: str):
-    """num/den with the removable value ``limit`` where |ka| is tiny;
+def _coefficient(k, num, den, limit, name: str):
+    """num/den with the removable value ``limit`` where |k| is tiny;
     raises PoleProximity where den vanishes elsewhere."""
-    small = np.abs(ka) < _SMALL_KA
+    small = np.abs(k) < _SMALL_KA
     if np.any(~small & (np.abs(den) < _DENOM_FLOOR)):
         raise PoleProximity(f"{name} evaluated at a pole of the denominator")
     return _like_input(k, np.where(small, limit,
                                    num / np.where(small, 1.0, den)))
 
 
-def real_trig(k, w: WellParameters):
-    """(ka, sin ka, cos ka) at real k: the one sine and cosine per node that
+def real_trig(k):
+    """(k, sin k, cos k) at real k: the one sine and cosine per node that
     A, B and |A|^2 at real k (and a box mode's phi, see
     profiles.box_overlap) are built from."""
-    ka = np.asarray(k, dtype=float) * w.a
-    return ka, np.sin(ka), np.cos(ka)
+    k = np.asarray(k, dtype=float)
+    return k, np.sin(k), np.cos(k)
 
 
 def _real_denominator(trig, w):
-    """(Re D, Im D, |D|^2) from real_trig's (ka, s, c):
-    D = (ka + lam s c) + i lam s^2."""
-    ka, s, c = trig
-    re = ka + w.lam * s * c
+    """(Re D, Im D, |D|^2) from real_trig's (k, s, c):
+    D = (k + lam s c) + i lam s^2."""
+    k, s, c = trig
+    re = k + w.lam * s * c
     im = w.lam * s * s
     return re, im, re * re + im * im
 
 
 def A_from_trig(trig, w: WellParameters):
-    """A = -2ka (Im D + i Re D) / |D|^2 from real_trig(k, w), with its
+    """A = -2k (Im D + i Re D) / |D|^2 from real_trig(k), with its
     removable value -2i/(1 + lam) at k = 0."""
-    ka = trig[0]
+    k = trig[0]
     re, im, d2 = _real_denominator(trig, w)
-    return _coefficient(ka, ka, -2.0 * ka * (im + 1j * re), d2,
+    return _coefficient(k, -2.0 * k * (im + 1j * re), d2,
                         -2j / (1.0 + w.lam), "A(k)")
 
 
 def B_from_trig(trig, w: WellParameters):
-    """B = -conj(D)^2 / |D|^2 from real_trig(k, w), with its removable
+    """B = -conj(D)^2 / |D|^2 from real_trig(k), with its removable
     value -1 at k = 0."""
-    ka = trig[0]
     re, im, d2 = _real_denominator(trig, w)
-    return _coefficient(ka, ka, (im * im - re * re) + 2j * (re * im), d2,
+    return _coefficient(trig[0], (im * im - re * re) + 2j * (re * im), d2,
                         -1.0 + 0j, "B(k)")
 
 
 def weight_from_trig(trig, w: WellParameters):
-    """|A|^2 = 4 (ka)^2 / |D|^2 from real_trig(k, w), with its removable
+    """|A|^2 = 4 k^2 / |D|^2 from real_trig(k), with its removable
     value 4/(1 + lam)^2 at k = 0: the spectral weight of the continuum
     inside the well."""
-    ka = trig[0]
+    k = trig[0]
     d2 = _real_denominator(trig, w)[2]
-    small = np.abs(ka) < _SMALL_KA
+    small = np.abs(k) < _SMALL_KA
     return np.where(small, 4.0 / (1.0 + w.lam) ** 2,
-                    4.0 * ka * ka / np.where(small, 1.0, d2))
+                    4.0 * k * k / np.where(small, 1.0, d2))
 
 
 def coefficient_A(k, w: WellParameters):
-    """Interior scattering amplitude A(k) = -2ika / (ka + lam e^{ika} sin ka).
+    """Interior scattering amplitude A(k) = -2ik / (k + lam e^{ik} sin k).
 
     Accepts scalar or ndarray ``k`` (real or complex); real k takes real
     arithmetic (A_from_trig).  The k = 0 limit is removable and evaluates
     to -2i/(1 + lam).
     """
     if np.isrealobj(k):
-        return A_from_trig(real_trig(k, w), w)
-    ka = np.asarray(k, dtype=complex) * w.a
-    return _coefficient(k, ka, -2j * ka, _denominator(ka / w.a, w),
+        return A_from_trig(real_trig(k), w)
+    z = np.asarray(k, dtype=complex)
+    return _coefficient(k, -2j * z, _denominator(z, w),
                         -2j / (1.0 + w.lam), "A(k)")
 
 
 def interior_weight(k, w: WellParameters):
     """|A(k)|^2 at real k, in real arithmetic (weight_from_trig)."""
-    return weight_from_trig(real_trig(k, w), w)
+    return weight_from_trig(real_trig(k), w)
 
 
 def coefficient_A_bar(k, w: WellParameters):
     """Analytic continuation of conj(A(k)) off the real axis.
 
-    Abar(k) = +2ika / (ka + lam e^{-ika} sin ka).  Equals conj(A(k)) for real
+    Abar(k) = +2ik / (k + lam e^{-ik} sin k).  Equals conj(A(k)) for real
     k; its poles are the conjugates of the Gamow poles, so it is regular on
     and below the 45-degree rotated contour.
     """
-    ka = np.asarray(k, dtype=complex) * w.a
-    return _coefficient(k, ka, 2j * ka, _denominator_bar(ka / w.a, w),
+    z = np.asarray(k, dtype=complex)
+    return _coefficient(k, 2j * z, _denominator_bar(z, w),
                         2j / (1.0 + w.lam), "Abar(k)")
 
 
@@ -249,23 +242,23 @@ def coefficient_B(k, w: WellParameters):
     """Exterior reflection amplitude B(k) = -Dbar(k)/D(k); |B| = 1 for real
     k, where it takes real arithmetic (B_from_trig)."""
     if np.isrealobj(k):
-        return B_from_trig(real_trig(k, w), w)
-    ka = np.asarray(k, dtype=complex) * w.a
-    return _coefficient(k, ka, -_denominator_bar(ka / w.a, w),
-                        _denominator(ka / w.a, w), -1.0 + 0j, "B(k)")
+        return B_from_trig(real_trig(k), w)
+    z = np.asarray(k, dtype=complex)
+    return _coefficient(k, -_denominator_bar(z, w), _denominator(z, w),
+                        -1.0 + 0j, "B(k)")
 
 
 def quantization_residual(k, w: WellParameters):
-    """Entire quantization function F(k) = ka cos ka + (lam - ika) sin ka.
+    """Entire quantization function F(k) = k cos k + (lam - ik) sin k.
 
-    F(k) = 0 exactly at the poles of A and B, and D(k) = e^{ika} F(k).
+    F(k) = 0 exactly at the poles of A and B, and D(k) = e^{ik} F(k).
     """
-    ka = np.asarray(k, dtype=complex) * w.a
-    return _like_input(k, ka * np.cos(ka) + (w.lam - 1j * ka) * np.sin(ka))
+    z = np.asarray(k, dtype=complex)
+    return _like_input(k, z * np.cos(z) + (w.lam - 1j * z) * np.sin(z))
 
 
 def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
-    """Closed-form pole seed k_n a ~ n pi lam/(1+lam) - i (n pi / lam)^2.
+    """Closed-form pole seed k_n ~ n pi lam/(1+lam) - i (n pi / lam)^2.
 
     Valid for n pi < lam; raises SeedOutOfRegime beyond.
     """
@@ -276,11 +269,11 @@ def asymptotic_pole_seed(n: int, w: WellParameters) -> complex:
         raise SeedOutOfRegime(
             f"seed formula requires n*pi < lam (n={n}, lam={w.lam})"
         )
-    return (npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2) / w.a
+    return npi * w.lam / (1.0 + w.lam) - 1j * (npi / w.lam) ** 2
 
 
 def _contract(z, npi, lam: float):
-    """Iterate z <- g_n(z), z = ka (module docstring), from every start in
+    """Iterate z <- g_n(z), z = k (module docstring), from every start in
     z at once, n pi from npi, in real parts: Re g_n = n pi -
     atan2(2x, lam + 2y)/2, Im g_n = -log1p(4 (y + |z|^2/lam)/lam)/4.  An
     iterate is within (L |z_{m+1} - z_m| + eps |z|)/(1 - L) of the fixed
@@ -308,14 +301,14 @@ def _contract(z, npi, lam: float):
 
 
 def refine_pole(seed: complex, w: WellParameters) -> Poles:
-    """The root on the seed's strip n = ceil(Re(seed a)/pi), by the
+    """The root on the seed's strip n = ceil(Re(seed)/pi), by the
     contraction from the seed, as a one-pole table; WrongQuadrant for a
     seed with Re k <= 0, which lies on no strip."""
-    z = np.array([complex(seed) * w.a])
+    z = np.array([complex(seed)])
     if not 0.0 < z.real[0] < math.inf:
         raise WrongQuadrant(f"seed {seed} lies on no strip: Re k <= 0")
     npi = math.pi * np.ceil(z.real / math.pi)
-    k = _contract(z, npi, w.lam)[0] / w.a
+    k = _contract(z, npi, w.lam)[0]
     return Poles(k, np.abs(quantization_residual(k, w)))
 
 
@@ -339,12 +332,12 @@ def _seeded_roots(w: WellParameters, k_max: float):
     """The roots k of F with Re k < k_max, and their |F|, refined together
     from one closed-form seed per index.
 
-    F(k) = 0 reads ka = n pi - arctan(ka / (lam - ika)), so the seeds are
-    k_n a = n pi - arctan(n pi / (lam - i n pi)), n = 1 .. k_max a/pi + 1.
+    F(k) = 0 reads k = n pi - arctan(k / (lam - ik)), so the seeds are
+    k_n = n pi - arctan(n pi / (lam - i n pi)), n = 1 .. k_max/pi + 1.
     """
-    npi = math.pi * np.arange(1, int(k_max * w.a / math.pi) + 2)
+    npi = math.pi * np.arange(1, int(k_max / math.pi) + 2)
     z = _contract(npi - np.arctan(npi / (w.lam - 1j * npi)), npi, w.lam)[0]
-    k = z[z.real / w.a < k_max] / w.a
+    k = z[z.real < k_max]
     return k, np.abs(quantization_residual(k, w))
 
 
@@ -358,24 +351,24 @@ def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
     """
     if not (0.0 < k_max < math.inf):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
-    if k_max * w.a / math.pi >= MAX_POLES:
-        raise ValueError(f"k_max a = {k_max * w.a:g} needs more than "
+    if k_max / math.pi >= MAX_POLES:
+        raise ValueError(f"k_max a = {k_max:g} needs more than "
                          f"{MAX_POLES} poles")
     found = Poles(*_seeded_roots(w, k_max))
 
-    im_max = math.log1p(2.0 * k_max * w.a / w.lam) / (2.0 * w.a) + 0.5 / w.a
+    im_max = math.log1p(2.0 * k_max / w.lam) / 2.0 + 0.5
     # the audit contour runs clockwise around the fourth-quadrant rectangle
-    wind = -_winding_adaptive(_audit_contour(k_max, im_max, w.a), w)
+    wind = -_winding_adaptive(_audit_contour(k_max, im_max), w)
     if wind != len(found):
         raise CountMismatch(f"argument principle counts {wind} poles, "
                             f"found {len(found)}")
     return found
 
 
-def _audit_contour(k_max: float, im_max: float, a: float) -> np.ndarray:
+def _audit_contour(k_max: float, im_max: float) -> np.ndarray:
     """Closed rectangle boundary in the fourth quadrant, indented at 0 by
-    _AUDIT_INDENT / a."""
-    n, r = _AUDIT_POINTS, _AUDIT_INDENT / a
+    _AUDIT_INDENT."""
+    n, r = _AUDIT_POINTS, _AUDIT_INDENT
     return np.concatenate([
         r * np.exp(1j * np.linspace(-np.pi / 2, 0.0, 64)),
         np.linspace(r, k_max, n),

@@ -38,7 +38,7 @@ from .exceptions import QuadratureNotConverged
 #: Gauss-Legendre orders of a main rule and of its error control on the
 #: same panels (the direct route's k panels and the rotated route's ray)
 MAIN_ORDER, CONTROL_ORDER = 16, 12
-#: Gauss-Legendre order of the x rules on [0, a]: well_rule is one panel
+#: Gauss-Legendre order of the x rules on [0, 1]: well_rule is one panel
 #: of it, a profile's rule eight (see profiles._profile_rule)
 WELL_ORDER = 128
 #: phase advance per panel of phase_budget_edges (radians)

@@ -19,7 +19,7 @@ The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
 so the direct sum walks the panels in chunks of at most 32,768 nodes of
 both rules, one panel sine sum each, and adds each chunk's sums into the
 result: its memory is flat in t, and only its time grows.  A chunk's
-coefficients take real arithmetic, one sine and cosine of ka per node for
+coefficients take real arithmetic, one sine and cosine of k per node for
 |A|^2 and a box mode's phi.
 """
 
@@ -62,7 +62,7 @@ from .quadrature import (
     spike_edges,
 )
 
-#: default spectral cutoff (units of 1/a)
+#: default spectral cutoff
 DEFAULT_KMAX = 40.0
 #: cutoff used for the t = 0 completeness reconstruction, where there is no
 #: phase damping and the profile kink makes the tail decay only like 1/k^2
@@ -77,7 +77,7 @@ _CHUNK_PANELS = 32768 // (MAIN_ORDER + CONTROL_ORDER)
 #: nf >= 4n samples the 4n-1 modes of |psi_out|^2 without aliasing, and
 #: _fft_length takes the smallest with no prime factor above 5
 _FFT_PAD = 4
-#: |phi|^2 (units of a) that a smooth profile's spectrum stays below beyond
+#: |phi|^2 that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
 _PHI_FLOOR = 1e-14
 
@@ -94,21 +94,16 @@ class WaveState:
             raise ValueError("wave function values must be finite")
 
 
-def well_grid(w: WellParameters, n: int) -> np.ndarray:
-    """Equispaced grid on [0, a] with n nodes."""
-    return np.linspace(0.0, w.a, n)
-
-
-def well_rule(w: WellParameters):
-    """The WELL_ORDER-point Gauss-Legendre rule (nodes, weights) on [0, a]
+def well_rule():
+    """The WELL_ORDER-point Gauss-Legendre rule (nodes, weights) on [0, 1]
     that integrates |psi|^2 over the well wherever P is computed (psi is
-    entire on [0, a])."""
-    return panel_nodes(np.array([0.0, w.a]), WELL_ORDER)
+    entire on [0, 1])."""
+    return panel_nodes(np.array([0.0, 1.0]), WELL_ORDER)
 
 
 @lru_cache(maxsize=64)
 def resonances(w: WellParameters, k_max: float) -> Poles:
-    """Memoized pole enumeration (pure function of lam, a, k_max); every
+    """Memoized pole enumeration (pure function of lam and k_max); every
     caller shares the one read-only table."""
     return enumerate_poles(w, k_max)
 
@@ -118,15 +113,15 @@ def pole_cutoff(w: WellParameters, t: float) -> float:
     initial norm by time t; both routes drop them.
 
     A pole at k decays like exp(-2 Re(k) |Im(k)| t).  From
-    e^{2ika} = 1 - 2ika/lam, |Im(k)| ~ ln(1 + (2ka/lam)^2) / (4a): about
-    (ka/lam)^2 / a below ka = lam and ln(2ka/lam) / (2a) above it.  Solve
-    the exponent = 35 for k, with a floor at 40/a.
+    e^{2ik} = 1 - 2ik/lam, |Im(k)| ~ ln(1 + (2k/lam)^2) / 4: about
+    (k/lam)^2 below k = lam and ln(2k/lam) / 2 above it.  Solve the
+    exponent = 35 for k, with a floor at 40.
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    k = DEFAULT_KMAX / w.a
+    k = DEFAULT_KMAX
     for _ in range(60):
-        expo = k * math.log1p((2.0 * k * w.a / w.lam) ** 2) * t / (2.0 * w.a)
+        expo = k * math.log1p((2.0 * k / w.lam) ** 2) * t / 2.0
         if expo >= 35.0:
             break
         k *= 1.3
@@ -143,8 +138,8 @@ def direct_cutoff(w: WellParameters, t: float) -> float:
     for the absence of phase damping.
     """
     if t == 0.0:
-        return T0_KMAX / w.a
-    return max(pole_cutoff(w, abs(t)), 60.0 * w.a / abs(t))
+        return T0_KMAX
+    return max(pole_cutoff(w, abs(t)), 60.0 / abs(t))
 
 
 def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
@@ -152,24 +147,21 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     every resonance spike below the cutoff.  The poles come first, so a
     cutoff past enumerate_poles' bound fails before any panel exists."""
     k = resonances(w, k_max).k
-    base = phase_budget_edges(k_max, abs(t), base_rate=4.0 * w.a)
-    spacing = math.pi * w.lam / (1.0 + w.lam) / w.a
-    extra = spike_edges(k.real, np.maximum(-k.imag, 1e-9 / w.a),
+    base = phase_budget_edges(k_max, abs(t), base_rate=4.0)
+    spacing = math.pi * w.lam / (1.0 + w.lam)
+    extra = spike_edges(k.real, np.maximum(-k.imag, 1e-9),
                         reach=0.45 * spacing)
     return merge_edges(base, extra, 0.0, k_max)
 
 
-def _spectrum(p: InitialProfile, ks, w: WellParameters):
-    """real_trig(k, w) and phi(k) for each real node set k in ks: a box
-    mode's phi reads the same sine (box_overlap) when the profile spans
-    the well; other profiles take one overlap_panels call for all sets."""
-    trigs = [real_trig(k, w) for k in ks]
+def _spectrum(p: InitialProfile, ks):
+    """real_trig(k) and phi(k) for each real node set k in ks: a box
+    mode's phi reads the same sine (box_overlap); other profiles take one
+    overlap_panels call for all sets."""
+    trigs = [real_trig(k) for k in ks]
     if p.mode is None:
-        phis = overlap_panels(p, ks)
-    else:
-        phis = [box_overlap(p, trig[0], trig[1]) if p.a == w.a
-                else overlap_transform(p, k) for trig, k in zip(trigs, ks)]
-    return trigs, phis
+        return trigs, overlap_panels(p, ks)
+    return trigs, [box_overlap(p, k, s) for k, s, _ in trigs]
 
 
 def _chirped(z, k, t):
@@ -188,7 +180,7 @@ def _tail_correction(p: InitialProfile, k_max: float, t: float,
                      grid: np.ndarray, w: WellParameters) -> np.ndarray:
     """Two-term integration-by-parts estimate of the truncated tail
     int_{k_max}^inf f(k, x) exp(-i k^2 t) dk for t != 0."""
-    h = 1e-4 / w.a
+    h = 1e-4
     ks = np.array([k_max, k_max + h, k_max - h])
     g0, g_hi, g_lo = (overlap_transform(p, ks) * interior_weight(ks, w)
                       / (2.0 * math.pi))
@@ -205,8 +197,8 @@ def _kink_tail_t0(p: InitialProfile, k_max: float,
                   grid: np.ndarray) -> np.ndarray:
     """Analytic tail of the t = 0 completeness integral beyond k_max.
 
-    The profile's derivative jump at x = p.a makes phi(k) fall off only
-    like psi'(a-) sin(ka)/k^2; with |A|^2 -> 4 the truncated tail reduces
+    The profile's derivative jump at x = 1 makes phi(k) fall off only
+    like psi'(1-) sin(k)/k^2; with |A|^2 -> 4 the truncated tail reduces
     to cosine integrals, evaluated here in closed form via Si(z).
     """
     from scipy.special import sici
@@ -217,12 +209,12 @@ def _kink_tail_t0(p: InitialProfile, k_max: float,
         return np.cos(k_max * b) / k_max - b * (0.5 * np.pi - si)
 
     return ((2.0 / math.pi) * p.barrier_slope * 0.5
-            * (J(p.a - grid) - J(p.a + grid)))
+            * (J(1.0 - grid) - J(1.0 + grid)))
 
 
 def evolve_direct(p: InitialProfile, t: float, grid,
                   w: WellParameters) -> WaveState:
-    """Evolve the initial profile to time t >= 0 on grid points in [0, a].
+    """Evolve the initial profile to time t >= 0 on grid points in [0, 1].
 
     Raises QuadratureNotConverged (with the achieved estimate) when the
     internal error estimate exceeds 1e-7.
@@ -232,7 +224,7 @@ def evolve_direct(p: InitialProfile, t: float, grid,
     if t < 0.0:
         raise ValueError("t must be >= 0; the time-reversal identity "
                          "psi(x,-t) = conj(psi(x,t)) covers negative times")
-    if t > 50.0 * w.a ** 2:
+    if t > 50.0:
         warnings.warn(
             "direct spectral route at t > 50 a^2: the k-space oscillation "
             "period shrinks like 1/(2kt), so cost grows linearly in t; "
@@ -249,11 +241,11 @@ def evolve_direct(p: InitialProfile, t: float, grid,
 
 def _evolve_direct_raw(p: InitialProfile, t: float, grid: np.ndarray,
                        w: WellParameters):
-    """Real-axis spectral integral on [0, a]; also accepts t < 0 (used by
+    """Real-axis spectral integral on [0, 1]; also accepts t < 0 (used by
     the time-reversal property check).  Returns (psi, error_estimate).
 
     The main and control rules share one set of panels."""
-    if np.any(grid < 0.0) or np.any(grid > w.a * (1.0 + 1e-12)):
+    if np.any(grid < 0.0) or np.any(grid > 1.0 + 1e-12):
         raise ValueError("direct evolution grid must lie in [0, a]")
     k_max = direct_cutoff(w, t)
     edges = _spectral_edges(w, t, k_max)
@@ -275,7 +267,7 @@ def _direct_sum(p, t, grid, w, edges):
     into the two results, so no array grows with the node count and the
     memory is flat in t (the node count grows like 1/t).  A chunk's
     coefficients w phi |A|^2 / 2pi e^{-ik^2 t} take real arithmetic: one
-    sine and cosine of ka per node for |A|^2 and a box mode's phi, and one
+    sine and cosine of k per node for |A|^2 and a box mode's phi, and one
     of k^2 t for the phase.
     """
     psi = [np.zeros(grid.shape, dtype=complex) for _ in range(2)]
@@ -283,7 +275,7 @@ def _direct_sum(p, t, grid, w, edges):
         rules = [panel_nodes(edges[i:i + _CHUNK_PANELS + 1], order)
                  for order in (MAIN_ORDER, CONTROL_ORDER)]
         ks = [k for k, _ in rules]
-        trigs, phis = _spectrum(p, ks, w)
+        trigs, phis = _spectrum(p, ks)
         cs = [_chirped(phi * (weights * weight_from_trig(trig, w)
                               / (2.0 * math.pi)), k, t)
               for (k, weights), trig, phi in zip(rules, trigs, phis)]
@@ -300,7 +292,7 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
 
     time independent.  Numeric quadrature up to k_far = 10 k_max
     (resonance spikes are broad there) plus the analytic remainder from
-    the kink envelope |phi|^2 ~ |psi0'(a-)|^2 sin^2(ka)/k^4, |A|^2 -> 4.
+    the kink envelope |phi|^2 ~ |psi0'(1-)|^2 sin^2(k)/k^4, |A|^2 -> 4.
     """
     k_far = 10.0 * k_max
 
@@ -313,22 +305,22 @@ def spectral_tail_mass(p: InitialProfile, w: WellParameters,
     return float(val) + remainder
 
 
-def audit_cutoff(p: InitialProfile, w: WellParameters) -> float:
-    """unitarity_audit's spectral cutoff: DEFAULT_KMAX / a, raised in steps
-    of DEFAULT_KMAX / a (up to T0_KMAX / a) while |phi|^2 on the next step
-    exceeds _PHI_FLOOR a.
+def audit_cutoff(p: InitialProfile) -> float:
+    """unitarity_audit's spectral cutoff: DEFAULT_KMAX, raised in steps
+    of DEFAULT_KMAX (up to T0_KMAX) while |phi|^2 on the next step
+    exceeds _PHI_FLOOR.
 
     Only a profile with no kink at the barrier is raised: a kink makes
-    |phi|^2 fall like |psi0'(a-)|^2 / k^4, too slowly to reach the floor,
+    |phi|^2 fall like |psi0'(1-)|^2 / k^4, too slowly to reach the floor,
     and spectral_tail_mass carries that tail in closed form instead.
     """
-    step = DEFAULT_KMAX / w.a
-    if abs(p.barrier_slope) ** 2 / step ** 4 >= _PHI_FLOOR * w.a:
+    step = DEFAULT_KMAX
+    if abs(p.barrier_slope) ** 2 / step ** 4 >= _PHI_FLOOR:
         return step
     m = 1
-    while m * step < T0_KMAX / w.a:
+    while m * step < T0_KMAX:
         window = step * np.linspace(m, m + 1, 129)
-        if np.max(np.abs(overlap_transform(p, window)) ** 2) < _PHI_FLOOR * w.a:
+        if np.max(np.abs(overlap_transform(p, window)) ** 2) < _PHI_FLOOR:
             break
         m += 1
     return m * step
@@ -354,13 +346,13 @@ def _audit_series(p: InitialProfile, t: float, w: WellParameters,
     """unitarity_audit's midpoint series at k_j = (j + 1/2) dk, j < n:
     the interior psi on x_in and the exterior coefficients
     c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B, with A, B (and a box
-    mode's phi) from one sine and cosine of ka per midpoint.  A, B and
+    mode's phi) from one sine and cosine of k per midpoint.  A, B and
     their sines die on return, before the exterior FFTs.  B is named so
     that c B is always taken in that order: numpy may reuse a temporary
     right operand and swap the factors, which moves the last bit of a
     complex product."""
     k = (np.arange(n) + 0.5) * dk
-    (trig,), (phi,) = _spectrum(p, [k], w)
+    (trig,), (phi,) = _spectrum(p, [k])
     A = A_from_trig(trig, w)
     c = _chirped(np.conj(A) * (dk / (2.0 * math.pi)) * phi, k, t)
     psi_in, = panel_sine_sum([A * c], [k], x_in)
@@ -396,21 +388,21 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     The step resolves both the narrowest resonance spike (10 points per
     width) and the chirp e^{-ik^2 t} (the wrap length 2pi/dk exceeds 2.2x
     the ballistic range 2 k_max t, so nothing aliases back); the exterior integral stops at the wavefront
-    x_hi = 2.2 k_max t + 50 a, beyond which the signal has no support and
+    x_hi = 2.2 k_max t + 50, beyond which the signal has no support and
     only the periodic image of the x < 0 continuation lives.
 
-    The rule covers k up to audit_cutoff(p, w).  Returns {'inside',
+    The rule covers k up to audit_cutoff(p).  Returns {'inside',
     'outside', 'tail', 'total', 'dk', 'x_hi'}.
     """
     if not (0.0 <= t < math.inf):
         raise ValueError("t must be finite and >= 0")
-    k_max = audit_cutoff(p, w)
+    k_max = audit_cutoff(p)
     dk = float(np.min(-resonances(w, k_max).k.imag)) / 10.0
     if t > 0.0:
         dk = min(dk, math.pi / (2.2 * k_max * t))
     n = int(math.ceil(k_max / dk))
     dk = k_max / n
-    x_in, wx = well_rule(w)
+    x_in, wx = well_rule()
     psi_in, c, c_b = _audit_series(p, t, w, dk, n, x_in)
     inside = float(wx @ np.abs(psi_in) ** 2)
 
@@ -434,23 +426,23 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     g_hat = fft.rfft(g)
     del g
     g_hat /= nf
-    x_hi = 2.2 * k_max * t + 50.0 * w.a
+    x_hi = 2.2 * k_max * t + 50.0
     # d lives on the cyclic indices -n .. n-1, so |fft(d)|^2 has modes
     # |nu| <= 2n-1 < nf/2 (nf >= 4n): its sampled Fourier series is
-    # exact and the window integral over [a, x_hi] is taken in closed form
+    # exact and the window integral over [1, x_hi] is taken in closed form
     # per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x} dx) -- no endpoint
     # error.  g is real and nf even, so the modes nu and -nu pair up and
     # those in 1 .. nf/2-1 count twice.
     # e^{i nu dk x} at both window ends from _unit_phases' tables
     m = g_hat.size - 1
     ends = _unit_phases(dk * x_hi, m)
-    ends -= _unit_phases(dk * w.a, m)
+    ends -= _unit_phases(dk, m)
     terms = g_hat.real[1:] * ends.imag
     terms += g_hat.imag[1:] * ends.real
     del ends
     terms /= dk * np.arange(1, m + 1)
     terms[:-1] *= 2.0
-    outside = float(g_hat[0].real * (x_hi - w.a) + np.sum(terms))
+    outside = float(g_hat[0].real * (x_hi - 1.0) + np.sum(terms))
 
     tail = spectral_tail_mass(p, w, k_max)
     return {

@@ -36,7 +36,6 @@ from gamow_lab.spectral_evolution import (
     evolve_direct,
     resonances,
     unitarity_audit,
-    well_grid,
 )
 
 W10 = WellParameters(lam=10.0)
@@ -67,14 +66,13 @@ def test_criterion_01_pole_reproduction():
 
 
 def gamow_lifetime(k, w):
-    """Gamow's tau = 1/Gamma with Gamma = (v / 2a) T(k), v = 2k.
+    """Gamow's tau = 1/Gamma with Gamma = (v / 2a) T(k), v = 2k, a = 1.
 
-    T(k) = 4(ka)^2 / (4(ka)^2 + lam^2) is the transmission of the free
-    delta barrier (hbar = 2m = 1).
+    T(k) = 4k^2 / (4k^2 + lam^2) is the transmission of the free delta
+    barrier (hbar = 2m = 1).
     """
-    ka = k * w.a
-    transmission = 4.0 * ka ** 2 / (4.0 * ka ** 2 + w.lam ** 2)
-    return w.a / (k * transmission)
+    transmission = 4.0 * k ** 2 / (4.0 * k ** 2 + w.lam ** 2)
+    return 1.0 / (k * transmission)
 
 
 def test_criterion_02_lifetime_formula():
@@ -92,7 +90,7 @@ def test_criterion_02_lifetime_formula():
         tau_g = gamow_lifetime(float(poles.k.real[0]), w)
         rel_g = abs(tau1 - tau_g) / tau_g
         ok = ok and rel_g < tol
-        bare = (w.lam * w.a) ** 2 / (4.0 * math.pi ** 3)
+        bare = w.lam ** 2 / (4.0 * math.pi ** 3)
         rel_bare = abs(tau1 - bare) / bare
         line = (f"lam={w.lam:g}: tau1={tau1:.6g}, tau_G={tau_g:.6g} "
                 f"(a) {rel_g:.2%}")
@@ -128,7 +126,7 @@ def test_criterion_04_representation_equivalence():
     worst = 0.0
     for w in (W10, W100):
         tau = resonances(w, 8.0).tau[0]
-        grid = well_grid(w, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         for frac in (0.05, 0.2, 1.0, 5.0):
             t = frac * tau
             d = evolve_direct(p, t, grid, w)
@@ -160,13 +158,13 @@ def test_criterion_05_exponential_law():
 def test_criterion_06_short_time_flux():
     t0 = time.perf_counter()
     w = W100
-    # the one-sided flux stencil only needs x = a and two close neighbors
-    h = w.a / 1024.0
-    grid = np.array([w.a - 2.0 * h, w.a - h, w.a])
+    # the one-sided flux stencil only needs x = 1 and two close neighbors
+    h = 1.0 / 1024.0
+    grid = np.array([1.0 - 2.0 * h, 1.0 - h, 1.0])
     worst = 0.0
     for p in (box_mode(1), box_mode(2), truncated_gaussian(0.5, 0.08)):
         ws = evolve_direct(p, 0.0, grid, w)
-        worst = max(worst, abs(flux_derivative(ws, w)))
+        worst = max(worst, abs(flux_derivative(ws)))
     # the naive resonance superposition would instead start at rate
     # sum_n c_n Gamma_n > 0 -- report the contrast value
     residues = residue_terms(box_mode(1), w, 16.0)
@@ -184,7 +182,7 @@ def test_criterion_07_long_time_tail():
     slope_ok = abs(rep.s_fit + 3.0) < 0.15
     t_star = crossover_time(p, w)["t_star"]
     t_late = 100.0 * t_star
-    x = 0.5 * w.a
+    x = 0.5
     full = background_integral(x, t_late, p, w)
     asym = asymptotic_background(x, t_late, p, w)
     ratio = abs(full) / abs(asym)
@@ -238,7 +236,7 @@ def test_criterion_10_finite_difference_oracle():
     def psi0(x):
         return p(np.asarray(x))
 
-    x_fd, states = cn_evolve(psi0, w.lam, w.a, checkpoints,
+    x_fd, states = cn_evolve(psi0, w.lam, 1.0, checkpoints,
                              x_max=60.0, cap_start=30.0,
                              dx=1e-3, dt=2.5e-4, barrier_width=2e-3)
     worst = 0.0

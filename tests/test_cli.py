@@ -97,6 +97,17 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     (["poles", "--lambda", "inf"], "opacity"),
     (["poles", "--lambda", "30", "--kmax", "inf"], "k_max"),
     (["poles", "--lambda", "30", "--width", "inf"], "width"),
+    # a^2, the factor of every time and rate, must be a positive normal
+    # double
+    (["poles", "--lambda", "30", "--width", "0"], "width"),
+    (["evolve", "--lambda", "30", "--profile", "box:1", "--times", "1",
+      "--width", "-1"], "width"),
+    (["survival", "--lambda", "30", "--profile", "box:1", "--times", "1,2",
+      "--width", "nan"], "width"),
+    (["report", "--lambda", "30", "--profile", "box:1", "--width", "1e200"],
+     "width"),
+    (["survival", "--lambda", "30", "--profile", "box:1", "--times", "1,2",
+      "--width", "1e-200"], "width"),
     (["evolve", "--lambda", "30", "--profile", "box:1", "--times", "1,0",
       "--policy", "rotated"], "rotated representation requires t > 0"),
     (["evolve", "--lambda", "30", "--profile", "box:1", "--times=-1,1"],
@@ -119,6 +130,8 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     (["survival", "--lambda", "10", "--profile", "box:1",
       "--times", "1e-8,1"], "needs more than"),
 ], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
+        "poles-width-zero", "evolve-width-negative", "survival-width-nan",
+        "report-width-1e200", "survival-width-1e-200",
         "evolve-rotated-t0-last", "evolve-negative-time",
         "evolve-negative-time-spaced", "survival-negative-time-spaced",
         "evolve-times-share-a-name", "evolve-repeated-time",
@@ -136,6 +149,107 @@ def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,
     assert reason in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def written(out):
+    """Every file of a run, snapshots in time order, each a dict: a csv
+    by column (numbers as floats), a json document without its config."""
+    def order(path):
+        snapshot = path.stem.startswith("evolve_t")
+        return snapshot, float(path.stem[8:]) if snapshot else 0.0, path.name
+
+    docs = []
+    for path in sorted(out.iterdir(), key=order):
+        if path.suffix == ".csv":
+            _, header, rows = read_csv(path)
+            docs.append({h: [float(r[i]) if h not in ("method", "warning")
+                             else r[i] for r in rows]
+                         for i, h in enumerate(header)})
+        else:
+            doc = json.loads(path.read_text())
+            del doc["config"]
+            docs.append(doc)
+    return docs
+
+
+def numbers(doc):
+    """Every number in a list or dict of written documents, at any depth."""
+    if isinstance(doc, (dict, list)):
+        for v in (doc.values() if isinstance(doc, dict) else doc):
+            yield from numbers(v)
+    elif isinstance(doc, (int, float)):
+        yield float(doc)
+
+
+#: the power of the width a that each output field carries
+WIDTH_POWERS = {"x": 1, "re_psi": -0.5, "im_psi": -0.5, "abs2_psi": -1,
+                "t": 2, "tau": 2, "tau1": 2, "t_star": 2, "t_star_measured": 2,
+                "rule_of_thumb": 2, "crossover_estimate": 2, "exp_window": 2,
+                "tail_window": 2, "re_E": -2, "gamma": -2, "gamma_fit": -2,
+                "gamma1_exact": -2}
+
+
+def assert_scaled(got, ref, a, key=None):
+    """got is ref with each number of WIDTH_POWERS scaled by a to its
+    power, to 1e-12 relative; other numbers and strings are unchanged."""
+    if isinstance(ref, dict):
+        assert got.keys() == ref.keys()
+        for k in ref:
+            if k != "summary":
+                assert_scaled(got[k], ref[k], a, k)
+    elif isinstance(ref, list):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert_scaled(g, r, a, key)
+    elif isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got == pytest.approx(ref * a ** WIDTH_POWERS.get(key, 0),
+                                    rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("width", [0.5, 2.0])
+@pytest.mark.parametrize("command", ["poles", "evolve", "survival",
+                                     "report"])
+def test_width_scaling(tmp_path, command, width):
+    # the same dimensionless run at widths 1 and a: times a^2, rates
+    # 1/a^2, x a and psi 1/sqrt(a); the Gaussian is gauss:0.5a,0.08a
+    def run(a, profile):
+        argv = {"poles": ["--kmax", "20"],
+                "evolve": ["--times", f"{0.05 * a * a:g},{a * a:g}",
+                           "--policy", "both"],
+                "survival": ["--times", f"{0.05 * a * a:g}:{300 * a * a:g}:2"],
+                "report": []}[command]
+        if command != "poles":
+            argv += ["--profile", profile(a)]
+        out = tmp_path / f"{width}-{a}-{profile(1.0)}"
+        rc = main([command, "--lambda", "30", "--width", f"{a:g}", *argv,
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        return written(out)
+
+    for profile in (lambda a: "box:1",
+                    lambda a: f"gauss:{0.5 * a:g},{0.08 * a:g}"):
+        assert_scaled(run(width, profile), run(1.0, profile), width)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("width", ["1e150", "1e-150"])
+def test_extreme_widths_give_finite_outputs(tmp_path, width):
+    # a^2 = 1e+-300: every time and rate in --width's units stays finite
+    a2 = float(width) ** 2
+    for command, argv in (
+            ("poles", ["--kmax", "16"]),
+            ("evolve", ["--profile", "box:1", "--times", f"{0.3 * a2:g}"]),
+            ("survival", ["--profile", "box:1", "--times",
+                          f"{0.05 * a2:g}:{300 * a2:g}:5"]),
+            ("report", ["--profile", "box:1"])):
+        out = tmp_path / command
+        rc = main([command, "--lambda", "100", "--width", width, *argv,
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert all(math.isfinite(v) for v in numbers(written(out))), command
 
 
 class TestPoles:

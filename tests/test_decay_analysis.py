@@ -29,7 +29,6 @@ from gamow_lab.spectral_evolution import (
     WaveState,
     evolve_direct,
     resonances,
-    well_grid,
 )
 
 W100 = WellParameters(lam=100.0)
@@ -150,15 +149,6 @@ class TestDecayPlan:
         single = [nonescape_curve(p, [times[i]], w).P[0] for i in picks]
         assert np.allclose(curve.P[picks], single, rtol=1e-12, atol=0.0)
 
-    def test_width_scaling(self):
-        # P depends on t / a^2 only: a well twice as wide decays four
-        # times slower
-        times = np.array([0.05, 2.0, 300.0])
-        ref = nonescape_curve(box_mode(1), times, WellParameters(lam=30.0))
-        got = nonescape_curve(box_mode(1, a=2.0), 4.0 * times,
-                              WellParameters(lam=30.0, a=2.0))
-        assert np.allclose(got.P, ref.P, rtol=1e-10, atol=0.0)
-
     def test_direct_only_call_needs_no_rotated_setup(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("rotated set-up on a direct-only call")
@@ -183,40 +173,40 @@ class TestFluxDerivative:
     @pytest.mark.parametrize("p", [box_mode(1), box_mode(2),
                                    truncated_gaussian(0.5, 0.08)])
     def test_vanishes_at_t_zero(self, p):
-        grid = well_grid(W100, 1025)
+        grid = np.linspace(0.0, 1.0, 1025)
         ws = evolve_direct(p, 0.0, grid, W100)
-        assert abs(flux_derivative(ws, W100)) < 1e-8
+        assert abs(flux_derivative(ws)) < 1e-8
 
     def test_matches_exponential_rate(self):
         w = W100
         poles = resonances(w, 4.0)
         t = poles.tau[0]
-        ws = evolve_rotated(box_mode(1), t, well_grid(w, 1025), w)
+        ws = evolve_rotated(box_mode(1), t, np.linspace(0.0, 1.0, 1025), w)
         expect = -poles.gamma[0] * math.exp(-1.0)
-        assert flux_derivative(ws, w) == pytest.approx(expect, rel=0.03)
+        assert flux_derivative(ws) == pytest.approx(expect, rel=0.03)
 
     def test_integrates_back_to_norm_loss(self):
         w = W100
         t1 = tau1(w)
         ts = np.linspace(t1, 2.0 * t1, 9)
-        grid = well_grid(w, 1025)
-        flux = [flux_derivative(evolve_rotated(box_mode(1), t, grid, w),
-                                w) for t in ts]
+        grid = np.linspace(0.0, 1.0, 1025)
+        flux = [flux_derivative(evolve_rotated(box_mode(1), t, grid, w))
+                for t in ts]
         total = float(np.trapezoid(flux, ts))
         curve = nonescape_curve(box_mode(1), np.array([t1, 2.0 * t1]), w)
         dP = curve.P[1] - curve.P[0]
         assert total == pytest.approx(dP, rel=0.01)
 
     def test_zero_state_gives_zero(self):
-        grid = well_grid(W10, 1025)
+        grid = np.linspace(0.0, 1.0, 1025)
         ws = WaveState(x=grid, psi=np.zeros_like(grid, dtype=complex))
-        assert flux_derivative(ws, W10) == 0.0
+        assert flux_derivative(ws) == 0.0
 
     def test_coarse_grid_rejected(self):
-        grid = well_grid(W10, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         ws = evolve_direct(box_mode(1), 0.0, grid, W10)
         with pytest.raises(GridTooCoarse):
-            flux_derivative(ws, W10)
+            flux_derivative(ws)
 
 
 class TestSyntheticFits:

@@ -31,7 +31,6 @@ from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.spectral_evolution import (
     evolve_direct,
     resonances,
-    well_grid,
     well_rule,
 )
 
@@ -125,7 +124,7 @@ class TestBackgroundIntegral:
                                              (math.nan, 1.0)])
     def test_ray_rejects_non_finite_times(self, t_min, t_max):
         with pytest.raises(ValueError):
-            _ray_edges(W10, t_min, t_max)
+            _ray_edges(t_min, t_max)
 
     def test_small_time_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -162,7 +161,7 @@ class TestEvolveRotated:
     def test_matches_direct_representation(self, lam):
         w = WellParameters(lam=lam)
         p = box_mode(1)
-        grid = well_grid(w, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         t = tau1(w)
         d = evolve_direct(p, t, grid, w)
         r = evolve_rotated(p, t, grid, w)
@@ -172,7 +171,7 @@ class TestEvolveRotated:
         # at 5 tau1 the n=1 term alone carries the whole inside norm
         w, p = W100, box_mode(1)
         t = 5.0 * tau1(w)
-        x, wx = well_rule(w)
+        x, wx = well_rule()
         rot = RotatedExpansion(x, p, w, t, t)
         residues = rot.residues
         kn = residues.poles.k[0]
@@ -186,11 +185,11 @@ class TestEvolveRotated:
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError,
                            match=r"^rotated representation requires t > 0$"):
-            evolve_rotated(box_mode(1), 0.0, well_grid(W100, 65), W100)
+            evolve_rotated(box_mode(1), 0.0, np.linspace(0.0, 1.0, 65), W100)
 
     def test_total_is_background_plus_residues(self):
         t = tau1(W10)
-        grid = well_grid(W10, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         rot = RotatedExpansion(grid, box_mode(1), W10, t, t)
         rebuilt = rot.background(t)[0][0] + rot.residue_sum(t)[0]
         ws = evolve_rotated(box_mode(1), t, grid, W10)
@@ -200,7 +199,7 @@ class TestEvolveRotated:
         # the pole sum reaches |k_n^2 t| ~ 4e3 here; against phases and a
         # sum in extended precision, psi keeps to the rounding of its terms
         w, t = W100, 1.0
-        grid = well_grid(w, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         rot = RotatedExpansion(grid, box_mode(3), w, t, t)
         k = rot.residues.poles.k.astype(np.clongdouble)
         phase = np.exp(-1j * (k * k) * np.longdouble(t))
@@ -239,7 +238,7 @@ class TestAsymptotics:
     def test_nonescape_matches_full_curve(self):
         p = box_mode(1)
         t = 2000.0
-        x, wx = well_rule(W10)
+        x, wx = well_rule()
         P_full = float(wx @ np.abs(evolve_rotated(p, t, x, W10).psi) ** 2)
         assert nonescape_asymptote(t, p, W10) == pytest.approx(P_full, rel=0.25)
 
@@ -338,11 +337,3 @@ class TestCrossover:
     def test_requires_metastable(self):
         with pytest.raises(ValueError):
             crossover_time(box_mode(1), WellParameters(lam=2.0))
-
-    def test_width_scaling(self):
-        # times scale with a^2; the pole cutoff is in units of 1/a, so a
-        # narrow well still has its first pole
-        ref = crossover_time(box_mode(1), W30)
-        got = crossover_time(box_mode(1, a=0.05), WellParameters(30.0, 0.05))
-        assert got["t_star"] == pytest.approx(0.05 ** 2 * ref["t_star"],
-                                              rel=1e-10)

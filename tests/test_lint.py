@@ -220,16 +220,27 @@ KNOBS = {
     "cli:main.argv",
     "decay_analysis:geometric_times.per_decade",
     "decay_analysis:nonescape_curve.policy",
-    "potential_model:WellParameters.a",
-    "profiles:box_mode.a",
     "profiles:parse_profile.a",
-    "profiles:truncated_gaussian.a",
 }
 
 
 def test_knob_census():
     found = set().union(*(defaulted_parameters(p) for p in MODULES))
     assert found == KNOBS
+
+
+def width_reads(path: Path) -> list[str]:
+    """Reads of an attribute named ``a`` (the well width), as 'line'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [str(node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "a"]
+
+
+def test_width_read_only_by_cli():
+    # the library works in units of the well width; only the CLI scales
+    # its inputs and outputs by --width
+    assert {p.name: width_reads(p) for p in SRC.glob("*.py")
+            if p.name != "cli.py" and width_reads(p)} == {}
 
 
 #: every name gamow_lab/__init__.py re-exports; a new export needs an
@@ -247,7 +258,7 @@ EXPORTED = {
     "parse_profile", "truncated_gaussian",
     # spectral_evolution
     "WaveState", "evolve_direct", "resonances", "spectral_tail_mass",
-    "unitarity_audit", "well_grid",
+    "unitarity_audit",
     # gamow_expansion
     "Residues", "RotatedExpansion", "asymptotic_background",
     "background_integral", "crossover_time", "evolve_rotated",
@@ -292,11 +303,12 @@ def test_job_paths_leave_out_scipy_and_numpy_ma():
     # direct route (merged panel edges) and the audit (its FFTs)
     code = """
 import gamow_lab.cli
+import numpy as np
 from gamow_lab import (WellParameters, evolve_direct, parse_profile,
-                       regime_report, unitarity_audit, well_grid)
+                       regime_report, unitarity_audit)
 w, p = WellParameters(10.0), parse_profile("box:1")
 regime_report(p, w)
-evolve_direct(p, 0.05, well_grid(w, 65), w)
+evolve_direct(p, 0.05, np.linspace(0.0, 1.0, 65), w)
 unitarity_audit(p, 1.0, w)
 """
     assert heavy_modules_after(code) == "[]"

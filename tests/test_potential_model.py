@@ -33,12 +33,12 @@ W100 = WellParameters(lam=100.0)
 W10 = WellParameters(lam=10.0)
 
 
-def mp_A(k, lam, a=1.0):
+def mp_A(k, lam):
     """Arbitrary-precision evaluation of A(k), the independent oracle."""
     with mpmath.workdps(50):
         k = mpmath.mpc(k)
-        den = k * a + lam * mpmath.exp(1j * k * a) * mpmath.sin(k * a)
-        return complex(-2j * k * a / den)
+        den = k + lam * mpmath.exp(1j * k) * mpmath.sin(k)
+        return complex(-2j * k / den)
 
 
 class TestWellParameters:
@@ -46,7 +46,7 @@ class TestWellParameters:
         with pytest.raises(ValueError):
             WellParameters(lam=-1.0)
         with pytest.raises(ValueError):
-            WellParameters(lam=10.0, a=0.0)
+            WellParameters(lam=0.0)
 
     def test_metastable_predicate(self):
         assert W100.metastable
@@ -252,16 +252,16 @@ class TestEnumeratePoles:
         assert np.all(spacings > 2.0)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
-    @pytest.mark.parametrize("a", [1.0, 2.0])
-    def test_weak_barrier_poles_audited(self, lam, a):
+    @pytest.mark.parametrize("reach", [1.0, 2.0])
+    def test_weak_barrier_poles_audited(self, lam, reach):
         # a thin barrier's poles sit far below the real axis; each closed-form
-        # seed still finds its own root, and the audit agrees with the count
-        w = WellParameters(lam=lam, a=a)
-        poles = enumerate_poles(w, 40.0 / a)
-        assert len(poles) == 12
+        # seed still finds its own root, and the audit agrees with the count,
+        # at the cutoff 40 and twice it
+        poles = enumerate_poles(WellParameters(lam=lam), 40.0 * reach)
+        assert len(poles) == {1.0: 12, 2.0: 25}[reach]
         for k, residual in zip(poles.k, poles.residual):
             assert -math.pi / 4 < cmath.phase(k) < 0
-            assert residual < 1e-12 * max(1.0, abs(k * a))
+            assert residual < 1e-12 * max(1.0, abs(k))
 
     def test_steep_first_root_rejected(self):
         # at lam = 0.1 the first root lies below arg k = -pi/4
@@ -280,15 +280,6 @@ class TestEnumeratePoles:
         assert np.all(residual < 1e-12 * np.maximum(1.0, np.abs(k)))
         # the n-th seed converges to the n-th root
         assert np.all((k.real > (n - 0.5) * math.pi) & (k.real < n * math.pi))
-
-    def test_audit_indent_scales_with_width(self):
-        # at a = 1e7 the poles sit at k ~ 3e-7; an indent of 1e-6 in k
-        # would hold two of them, one of 1e-6/a holds none
-        w = WellParameters(lam=100.0, a=1e7)
-        poles = enumerate_poles(w, 16.0 / w.a)
-        assert len(poles) == 5
-        assert np.allclose(poles.k * w.a, enumerate_poles(W100, 16.0).k,
-                           rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("k_max", [1000.0, 3000.0])
     def test_opaque_barrier_audit(self, k_max):

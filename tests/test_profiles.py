@@ -20,14 +20,14 @@ from gamow_lab.profiles import (
 )
 
 
-def mp_overlap_box(n, k, a=1.0):
+def mp_overlap_box(n, k):
     """Arbitrary-precision sine transform of the n-th closed-box mode."""
     with mpmath.workdps(40):
         k = mpmath.mpc(k)
-        amp = mpmath.sqrt(2.0 / a)
+        amp = mpmath.sqrt(2.0)
         val = mpmath.quad(
-            lambda x: amp * mpmath.sin(n * mpmath.pi * x / a) * mpmath.sin(k * x),
-            [0, a])
+            lambda x: amp * mpmath.sin(n * mpmath.pi * x) * mpmath.sin(k * x),
+            [0, 1])
         return complex(val)
 
 
@@ -78,11 +78,14 @@ class TestConstruction:
         assert np.trapezoid(np.abs(p(xs)) ** 2, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_custom_samples_width_is_last_sample(self):
+        # the last sample is the barrier, x = 1 in units of the well width
         x = np.linspace(0.0, 2.0, 101)
-        p = custom_samples(x, np.sin(np.pi * x / 2.0))
-        # the rule spans [0, 2]: int_0^2 sin(pi x / 2) x dx = 4 / pi
-        assert p.a == 2.0
-        assert p.first_moment() == pytest.approx(4.0 / math.pi, rel=1e-6)
+        with pytest.raises(ValueError, match="span the well"):
+            custom_samples(x, np.sin(np.pi * x / 2.0))
+        p = custom_samples(x / 2.0, np.sin(np.pi * x / 2.0))
+        # int_0^2 sin(pi x / 2) x dx = 4 / pi is a^(3/2) phi'(0) at a = 2
+        assert 2.0 ** 1.5 * p.first_moment() == pytest.approx(4.0 / math.pi,
+                                                               rel=1e-6)
 
     @pytest.mark.parametrize("make", [
         lambda: custom_samples(np.linspace(0.0, 1.0, 11), np.zeros(11)),
@@ -96,10 +99,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_barrier_slope(self, n):
-        # psi0'(a-) = sqrt(2/a) (n pi / a) cos(n pi) for the box modes
-        a = 1.5
-        p = box_mode(n, a=a)
-        exact = math.sqrt(2.0 / a) * n * math.pi / a * (-1.0) ** n
+        # psi0'(1-) = sqrt(2) n pi cos(n pi) for the box modes
+        p = box_mode(n)
+        exact = math.sqrt(2.0) * n * math.pi * (-1.0) ** n
         assert p.barrier_slope == pytest.approx(exact, rel=1e-8)
 
     def test_first_moment_closed_form(self):
@@ -182,41 +184,39 @@ class TestOverlapTransform:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_sine_box_form(self, n):
-        # box_overlap from sin(ka) alone against sine_overlap's two-sine
-        # form and against the closed form in 40 digits, at k_n = n pi / a,
-        # one part in 1e9 either side of it, near k = 0, at ka ~ 3000 and
+        # box_overlap from sin(k) alone against sine_overlap's two-sine
+        # form and against the closed form in 40 digits, at k_n = n pi,
+        # one part in 1e9 either side of it, near k = 0, at k ~ 3000 and
         # on the ray e^{-i pi/4} s.  sine_overlap's difference of two
         # sines cancels near k = 0, at large |k| and on the ray, so it is
-        # held to rounding of its terms' size, sqrt(a/2) cosh(Im ka);
+        # held to rounding of its terms' size, sqrt(1/2) cosh(Im k);
         # mpmath to 2e-15 relative (measured <= 3.5e-16).
-        a = 1.0
-        p = box_mode(n, a=a)
-        kn = n * math.pi / a
+        p = box_mode(n)
+        kn = n * math.pi
         ray = np.exp(-0.25j * math.pi)
         ks = [kn, kn * (1 + 1e-9), kn * (1 - 1e-9), np.nextafter(kn, 0.0),
-              1e-9 / a, 3000.0 / a, 2999.7 / a, ray * 1e-6, ray * 0.3,
+              1e-9, 3000.0, 2999.7, ray * 1e-6, ray * 0.3,
               ray * 5.0, ray * 50.0, ray * 300.0]
         for k in ks:
-            z = k * a
             got = overlap_transform(p, k)
-            if np.isrealobj(z):
-                assert got == box_overlap(p, z, np.sin(z))
-            two_sines = math.sqrt(2.0 / a) * complex(sine_overlap(k, kn, a))
+            if np.isrealobj(k):
+                assert got == box_overlap(p, k, np.sin(k))
+            two_sines = math.sqrt(2.0) * complex(sine_overlap(k, kn))
             assert abs(got - two_sines) <= (
-                1e-15 * math.sqrt(a / 2.0) * math.cosh(np.imag(z)))
+                1e-15 * math.sqrt(0.5) * math.cosh(np.imag(k)))
             with mpmath.workdps(40):
-                kk, mkn = mpmath.mpmathify(k), n * mpmath.pi / a
-                ref = complex(mpmath.sqrt(2 / mpmath.mpf(a)) * (
-                    mpmath.sin((kk - mkn) * a) / (2 * (kk - mkn))
-                    - mpmath.sin((kk + mkn) * a) / (2 * (kk + mkn))))
+                kk, mkn = mpmath.mpmathify(k), n * mpmath.pi
+                ref = complex(mpmath.sqrt(2) * (
+                    mpmath.sin(kk - mkn) / (2 * (kk - mkn))
+                    - mpmath.sin(kk + mkn) / (2 * (kk + mkn))))
             assert abs(got - ref) <= 2e-15 * abs(ref)
 
     def test_box_mode_at_its_own_wavenumber(self):
-        # phi_n(n pi / a) = sqrt(a/2) with no branch: z - n pi is formed to
+        # phi_n(n pi) = sqrt(1/2) with no branch: z - n pi is formed to
         # rounding of itself, so it is never 0 at a double z
-        for n, a in ((1, 1.0), (3, 0.7), (7, 2.0)):
-            got = overlap_transform(box_mode(n, a=a), n * math.pi / a)
-            assert got == pytest.approx(math.sqrt(a / 2.0), rel=1e-15)
+        for n in (1, 3, 7):
+            got = overlap_transform(box_mode(n), n * math.pi)
+            assert got == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
 class TestParseProfile:
@@ -227,6 +227,13 @@ class TestParseProfile:
     def test_gauss(self):
         p = parse_profile("gauss:0.5,0.08")
         assert p.mode is None
+
+    def test_gauss_in_units_of_the_width(self):
+        # centre and width are divided by a; the label keeps the spec's
+        p = parse_profile("gauss:1,0.16", 2.0)
+        q = truncated_gaussian(0.5, 0.08)
+        assert p.label == "gauss:1,0.16"
+        assert np.array_equal(p.coef, q.coef)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

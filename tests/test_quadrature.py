@@ -24,7 +24,7 @@ from gamow_lab.quadrature import (
     panel_sine_transform,
     spike_edges,
 )
-from gamow_lab.spectral_evolution import direct_cutoff, evolve_direct, well_grid
+from gamow_lab.spectral_evolution import direct_cutoff, evolve_direct
 
 
 #: the rotated route's ray direction, k = ROT s
@@ -227,10 +227,10 @@ def test_transform_near_zero_is_relatively_exact():
 def test_panel_sine_transform_on_the_ray(lam, t_min):
     # the rotated route's complex nodes e^{-i pi/4} s, both rules;
     # |sin(k x)| grows like e^{s x / sqrt 2}, so the bar is set on the
-    # largest sum_m |coef_m sin(k x_m)|
-    w = WellParameters(lam=lam)
+    # largest sum_m |coef_m sin(k x_m)|.  The ray rule does not depend on
+    # lam, so both lam ids run the same nodes.
     p = truncated_gaussian(0.5672, 0.0565)
-    edges = _ray_edges(w, t_min, 1e3)
+    edges = _ray_edges(t_min, 1e3)
     ks = [ROT * gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
     for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks), ks):
         terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
@@ -240,11 +240,10 @@ def test_panel_sine_transform_on_the_ray(lam, t_min):
 
 
 def test_ray_nodes_from_near_zero_to_far():
-    # e^{-i pi/4} s, s from 1e-6 to 300/a, in and out of the dyadic cells;
+    # e^{-i pi/4} s, s from 1e-6 to 300, in and out of the dyadic cells;
     # the bar is set on each node's sum_m |coef_m sin(k x_m)|
-    a = 1.0
-    p = truncated_gaussian(0.5, 0.08, a=a)
-    k = ROT * np.geomspace(1e-6, 300.0, 400) / a
+    p = truncated_gaussian(0.5, 0.08)
+    k = ROT * np.geomspace(1e-6, 300.0, 400)
     phi, = panel_sine_transform(p.coef, p.nodes, [k])
     terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
     assert np.all(np.abs(phi - terms.sum(axis=1))
@@ -274,14 +273,14 @@ def test_complex_sin_from_real_kernels():
 
 def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
     # one evolve_direct call: each kernel, summed over the direct sum's
-    # chunks, takes sin and cos on at most ceil(k_max a / 2) lattice cells
+    # chunks, takes sin and cos on at most ceil(k_max / 2) lattice cells
     # plus the dyadic ones near k = 0 (a cell split by a chunk boundary
     # counts twice), however many phase-budget and spike panels the route
     # builds
     w = WellParameters(lam=81.8)
     t = 0.0548
     p = truncated_gaussian(0.5, 0.06)
-    grid = well_grid(w, 33)
+    grid = np.linspace(0.0, 1.0, 33)
     rows = {}  # kernel (by its points: the profile rule or the grid) -> rows
     cell_trig = quadrature._cell_trig
 
@@ -293,7 +292,7 @@ def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
     monkeypatch.setattr(quadrature, "_cell_trig", counted)
     evolve_direct(p, t, grid, w)
     assert sorted(rows) == sorted([p.nodes.size, grid.size])
-    assert max(rows.values()) <= math.ceil(direct_cutoff(w, t) * w.a / 2.0) + 64
+    assert max(rows.values()) <= math.ceil(direct_cutoff(w, t) / 2.0) + 64
 
 
 def test_workspace_stays_below_one_dense_block():

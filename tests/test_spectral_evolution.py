@@ -32,7 +32,6 @@ from gamow_lab.spectral_evolution import (
     audit_cutoff,
     spectral_tail_mass,
     unitarity_audit,
-    well_grid,
     well_rule,
 )
 
@@ -45,8 +44,8 @@ def tau1(w):
 
 
 def norm_in_well(psi, w):
-    """int_0^a |psi|^2 dx on the well rule, psi given at its nodes."""
-    _, wx = well_rule(w)
+    """int_0^1 |psi|^2 dx on the well rule, psi given at its nodes."""
+    _, wx = well_rule()
     return float(wx @ np.abs(psi) ** 2)
 
 
@@ -93,41 +92,33 @@ class TestContinuumEigenfunction:
 
 class TestEvolveDirect:
     def test_completeness_at_t0(self):
-        grid = well_grid(W100, 257)
+        grid = np.linspace(0.0, 1.0, 257)
         ws = evolve_direct(box_mode(1), 0.0, grid, W100)
         ref = np.sqrt(2.0) * np.sin(np.pi * grid)
         assert np.max(np.abs(ws.psi - ref)) < 1e-4
 
     def test_completeness_gaussian(self):
         p = truncated_gaussian(0.5, 0.08)
-        grid = well_grid(W10, 257)
+        grid = np.linspace(0.0, 1.0, 257)
         ws = evolve_direct(p, 0.0, grid, W10)
         assert np.max(np.abs(ws.psi - p(grid))) < 1e-4
-
-    def test_completeness_profile_narrower_than_well(self):
-        # the profile's kink sits at its own edge x = 1, not at the barrier
-        w = WellParameters(10.0, a=2.0)
-        p = box_mode(1, a=1.0)
-        grid = well_grid(w, 257)
-        ws = evolve_direct(p, 0.0, grid, w)
-        assert np.max(np.abs(ws.psi - p(grid))) <= 1e-6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exponential_norm_decay(self):
         t1 = tau1(W100)
-        x, _ = well_rule(W100)
+        x, _ = well_rule()
         ws = evolve_direct(box_mode(1), t1, x, W100)
         assert norm_in_well(ws.psi, W100) == pytest.approx(math.exp(-1.0),
                                                            rel=0.02)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            evolve_direct(box_mode(1), -1.0, well_grid(W100, 257), W100)
+            evolve_direct(box_mode(1), -1.0, np.linspace(0.0, 1.0, 257), W100)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match="finite"):
-            evolve_direct(box_mode(1), t, well_grid(W10, 65), W10)
+            evolve_direct(box_mode(1), t, np.linspace(0.0, 1.0, 65), W10)
 
     def test_rejects_grid_outside_well(self):
         with pytest.raises(ValueError):
@@ -135,14 +126,14 @@ class TestEvolveDirect:
 
     def test_time_reversal_of_real_profile(self):
         # for real initial data, psi(x, -t) = conj(psi(x, t))
-        grid = well_grid(W10, 65)
+        grid = np.linspace(0.0, 1.0, 65)
         fwd, _ = _evolve_direct_raw(box_mode(1), 0.3, grid, W10)
         bwd, _ = _evolve_direct_raw(box_mode(1), -0.3, grid, W10)
         assert np.max(np.abs(bwd - np.conj(fwd))) < 2e-7
 
     def test_long_time_warning(self):
         with pytest.warns(RuntimeWarning):
-            evolve_direct(box_mode(1), 60.0, well_grid(W10, 65), W10)
+            evolve_direct(box_mode(1), 60.0, np.linspace(0.0, 1.0, 65), W10)
 
     def test_one_pole_lookup_per_call(self, monkeypatch):
         # the main and control rules share one panel layout
@@ -153,7 +144,7 @@ class TestEvolveDirect:
             return resonances(w, k_max)
 
         monkeypatch.setattr(spectral_evolution, "resonances", counting)
-        evolve_direct(box_mode(1), 0.5, well_grid(W10, 65), W10)
+        evolve_direct(box_mode(1), 0.5, np.linspace(0.0, 1.0, 65), W10)
         assert len(calls) == 1
 
 
@@ -176,7 +167,7 @@ class TestPanelSums:
                                          truncated_gaussian(0.5, 0.06)],
                              ids=["box1", "gauss"])
     def test_direct_psi_matches_dense_sum(self, profile):
-        x = well_grid(W100, 17)
+        x = np.linspace(0.0, 1.0, 17)
         for t in (0.0, 0.05 * tau1(W100), tau1(W100)):
             psi, _ = _evolve_direct_raw(profile, t, x, W100)
             assert np.max(np.abs(psi - dense_direct(profile, t, x, W100))) \
@@ -190,11 +181,11 @@ class TestPanelSums:
         t = tau1(W10) / 10.0
         audit = unitarity_audit(profile, t, W10)
         dk = audit["dk"]
-        k = (np.arange(round(audit_cutoff(profile, W10) / dk)) + 0.5) * dk
+        k = (np.arange(round(audit_cutoff(profile) / dk)) + 0.5) * dk
         A = coefficient_A(k, W10)
         c = (np.exp(-1j * k * k * t) * np.abs(A) ** 2
              * overlap_transform(profile, k) * dk / (2.0 * math.pi))
-        x, wx = panel_nodes(np.array([0.0, W10.a]), 256)
+        x, wx = panel_nodes(np.array([0.0, 1.0]), 256)
         inside = wx @ np.abs(c @ np.sin(np.outer(k, x))) ** 2
         assert abs(audit["inside"] - inside) < 1e-13
 
@@ -213,7 +204,7 @@ class TestDirectChunks:
         # on the route's first 256 and last 128 panels (the dyadic cells,
         # the spikes and the top lattice cells), joined by one wide panel
         w = self.W
-        x, _ = well_rule(w)
+        x, _ = well_rule()
         edges = _spectral_edges(w, t, direct_cutoff(w, t))
         for chunk, panels in ((1, np.r_[edges[:257], edges[-129:]]),
                               (edges.size, edges)):
@@ -230,7 +221,7 @@ class TestDirectChunks:
         # at once) its traced peak stays below 8 MiB and within 1 MiB of
         # the peak at t = 0.3 (measured 4.1 and 3.6 MiB)
         w = WellParameters(26.2033)
-        x, _ = well_rule(w)
+        x, _ = well_rule()
         peaks = []
         for t in (0.0186321, 0.3):
             resonances(w, direct_cutoff(w, t))
@@ -259,13 +250,13 @@ class TestPoleCutoff:
 
 class TestNormInside:
     def test_initial_norm(self):
-        x, _ = well_rule(W100)
+        x, _ = well_rule()
         ws = evolve_direct(box_mode(1), 0.0, x, W100)
         # quadrature-limited reconstruction, not exactly the profile
         assert norm_in_well(ws.psi, W100) == pytest.approx(1.0, abs=1e-4)
 
     def test_profile_norm_exact(self):
-        x, _ = well_rule(W100)
+        x, _ = well_rule()
         assert norm_in_well(box_mode(1)(x), W100) == pytest.approx(1.0,
                                                                   abs=1e-10)
 
@@ -288,16 +279,15 @@ class TestUnitarity:
         # the spectrum of a width-0.05 a Gaussian reaches past 40/a; the
         # cutoff follows |phi|^2 instead
         p = truncated_gaussian(0.5, 0.05)
-        assert audit_cutoff(p, W10) == 120.0
+        assert audit_cutoff(p) == 120.0
         for t in (0.0, tau1(W10) / 10.0):
             audit = unitarity_audit(p, t, W10)
             assert abs(audit["total"] - 1.0) < 1e-6
 
     def test_kinked_profile_keeps_default_cutoff(self):
         # a box mode's |phi|^2 ~ 1/k^4 is left to spectral_tail_mass
-        assert audit_cutoff(box_mode(1), W10) == 40.0
-        assert audit_cutoff(box_mode(2, a=2.0),
-                            WellParameters(lam=10.0, a=2.0)) == 20.0
+        assert audit_cutoff(box_mode(1)) == 40.0
+        assert audit_cutoff(box_mode(2)) == 40.0
 
     @pytest.mark.parametrize("profile", [box_mode(1),
                                          truncated_gaussian(0.5, 0.05)],
@@ -310,7 +300,7 @@ class TestUnitarity:
         t *= tau1(W10)
         audit = unitarity_audit(profile, t, W10)
         dk, x_hi = audit["dk"], audit["x_hi"]
-        k_max = audit_cutoff(profile, W10)
+        k_max = audit_cutoff(profile)
         k = (np.arange(round(k_max / dk)) + 0.5) * dk
         c = (np.exp(-1j * k * k * t) * np.conj(coefficient_A(k, W10))
              * overlap_transform(profile, k) * dk / (2.0 * math.pi))
@@ -318,7 +308,7 @@ class TestUnitarity:
         # psi_out = cos(kx) @ (c + cB) + i sin(kx) @ (cB - c), on real BLAS
         u = np.column_stack([(c + cB).real, (c + cB).imag])
         v = np.column_stack([(cB - c).real, (cB - c).imag])
-        edges = np.linspace(W10.a, x_hi, math.ceil(x_hi - W10.a) + 1)
+        edges = np.linspace(1.0, x_hi, math.ceil(x_hi - 1.0) + 1)
         x, wx = panel_nodes(edges, int(k_max / 2) + 20)
         outside = 0.0
         for s in range(0, x.size, 256):
@@ -335,7 +325,7 @@ class TestUnitarity:
         # lets numpy reuse it and swap the complex factors, whose product
         # then differs in the last bit from run to run of the harness
         n, dk, t = 40_000, 1e-3, 0.3
-        x_in, _ = well_rule(W10)
+        x_in, _ = well_rule()
         k = (np.arange(n) + 0.5) * dk
         _, c, c_b = _audit_series(box_mode(1), t, W10, dk, n, x_in)
         B = coefficient_B(k, W10)
@@ -360,7 +350,7 @@ class TestUnitarity:
         # lambda = 100, box:1: n = 418,347 midpoints, nf = 1,679,616 (the
         # smallest even 5-smooth length >= 4n, below 2**21); the peak is
         # the FFT's input and output, two complex arrays of nf
-        resonances(W100, audit_cutoff(box_mode(1), W100))
+        resonances(W100, audit_cutoff(box_mode(1)))
         tracemalloc.start()
         try:
             unitarity_audit(box_mode(1), 0.0, W100)
