@@ -13,7 +13,8 @@ a Gaussian's centre and width by a) and scales outputs in _in_width_units.
 Exit codes:
   0  success
   1  usage error (bad arguments, profile, time grid, policy or width, a
-     non-finite well or cutoff, or a well outside a command's range)
+     non-finite well or cutoff, a well outside a command's range, or an
+     output that is not finite in the units of a)
   2  pole enumeration failure (CountMismatch, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
   4  any other numerical failure (a GamowLabError, e.g. NoCrossing)
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -107,11 +109,18 @@ def _json_text(config: RunConfig, payload: dict) -> str:
 
 def _in_width_units(record: dict, a: float) -> dict:
     """record with each field of _DIMENSIONS (a fit window by element)
-    taken from units of the well width to --width's units."""
+    taken from units of the well width to --width's units.  ValueError if
+    a value is not finite there (past the double range at this a), before
+    any caller writes it."""
     out = dict(record)
     for name in record.keys() & _DIMENSIONS.keys():
         s, v = a ** _DIMENSIONS[name], record[name]
-        out[name] = [u * s for u in v] if isinstance(v, tuple) else v * s
+        window = isinstance(v, tuple)
+        scaled = [u * s for u in (v if window else (v,))]
+        if not all(map(math.isfinite, scaled)):
+            raise ValueError(f"{name} = {scaled} at width a = {a:g}: not "
+                             f"a finite double in the units of a")
+        out[name] = scaled if window else scaled[0]
     return out
 
 

@@ -16,11 +16,14 @@ panel_sine_transform, which the main and control rules share; so does the
 interior sum of unitarity_audit, on its flat midpoint rule.
 
 The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
-so the direct sum walks the panels in chunks of at most 32,768 nodes of
-both rules, one panel sine sum each, and adds each chunk's sums into the
-result: its memory is flat in t, and only its time grows.  A chunk's
-coefficients take real arithmetic, one sine and cosine of k per node for
-|A|^2 and a box mode's phi.
+so the direct sum walks the panels in chunks of at most _CHUNK_NODES =
+32,768 nodes of both rules, one panel sine sum each, and adds each chunk's
+sums into the result: its memory is flat in t, and only its time grows.  A
+chunk's coefficients take real arithmetic, one sine and cosine of k per
+node for |A|^2 and a box mode's phi.  unitarity_audit walks its midpoints
+in chunks of the same bound, and takes its exterior as four FFTs of a
+quarter of the padded length each, so its longest arrays, the exterior's
+modes and window phases, hold about half that length.
 """
 
 from __future__ import annotations
@@ -70,12 +73,16 @@ T0_KMAX = 800.0
 
 #: largest direct-route error estimate evolve_direct accepts (absolute)
 _QUAD_TOL = 1e-7
-#: panels per chunk of the direct sum: at most 32,768 nodes of both rules,
-#: which bounds the panel sine kernels' workspace
-_CHUNK_PANELS = 32768 // (MAIN_ORDER + CONTROL_ORDER)
-#: zero padding of unitarity_audit's exterior FFT: any even length
-#: nf >= 4n samples the 4n-1 modes of |psi_out|^2 without aliasing, and
-#: _fft_length takes the smallest with no prime factor above 5
+#: nodes per panel sine sum call, which bounds the kernels' workspace: the
+#: direct sum's chunk of panels and the audit's chunk of midpoints
+_CHUNK_NODES = 32768
+#: panels per chunk of the direct sum: at most _CHUNK_NODES nodes of both
+#: rules
+_CHUNK_PANELS = _CHUNK_NODES // (MAIN_ORDER + CONTROL_ORDER)
+#: zero padding of unitarity_audit's exterior: any even length nf >= 4n
+#: samples the 4n-1 modes of |psi_out|^2 without aliasing, and _fft_length
+#: takes the smallest multiple of 4 with no prime factor above 5, which
+#: _exterior_modes splits into four FFTs of length nf/4 >= n
 _FFT_PAD = 4
 #: |phi|^2 that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
@@ -327,14 +334,15 @@ def audit_cutoff(p: InitialProfile) -> float:
 
 
 def _fft_length(m: int) -> int:
-    """The smallest even 2^i 3^j 5^l >= m: the FFT's fast lengths."""
-    best = max(2, 1 << (m - 1).bit_length())
+    """The smallest 2^i 3^j 5^l >= m with i >= 2: a multiple of 4 whose
+    quarter is one of the FFT's fast lengths."""
+    best = max(4, 1 << (m - 1).bit_length())
     odd5 = 1
     while odd5 < best:
         odd = odd5
         while odd < best:
-            # the smallest power of two, at least 2, with odd * two >= m
-            two = max(2, 1 << (-(-m // odd) - 1).bit_length())
+            # the smallest power of two, at least 4, with odd * two >= m
+            two = max(4, 1 << (-(-m // odd) - 1).bit_length())
             best = min(best, odd * two)
             odd *= 3
         odd5 *= 5
@@ -346,19 +354,27 @@ def _audit_series(p: InitialProfile, t: float, w: WellParameters,
     """unitarity_audit's midpoint series at k_j = (j + 1/2) dk, j < n:
     the interior psi on x_in and the exterior coefficients
     c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B, with A, B (and a box
-    mode's phi) from one sine and cosine of k per midpoint.  A, B and
-    their sines die on return, before the exterior FFTs.  B is named so
-    that c B is always taken in that order: numpy may reuse a temporary
-    right operand and swap the factors, which moves the last bit of a
-    complex product."""
-    k = (np.arange(n) + 0.5) * dk
-    (trig,), (phi,) = _spectrum(p, [k])
-    A = A_from_trig(trig, w)
-    c = _chirped(np.conj(A) * (dk / (2.0 * math.pi)) * phi, k, t)
-    psi_in, = panel_sine_sum([A * c], [k], x_in)
-    del A
-    B = B_from_trig(trig, w)
-    return psi_in, c, c * B
+    mode's phi) from one sine and cosine of k per midpoint.
+
+    The midpoints are walked in chunks of _CHUNK_NODES, the direct
+    route's node bound: each chunk's interior sum is added into psi, and
+    its c and c B are written into two n-arrays, so only those two grow
+    with n.  B is named so that c B is always taken in that order: numpy
+    may reuse a temporary right operand and swap the factors, which
+    moves the last bit of a complex product."""
+    psi_in = np.zeros(x_in.shape, dtype=complex)
+    c = np.empty(n, dtype=complex)
+    c_b = np.empty(n, dtype=complex)
+    for s in range(0, n, _CHUNK_NODES):
+        k = (np.arange(s, min(s + _CHUNK_NODES, n)) + 0.5) * dk
+        (trig,), (phi,) = _spectrum(p, [k])
+        A = A_from_trig(trig, w)
+        part = _chirped(np.conj(A) * (dk / (2.0 * math.pi)) * phi, k, t)
+        psi_in += panel_sine_sum([A * part], [k], x_in)[0]
+        B = B_from_trig(trig, w)
+        c[s:s + k.size] = part
+        c_b[s:s + k.size] = part * B
+    return psi_in, c, c_b
 
 
 def _unit_phases(theta: float, m: int) -> np.ndarray:
@@ -374,17 +390,72 @@ def _unit_phases(theta: float, m: int) -> np.ndarray:
     return np.multiply.outer(big, small).ravel()[1:m + 1]
 
 
+def _exterior_modes(c: np.ndarray, c_b: np.ndarray) -> np.ndarray:
+    """Fourier modes nu = 0 .. nf/2 of |psi_out|^2 on x_j = 2pi j / (nf dk),
+    nf = _fft_length(4n), for psi_out = sum_m c_m e^{-ik_m x}
+    + (c B)_m e^{ik_m x} at k_m = (m + 1/2) dk, m < n.
+
+    e^{-ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j m/nf} and
+    e^{+ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j (nf-1-m)/nf}, so
+    |psi_out(x_j)|^2 = |F_j|^2 with F the nf-point FFT of d: c at the
+    bottom, c B reversed at the top.  nf = 4M (M = quarter) with M >= n,
+    so c lies in d's first quarter, reversed c B in its last, and the
+    middle two are zero.  With j = 4i + r (Bailey's four-step split) that
+    is four FFTs of length M,
+
+        F_{4i+r} = fft_M(e^{-2pi i r m/nf} (c + i^r rev(c B)))_i,
+
+    and with G_r the full M-point FFT of |F_{4i+r}|^2 (a real FFT and its
+    conjugate mirror), the modes nu = aM + b are
+
+        g_hat_nu = (1/nf) sum_r (-i)^{ra} e^{-2pi i r b/nf} G_r[b]:
+
+    a = 0, 1 for b < M, and nu = 2M at a = 2, b = 0.  No array is longer
+    than nf/2 + 1, and no FFT longer than M.
+    """
+    n = c.size
+    nf = _fft_length(_FFT_PAD * n)
+    quarter = nf // 4
+    g_hat = np.zeros(2 * quarter + 1, dtype=complex)
+    for r in range(4):
+        # e^{-2pi i r b/nf}, b < M, for the input and for G_r
+        twiddle = np.r_[1.0, _unit_phases(-2.0 * math.pi * r / nf,
+                                          quarter - 1)]
+        u = np.zeros(quarter, dtype=complex)
+        u[quarter - n:] = c_b[::-1]
+        u[quarter - n:] *= 1j ** r
+        u[:n] += c
+        u *= twiddle
+        f = fft.fft(u)
+        del u
+        g = np.abs(f)
+        del f
+        g *= g
+        half = fft.rfft(g)
+        del g
+        G = np.concatenate([half, np.conj(half[(quarter - 1) // 2:0:-1])])
+        G *= twiddle
+        g_hat[:quarter] += G
+        G *= (-1j) ** r
+        g_hat[quarter:2 * quarter] += G
+        g_hat[2 * quarter] += (-1j) ** r * G[0]
+        del twiddle, half, G
+    g_hat /= nf
+    return g_hat
+
+
 def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     """Decompose total probability at time t into inside + outside + tail.
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
     series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
     nodes by panel_sine_sum (phi by overlap_panels, both at the flat
-    midpoints k_j = (j + 1/2) dk) and integrated with its weights, and the
-    exterior branch (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}),
-    the latter synthesized by one zero-padded complex FFT of even 5-smooth
-    length (both moving pieces in one array), its |psi|^2 taken to Fourier
-    modes by one real FFT and integrated over the window mode by mode.
+    midpoints k_j = (j + 1/2) dk, _CHUNK_NODES at a time) and integrated
+    with its weights, and the exterior branch
+    (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), whose |psi|^2
+    _exterior_modes takes to Fourier modes on a grid of nf >= 4n points (a
+    5-smooth multiple of 4) by four complex and four real FFTs of nf/4
+    points, and which is integrated over the window mode by mode.
     The step resolves both the narrowest resonance spike (10 points per
     width) and the chirp e^{-ik^2 t} (the wrap length 2pi/dk exceeds 2.2x
     the ballistic range 2 k_max t, so nothing aliases back); the exterior integral stops at the wavefront
@@ -406,33 +477,14 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     psi_in, c, c_b = _audit_series(p, t, w, dk, n, x_in)
     inside = float(wx @ np.abs(psi_in) ** 2)
 
-    # exterior on x_j = 2pi j / (nf dk), with k_m = (m + 1/2) dk:
-    #   e^{-ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j m/nf},
-    #   e^{+ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j (nf-1-m)/nf},
-    # so with c B reversed into the top of d, psi_out = e^{-i pi j/nf} fft(d)
-    # and |psi_out|^2 = |fft(d)|^2
-    nf = _fft_length(_FFT_PAD * n)
-    d = np.zeros(nf, dtype=complex)
-    d[:n] = c
-    d[nf - n:] = c_b[::-1]
+    g_hat = _exterior_modes(c, c_b)
     del c, c_b
-    # no out= on numpy.fft (it needs numpy >= 2.0; the pin is numpy >= 1.24):
-    # each nf-length array is dropped as soon as the next one exists
-    f = fft.fft(d)
-    del d
-    g = np.abs(f)
-    del f
-    g *= g
-    g_hat = fft.rfft(g)
-    del g
-    g_hat /= nf
     x_hi = 2.2 * k_max * t + 50.0
-    # d lives on the cyclic indices -n .. n-1, so |fft(d)|^2 has modes
-    # |nu| <= 2n-1 < nf/2 (nf >= 4n): its sampled Fourier series is
-    # exact and the window integral over [1, x_hi] is taken in closed form
-    # per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x} dx) -- no endpoint
-    # error.  g is real and nf even, so the modes nu and -nu pair up and
-    # those in 1 .. nf/2-1 count twice.
+    # |psi_out|^2 has modes |nu| <= 2n-1 < nf/2 (nf >= 4n): its sampled
+    # Fourier series is exact and the window integral over [1, x_hi] is
+    # taken in closed form per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x}
+    # dx) -- no endpoint error.  |psi_out|^2 is real and nf even, so the
+    # modes nu and -nu pair up and those in 1 .. nf/2-1 count twice.
     # e^{i nu dk x} at both window ends from _unit_phases' tables
     m = g_hat.size - 1
     ends = _unit_phases(dk * x_hi, m)

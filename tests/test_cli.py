@@ -252,6 +252,23 @@ def test_extreme_widths_give_finite_outputs(tmp_path, width):
         assert all(math.isfinite(v) for v in numbers(written(out))), command
 
 
+def test_output_past_double_range_exits_usage(tmp_path, capsys):
+    # at width 1e150, lambda = 3000's tail window ends at 100 t* a^2 ~ 6e308,
+    # past the largest double: exit 1 before report.json is written;
+    # lambda = 1000's (5.9e307) still fits
+    out = tmp_path / "lam3000"
+    rc = main(["report", "--lambda", "3000", "--profile", "box:1",
+               "--width", "1e150", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "tail_window" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    out = tmp_path / "lam1000"
+    rc = main(["report", "--lambda", "1000", "--profile", "box:1",
+               "--width", "1e150", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert all(math.isfinite(v) for v in numbers(written(out)))
+
+
 class TestPoles:
     def test_table_contents(self, tmp_path):
         rc = main(["poles", "--lambda", "100", "--kmax", "16",

@@ -4,6 +4,7 @@ inside/outside/tail unitarity decomposition."""
 import cmath
 import math
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from gamow_lab.spectral_evolution import (
     _audit_series,
     _direct_sum,
     _evolve_direct_raw,
+    _fft_length,
     _kink_tail_t0,
     _spectral_edges,
     _tail_correction,
@@ -348,8 +350,9 @@ class TestUnitarity:
 
     def test_exterior_peak_memory(self):
         # lambda = 100, box:1: n = 418,347 midpoints, nf = 1,679,616 (the
-        # smallest even 5-smooth length >= 4n, below 2**21); the peak is
-        # the FFT's input and output, two complex arrays of nf
+        # smallest 5-smooth multiple of 4 >= 4n, below 2**21); the peak is
+        # one quarter pass: c, c B and the nf/2 + 1 modes, with the pass's
+        # twiddles, input and FFT of nf/4 points each (measured 44.8 MiB)
         resonances(W100, audit_cutoff(box_mode(1)))
         tracemalloc.start()
         try:
@@ -357,7 +360,62 @@ class TestUnitarity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 16 * 2 ** 21
+        assert peak < 49.3 * 2 ** 20
+
+    def test_exterior_ffts_are_quarter_length(self, monkeypatch):
+        # the lambda = 100, box:1 audit (nf = 1,679,616) takes no FFT
+        # longer than nf/4 = 419,904 points
+        lengths = []
+
+        def recorded(name):
+            def call(a):
+                lengths.append(len(a))
+                return getattr(np.fft, name)(a)
+            return call
+
+        monkeypatch.setattr(spectral_evolution, "fft", types.SimpleNamespace(
+            fft=recorded("fft"), rfft=recorded("rfft")))
+        unitarity_audit(box_mode(1), 0.530171, W100)
+        assert max(lengths) == 419_904
+
+    @pytest.mark.parametrize("w, t, n, gap", [
+        (W100, 0.530171, 418_347, 1_557),
+        # the chirp sets dk = k_max / n: n = 40,000 = nf/4 fills both
+        # outer quarters
+        (W10, (40_000 - 0.5) * math.pi / (2.2 * 40.0 ** 2), 40_000, 0),
+    ], ids=["lam100", "quarter-full"])
+    def test_exterior_matches_single_fft(self, w, t, n, gap):
+        # outside against the one nf-point FFT of c and reversed c B,
+        # |.|^2, its real FFT and the same window sum
+        p = box_mode(1)
+        audit = unitarity_audit(p, t, w)
+        dk, x_hi = audit["dk"], audit["x_hi"]
+        assert round(audit_cutoff(p) / dk) == n
+        nf = _fft_length(4 * n)
+        assert nf // 4 - n == gap
+        _, c, c_b = _audit_series(p, t, w, dk, n, well_rule()[0])
+        d = np.zeros(nf, dtype=complex)
+        d[:n] = c
+        d[nf - n:] = c_b[::-1]
+        g_hat = np.fft.rfft(np.abs(np.fft.fft(d)) ** 2) / nf
+        m = g_hat.size - 1
+        ends = _unit_phases(dk * x_hi, m) - _unit_phases(dk, m)
+        terms = ((g_hat.real[1:] * ends.imag + g_hat.imag[1:] * ends.real)
+                 / (dk * np.arange(1, m + 1)))
+        terms[:-1] *= 2.0
+        outside = g_hat[0].real * (x_hi - 1.0) + np.sum(terms)
+        assert abs(audit["outside"] - outside) <= 1e-15
+
+    def test_fft_length_is_smallest_smooth_multiple_of_4(self):
+        def smooth(v):
+            for q in (2, 3, 5):
+                while v % q == 0:
+                    v //= q
+            return v == 1
+
+        lengths = [v for v in range(4, 5_004, 4) if smooth(v)]
+        for m in range(1, 5_001):
+            assert _fft_length(m) == next(v for v in lengths if v >= m)
 
     def test_wide_window_gaussian_closes(self):
         # lambda = 100 at t = 2 with k_max = 120/a: nf = 2**23 points
