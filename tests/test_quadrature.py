@@ -222,13 +222,16 @@ def test_transform_near_zero_is_relatively_exact():
     assert np.all(np.abs(psi - dense_sum(c, k, x)) <= 1e-14 * scale)
 
 
+@pytest.mark.parametrize("lam", [10.0, 100.0], ids=["lam10", "lam100"])
 @pytest.mark.parametrize("t_min", [0.02, 0.05])
-def test_panel_sine_transform_on_the_ray(t_min):
-    # the rotated route's complex nodes e^{-i pi/4} s, both rules;
+def test_panel_sine_transform_on_the_ray(lam, t_min):
+    # the rotated route's complex nodes e^{-i pi/4} s, both rules, for
+    # times up to ten leading-order lifetimes lam^2 / (4 pi^3), so each
+    # lam sets its own first panel [0, 0.5 / sqrt(t_max)];
     # |sin(k x)| grows like e^{s x / sqrt 2}, so the bar is set on the
     # largest sum_m |coef_m sin(k x_m)|
     p = truncated_gaussian(0.5672, 0.0565)
-    edges = _ray_edges(t_min, 1e3)
+    edges = _ray_edges(t_min, 10.0 * lam**2 / (4.0 * math.pi**3))
     ks = [ROT * gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
     for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks), ks):
         terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
