@@ -41,10 +41,10 @@ from .exceptions import (
     SeedOutOfRegime,
     WrongQuadrant,
 )
-from .gamow_expansion import DIRECT_TIME_LIMIT, crossover_time, evolve_rotated
+from .gamow_expansion import crossover_time, evolve
 from .potential_model import WellParameters, asymptotic_pole_seed
 from .profiles import parse_profile
-from .spectral_evolution import DEFAULT_KMAX, evolve_direct, resonances
+from .spectral_evolution import DEFAULT_KMAX, resonances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,10 +181,6 @@ def cmd_evolve(config: RunConfig) -> int:
     times = _parse_times(config.times)
     if np.any(times < 0.0):
         raise ValueError("snapshot times must be >= 0")
-    # the rotated representation needs t > 0 (auto never picks it at 0);
-    # nothing is written until every snapshot has succeeded
-    if config.policy in ("rotated", "both") and np.any(times == 0.0):
-        raise ValueError("rotated representation requires t > 0")
     # one file per snapshot: two times of one name would lose a snapshot
     names = {}
     for t in times.tolist():
@@ -194,29 +190,24 @@ def cmd_evolve(config: RunConfig) -> int:
                              f"share the file name {name}")
         names[name] = t
     grid = np.linspace(0.0, 1.0, 257)
-    snapshots = []
-    for t in map(float, times / config.a ** 2):
-        states = {}
-        early = t < DIRECT_TIME_LIMIT
-        if config.policy in ("direct", "both") or (
-                config.policy == "auto" and early):
-            states["direct"] = evolve_direct(p, t, grid, w)
-        if config.policy in ("rotated", "both") or (
-                config.policy == "auto" and not early):
-            states["rotated"] = evolve_rotated(p, t, grid, w)
-        snapshots.append(states)
-    for name, states in zip(names, snapshots):
+    # rotated first, so that a time of 0 fails before any direct work (rows
+    # are direct first); nothing is written until every snapshot succeeded
+    runs = [evolve(p, times / config.a ** 2, grid, w, policy)
+            for policy in (("rotated", "direct") if config.policy == "both"
+                           else (config.policy,))]
+    for i, name in enumerate(names):
+        states = {routes[i]: psi[i] for psi, routes in reversed(runs)}
         rows = []
-        for method, ws in states.items():
-            for x, v in zip(ws.x, ws.psi):
+        for method, psi in states.items():
+            for x, v in zip(grid, psi):
                 rows.append([float(x), float(v.real), float(v.imag),
                              float(abs(v) ** 2), method])
         path = _emit(config, name,
                      ["x", "re_psi", "im_psi", "abs2_psi", "method"], rows)
         msg = f"wrote {path}"
         if len(states) == 2:
-            sup = float(np.max(np.abs(states["direct"].psi
-                                      - states["rotated"].psi))
+            sup = float(np.max(np.abs(states["direct"]
+                                      - states["rotated"]))
                         * config.a ** _DIMENSIONS["re_psi"])
             msg += f" (method discrepancy sup-norm {sup:.3e})"
         print(msg)

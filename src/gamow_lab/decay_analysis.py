@@ -22,26 +22,17 @@ from .exceptions import (
     WindowTooSmall,
 )
 from .gamow_expansion import (
-    DIRECT_TIME_LIMIT,
-    RotatedExpansion,
     crossing_time,
     crossover_time,
+    evolve,
     nonescape_asymptote,
 )
 from .potential_model import WellParameters
 from .profiles import InitialProfile
-from .spectral_evolution import (
-    DEFAULT_KMAX,
-    WaveState,
-    evolve_direct,
-    resonances,
-    well_rule,
-)
+from .spectral_evolution import DEFAULT_KMAX, WaveState, resonances, well_rule
 
-#: default geometric sampling density for fits
+#: geometric sampling density of the regime fits
 POINTS_PER_DECADE = 25
-#: rotated-route times evaluated together (bounds the workspace)
-TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,8 +75,7 @@ class RegimeReport:
         return asdict(self)
 
 
-def geometric_times(start: float, stop: float,
-                    per_decade: int = POINTS_PER_DECADE) -> np.ndarray:
+def geometric_times(start: float, stop: float, per_decade: int) -> np.ndarray:
     """Geometric time grid with a fixed point density per decade."""
     if not (0.0 < start < stop < math.inf):
         raise ValueError("need 0 < start < stop < inf")
@@ -100,11 +90,9 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
     """Sample P(t) = sum_j w_j |psi(x_j, t)|^2 (well_rule in x) on the
     given times with the stated method policy.
 
-    ``policy``: 'auto' (direct below t = DIRECT_TIME_LIMIT, rotated
-    beyond), 'direct', 'rotated', or 'asymptotic' (closed-form tail
-    overlay).  The t = 0 point is always taken from the (normalized)
-    profile itself.  Direct times run one evolve_direct each; all rotated
-    times are read from one RotatedExpansion, TIME_BLOCK at a time.
+    ``policy``: 'auto', 'direct' or 'rotated' (gamow_expansion.evolve's
+    routes for psi at t > 0), or 'asymptotic' (closed-form tail overlay).
+    The t = 0 point is always taken from the (normalized) profile itself.
     """
     if policy not in ("auto", "direct", "rotated", "asymptotic"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -120,21 +108,9 @@ def nonescape_curve(p: InitialProfile, times, w: WellParameters,
         P[later] = nonescape_asymptote(times[later], p, w)
         methods[later] = "asymptotic"
     elif np.any(later):
-        if policy == "auto":
-            direct = later & (times < DIRECT_TIME_LIMIT)
-        else:
-            direct = later & (policy == "direct")
-        rotated = later & ~direct
         x, wx = well_rule()
-        for i in np.flatnonzero(direct):
-            P[i] = wx @ np.abs(evolve_direct(p, times[i], x, w).psi) ** 2
-        if np.any(rotated):
-            tr = times[rotated]
-            rot = RotatedExpansion(x, p, w, tr.min(), tr.max())
-            P[rotated] = np.concatenate([
-                np.abs(rot.psi(tr[i:i + TIME_BLOCK])) ** 2 @ wx
-                for i in range(0, tr.size, TIME_BLOCK)])
-            methods[rotated] = "rotated"
+        psi, methods[later] = evolve(p, times[later], x, w, policy)
+        P[later] = np.abs(psi) ** 2 @ wx
     return DecayCurve(times=times, P=np.maximum(P, 0.0),
                       methods=tuple(methods))
 
@@ -215,8 +191,8 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
 
     exp_window = (tau1, 5.0 * tau1)
     tail_window = (10.0 * t_star, 100.0 * t_star)
-    times = np.concatenate([geometric_times(*exp_window),
-                            geometric_times(*tail_window)])
+    times = np.concatenate([geometric_times(*exp_window, POINTS_PER_DECADE),
+                            geometric_times(*tail_window, POINTS_PER_DECADE)])
     curve = nonescape_curve(p, times, w, policy="rotated")
     gamma_fit, c_fit, exp_resid = fit_exponential(curve, exp_window)
     s_fit, s_icept, tail_resid, s_half = fit_tail_exponent(

@@ -38,7 +38,13 @@ from .profiles import (
     sine_overlap,
 )
 from .quadrature import CONTROL_ORDER, MAIN_ORDER, complex_sin, panel_nodes
-from .spectral_evolution import DEFAULT_KMAX, WaveState, pole_cutoff, resonances
+from .spectral_evolution import (
+    DEFAULT_KMAX,
+    WaveState,
+    evolve_direct,
+    pole_cutoff,
+    resonances,
+)
 
 _ROT = np.exp(-1j * math.pi / 4.0)
 #: trapezoid nodes on verify_residue's circle
@@ -138,6 +144,8 @@ _RAY_BLOCK = 128
 #: below this time the rotated route is dear (the ray rule's
 #: node count grows like 1/t_min), so shorter times take the direct route
 DIRECT_TIME_LIMIT = 0.02
+#: rotated-route times evaluated together (bounds the workspace)
+TIME_BLOCK = 64
 #: largest background error estimate accepted (absolute, on psi)
 BACKGROUND_TOLERANCE = 1e-10
 
@@ -174,10 +182,18 @@ def _ray_rule(s, ws, phi, x, w: WellParameters):
     return s * s, F
 
 
-def _gauss_sum(s2: np.ndarray, F: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _in_blocks(f, times) -> np.ndarray:
+    """f(times), stacked from calls on at most TIME_BLOCK times each."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return np.concatenate([f(times[i:i + TIME_BLOCK])
+                           for i in range(0, times.size, TIME_BLOCK)])
+
+
+def _gauss_sum(s2: np.ndarray, F: np.ndarray, times) -> np.ndarray:
     """sum_j exp(-s_j^2 t) F_j for each t; the real Gaussians multiply the
-    interleaved re/im parts of F in one real product."""
-    return (np.exp(-np.outer(times, s2)) @ F.view(np.float64)).view(complex)
+    interleaved re/im parts of F in one real product per block of times."""
+    return _in_blocks(lambda tb: (np.exp(-np.outer(tb, s2))
+                                  @ F.view(np.float64)).view(complex), times)
 
 
 class RotatedExpansion:
@@ -217,11 +233,8 @@ class RotatedExpansion:
     def background(self, times) -> tuple[np.ndarray, np.ndarray]:
         """I(x_j, t) with shape (n_t, n_x), and the error estimate per time
         (largest |main - control| over x).  An estimate above
-        BACKGROUND_TOLERANCE, or NaN, raises QuadratureNotConverged.  The
-        work space grows like n_t n_s, so long time grids are passed in
-        blocks.
+        BACKGROUND_TOLERANCE, or NaN, raises QuadratureNotConverged.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
         main = _gauss_sum(*self._main, times)
         err = np.max(np.abs(main - _gauss_sum(*self._control, times)), axis=1)
         if not np.all(err <= BACKGROUND_TOLERANCE):
@@ -232,8 +245,8 @@ class RotatedExpansion:
 
     def residue_sum(self, times) -> np.ndarray:
         """sum_n C_n(x_j) exp(-i k_n^2 t) with shape (n_t, n_x)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.exp(-1j * np.outer(times, self.energies)) @ self.mode_values
+        return _in_blocks(lambda tb: np.exp(-1j * np.outer(tb, self.energies))
+                          @ self.mode_values, times)
 
     def psi(self, times) -> np.ndarray:
         """psi with shape (n_t, n_x); raises QuadratureNotConverged as
@@ -254,14 +267,32 @@ def background_integral(x, t: float, p: InitialProfile, w: WellParameters):
     return val[0].reshape(np.shape(x)) if np.ndim(x) else complex(val[0, 0])
 
 
+def evolve(p: InitialProfile, times, x, w: WellParameters, policy: str):
+    """psi(x_j, t) with shape (n_t, n_x), and each time's route as a list;
+    under 'auto', direct below DIRECT_TIME_LIMIT and rotated from there on.
+    Rotated times must be > 0 (ValueError before any evolution) and are
+    read from one RotatedExpansion over their range."""
+    if policy not in ("auto", "direct", "rotated"):
+        raise ValueError(f"unknown policy {policy!r}")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rotated = (times >= DIRECT_TIME_LIMIT if policy == "auto"
+               else np.full(times.shape, policy == "rotated"))
+    if not np.all(times[rotated] > 0.0):
+        raise ValueError("rotated representation requires t > 0")
+    psi = np.empty((times.size, np.size(x)), dtype=complex)
+    for i in np.flatnonzero(~rotated):
+        psi[i] = evolve_direct(p, times[i], x, w).psi
+    if np.any(rotated):
+        tr = times[rotated]
+        psi[rotated] = RotatedExpansion(x, p, w, tr.min(), tr.max()).psi(tr)
+    return psi, np.where(rotated, "rotated", "direct").tolist()
+
+
 def evolve_rotated(p: InitialProfile, t: float, grid,
                    w: WellParameters) -> WaveState:
     """Gamow expansion of psi(x, t) for t > 0: residues plus background."""
-    if not (t > 0.0):
-        raise ValueError("rotated representation requires t > 0")
     grid = np.asarray(grid, dtype=float)
-    psi = RotatedExpansion(grid, p, w, t, t).psi(t)[0]
-    return WaveState(x=grid, psi=psi)
+    return WaveState(x=grid, psi=evolve(p, t, grid, w, "rotated")[0][0])
 
 
 def asymptotic_background(x, t: float, p: InitialProfile,

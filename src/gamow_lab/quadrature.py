@@ -43,6 +43,8 @@ MAIN_ORDER, CONTROL_ORDER = 16, 12
 WELL_ORDER = 128
 #: phase advance per panel of phase_budget_edges (radians)
 _PHASE_BUDGET = 8.0
+#: phase_budget_edges' frequency at k = 0 (radians per unit k)
+_PHASE_BASE_RATE = 4.0
 #: growth factor of spike_edges' panels away from the peak
 _SPIKE_RATIO = 1.35
 #: adaptive_gl: rule order (control at half of it), first panels, rounds
@@ -280,12 +282,12 @@ def panel_sine_transform(coef, x, ks):
     return outs
 
 
-def phase_budget_edges(k_max: float, t: float, base_rate: float) -> np.ndarray:
+def phase_budget_edges(k_max: float, t: float) -> np.ndarray:
     """Panel edges on [0, k_max] so the integrand phase advance per panel,
-    with local frequency 2 k t + base_rate, stays below _PHASE_BUDGET."""
+    at local frequency 2 k t + _PHASE_BASE_RATE, stays below _PHASE_BUDGET."""
     if k_max <= 0.0:
         raise ValueError("k_max must be positive")
-    t = max(t, 0.0)
+    t, base_rate = max(t, 0.0), _PHASE_BASE_RATE
     # cumulative phase N(k) = (t k^2 + base_rate k) / _PHASE_BUDGET
     n_total = int(np.ceil((t * k_max ** 2 + base_rate * k_max) / _PHASE_BUDGET))
     n_total = max(n_total, 4)

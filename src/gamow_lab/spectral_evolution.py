@@ -154,7 +154,7 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     every resonance spike below the cutoff.  The poles come first, so a
     cutoff past enumerate_poles' bound fails before any panel exists."""
     k = resonances(w, k_max).k
-    base = phase_budget_edges(k_max, abs(t), base_rate=4.0)
+    base = phase_budget_edges(k_max, abs(t))
     spacing = math.pi * w.lam / (1.0 + w.lam)
     extra = spike_edges(k.real, np.maximum(-k.imag, 1e-9),
                         reach=0.45 * spacing)

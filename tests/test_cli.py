@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gamow_lab
-from gamow_lab import cli
+from gamow_lab import cli, gamow_expansion
 from gamow_lab.cli import (
     EXIT_NUMERICS,
     EXIT_OK,
@@ -31,6 +31,7 @@ from gamow_lab.exceptions import (
     WrongQuadrant,
 )
 from gamow_lab.potential_model import WellParameters, refine_pole
+from gamow_lab.profiles import box_mode
 
 
 def raised_by(fn, *args):
@@ -350,6 +351,49 @@ class TestEvolve:
         out = capsys.readouterr().out
         sup = float(out.split("sup-norm")[1].split(")")[0])
         assert sup < 1e-6
+
+    def test_one_rotated_expansion_for_all_times(self, tmp_path,
+                                                 monkeypatch):
+        built = []
+        original = gamow_expansion.RotatedExpansion
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gamow_expansion, "RotatedExpansion", counting)
+        rc = main(["evolve", "--lambda", "31.6", "--profile", "box:2",
+                   "--times", "0.5,5", "--policy", "rotated",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert len(built) == 1
+        monkeypatch.undo()
+        grid = np.linspace(0.0, 1.0, 257)
+        for t in (0.5, 5.0):
+            _, header, rows = read_csv(tmp_path / f"evolve_t{t:g}.csv")
+            psi = np.array([complex(float(r[header.index("re_psi")]),
+                                    float(r[header.index("im_psi")]))
+                            for r in rows])
+            single = gamow_expansion.evolve_rotated(
+                box_mode(2), t, grid, WellParameters(31.6)).psi
+            assert np.max(np.abs(psi - single)) <= 1e-14 * np.max(
+                np.abs(single))
+
+    def test_both_at_t0_fails_before_direct_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the rotated times are checked first, so t = 0 costs no direct
+        # evolution
+        def forbidden(*args, **kwargs):
+            raise AssertionError("direct evolution before the t > 0 check")
+
+        monkeypatch.setattr(gamow_expansion, "evolve_direct", forbidden)
+        rc = main(["evolve", "--lambda", "100", "--profile", "box:1",
+                   "--times", "0,10,84", "--policy", "both",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert ("rotated representation requires t > 0"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_time_rejected(self, tmp_path):
         rc = main(["evolve", "--lambda", "100", "--profile", "box:1",

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gamow_lab import decay_analysis, gamow_expansion
+from gamow_lab import gamow_expansion
 from gamow_lab.decay_analysis import (
     DecayCurve,
     POINTS_PER_DECADE,
-    TIME_BLOCK,
     fit_exponential,
     fit_tail_exponent,
     flux_derivative,
@@ -24,7 +23,7 @@ from gamow_lab.exceptions import (
 )
 from gamow_lab.potential_model import WellParameters
 from gamow_lab.profiles import box_mode, truncated_gaussian
-from gamow_lab.gamow_expansion import evolve_rotated
+from gamow_lab.gamow_expansion import TIME_BLOCK, evolve_rotated
 from gamow_lab.spectral_evolution import (
     WaveState,
     evolve_direct,
@@ -41,7 +40,7 @@ def tau1(w):
 
 class TestGeometricTimes:
     def test_density(self):
-        t = geometric_times(1.0, 100.0)
+        t = geometric_times(1.0, 100.0, POINTS_PER_DECADE)
         assert t.size == 2 * POINTS_PER_DECADE + 1
         assert t[0] == 1.0 and t[-1] == pytest.approx(100.0, rel=1e-12)
         ratios = np.diff(np.log(t))
@@ -49,7 +48,7 @@ class TestGeometricTimes:
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            geometric_times(5.0, 1.0)
+            geometric_times(5.0, 1.0, POINTS_PER_DECADE)
 
     @pytest.mark.parametrize("per_decade", [0, -5])
     def test_rejects_density_below_one(self, per_decade):
@@ -59,7 +58,7 @@ class TestGeometricTimes:
     @pytest.mark.parametrize("start,stop", [(1.0, math.inf), (math.nan, 1.0)])
     def test_rejects_non_finite_range(self, start, stop):
         with pytest.raises(ValueError):
-            geometric_times(start, stop)
+            geometric_times(start, stop, POINTS_PER_DECADE)
 
 
 class TestDecayCurve:
@@ -287,11 +286,12 @@ class TestRegimeReport:
     def test_one_rotated_expansion(self, monkeypatch):
         # both fit windows are read from one curve
         built = []
+        original = gamow_expansion.RotatedExpansion
 
         def counting(*args, **kwargs):
             built.append(args)
-            return gamow_expansion.RotatedExpansion(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(decay_analysis, "RotatedExpansion", counting)
+        monkeypatch.setattr(gamow_expansion, "RotatedExpansion", counting)
         regime_report(box_mode(1), W10)
         assert len(built) == 1

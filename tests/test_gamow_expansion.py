@@ -12,6 +12,7 @@ import pytest
 from gamow_lab.exceptions import NoCrossing, QuadratureNotConverged
 from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
+    TIME_BLOCK,
     RotatedExpansion,
     _ray_edges,
     asymptotic_background,
@@ -153,6 +154,15 @@ class TestBackgroundIntegral:
             single = background_integral(x, t, box_mode(3), W30)
             assert np.allclose(rot.background(t)[0][0], single, rtol=1e-11,
                                atol=0.0)
+
+    def test_long_grid_matches_its_blocks(self):
+        # psi splits a long time grid into TIME_BLOCK blocks itself
+        times = np.geomspace(0.05, 1e3, 2 * TIME_BLOCK + 5)
+        rot = RotatedExpansion(np.linspace(0.0, 1.0, 9), box_mode(1), W10,
+                               times[0], times[-1])
+        blocks = [rot.psi(times[i:i + TIME_BLOCK])
+                  for i in range(0, times.size, TIME_BLOCK)]
+        assert np.array_equal(rot.psi(times), np.concatenate(blocks))
 
 
 class TestEvolveRotated:

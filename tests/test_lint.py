@@ -218,7 +218,6 @@ def defaulted_parameters(path: Path) -> set[str]:
 #: package; a new knob needs an entry here
 KNOBS = {
     "cli:main.argv",
-    "decay_analysis:geometric_times.per_decade",
     "decay_analysis:nonescape_curve.policy",
     "profiles:parse_profile.a",
 }
@@ -241,6 +240,36 @@ def test_width_read_only_by_cli():
     # its inputs and outputs by --width
     assert {p.name: width_reads(p) for p in SRC.glob("*.py")
             if p.name != "cli.py" and width_reads(p)} == {}
+
+
+#: the route switch between direct and rotated times, and the rotated
+#: route's type and time blocks
+ROUTE_NAMES = {"DIRECT_TIME_LIMIT", "TIME_BLOCK", "RotatedExpansion"}
+
+
+def route_reads(path: Path) -> list[str]:
+    """Uses of a ROUTE_NAMES name (read, import or assignment), as
+    'line name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{node.lineno} {n}" for n in names if n in ROUTE_NAMES]
+    return found
+
+
+def test_route_switch_read_only_by_gamow_expansion():
+    # gamow_expansion.evolve alone picks each time's route and builds the
+    # rotated route's expansion
+    assert {p.name: route_reads(p) for p in MODULES
+            if p.name != "gamow_expansion.py" and route_reads(p)} == {}
 
 
 #: every name gamow_lab/__init__.py re-exports; a new export needs an
