@@ -41,7 +41,6 @@ from .profiles import (
 from .spectral_evolution import (
     WaveState,
     evolve_direct,
-    resonances,
     spectral_tail_mass,
     unitarity_audit,
 )

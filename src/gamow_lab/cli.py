@@ -13,7 +13,10 @@ a Gaussian's centre and width by a) and scales outputs in _in_width_units.
 Exit codes:
   0  success
   1  usage error (bad arguments, profile, time grid, policy or width, a
-     non-finite well or cutoff, a well outside a command's range, or an
+     non-finite well or cutoff, a pole cutoff past MAX_POLES, a direct
+     time past MAX_PHASE_PANELS phase panels (t > about 2.1e4 a^2 at the
+     default cutoff), a rotated t_min past MAX_RAY_PANELS ray panels
+     (below about 1.7e-4 a^2), a well outside a command's range, or an
      output that is not finite in the units of a)
   2  pole enumeration failure (CountMismatch, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
@@ -42,9 +45,13 @@ from .exceptions import (
     WrongQuadrant,
 )
 from .gamow_expansion import crossover_time, evolve
-from .potential_model import WellParameters, asymptotic_pole_seed
+from .potential_model import (
+    DEFAULT_KMAX,
+    WellParameters,
+    asymptotic_pole_seed,
+    enumerate_poles,
+)
 from .profiles import parse_profile
-from .spectral_evolution import DEFAULT_KMAX, resonances
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,7 +164,7 @@ def _parse_times(spec: str) -> np.ndarray:
 
 def cmd_poles(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam)
-    poles = resonances(w, config.k_max)
+    poles = enumerate_poles(w, config.k_max)
     rows = []
     for n, (ka, E, gamma, tau, residual) in enumerate(zip(
             poles.k.tolist(), poles.E.tolist(), poles.gamma.tolist(),
@@ -237,7 +244,7 @@ def cmd_survival(config: RunConfig) -> int:
 def cmd_report(config: RunConfig) -> int:
     w = WellParameters(lam=config.lam)
     p = parse_profile(config.profile, config.a)
-    poles = resonances(w, config.k_max)
+    poles = enumerate_poles(w, config.k_max)
     rep = regime_report(p, w)
     reg = _in_width_units(rep.as_dict(), config.a)
     payload = {

@@ -27,9 +27,9 @@ from .gamow_expansion import (
     evolve,
     nonescape_asymptote,
 )
-from .potential_model import WellParameters
+from .potential_model import DEFAULT_KMAX, WellParameters, enumerate_poles
 from .profiles import InitialProfile
-from .spectral_evolution import DEFAULT_KMAX, WaveState, resonances, well_rule
+from .spectral_evolution import WaveState, well_rule
 
 #: geometric sampling density of the regime fits
 POINTS_PER_DECADE = 25
@@ -184,7 +184,7 @@ def regime_report(p: InitialProfile, w: WellParameters) -> RegimeReport:
     if not w.metastable:
         raise ValueError("regime analysis requires the metastable regime "
                          "(lam >= 10)")
-    poles = resonances(w, DEFAULT_KMAX)
+    poles = enumerate_poles(w, DEFAULT_KMAX)
     tau1, gamma1 = float(poles.tau[0]), float(poles.gamma[0])
     cross = crossover_time(p, w)
     t_star = cross["t_star"]

@@ -26,10 +26,13 @@ import numpy as np
 
 from .exceptions import NoCrossing, QuadratureNotConverged
 from .potential_model import (
+    DEFAULT_KMAX,
     Poles,
     WellParameters,
     coefficient_A,
     coefficient_A_bar,
+    enumerate_poles,
+    pole_cutoff,
 )
 from .profiles import (
     InitialProfile,
@@ -38,13 +41,7 @@ from .profiles import (
     sine_overlap,
 )
 from .quadrature import CONTROL_ORDER, MAIN_ORDER, complex_sin, panel_nodes
-from .spectral_evolution import (
-    DEFAULT_KMAX,
-    WaveState,
-    evolve_direct,
-    pole_cutoff,
-    resonances,
-)
+from .spectral_evolution import WaveState, evolve_direct
 
 _ROT = np.exp(-1j * math.pi / 4.0)
 #: trapezoid nodes on verify_residue's circle
@@ -127,7 +124,7 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     |sin(k x)|^2 = sin(conj(k) x) sin(k x), so each weight is |prefactor|^2
     times a closed-form sine overlap.
     """
-    poles = resonances(w, k_max)
+    poles = enumerate_poles(w, k_max)
     k = poles.k
     prefactors = residue_prefactor(k, p, w)
     weights = (np.abs(prefactors) ** 2 * sine_overlap(np.conj(k), k)).real
@@ -139,6 +136,9 @@ def residue_terms(p: InitialProfile, w: WellParameters,
 _RAY_START = 0.5
 _RAY_RATIO = 1.5
 _RAY_PANEL = 2.0
+#: most panels _ray_edges will lay, about 0.707/t_min of them: every t_min
+#: down to about 1.7e-4; past it ValueError before any edge exists
+MAX_RAY_PANELS = 1 << 12
 #: f is evaluated on this many ray nodes at a time (bounds the workspace)
 _RAY_BLOCK = 128
 #: below this time the rotated route is dear (the ray rule's
@@ -157,13 +157,22 @@ def _ray_edges(t_min: float, t_max: float) -> np.ndarray:
     [0, 0.5/sqrt(t_max)], on which exp(-s^2 t_max) is a smooth bump; the
     panels then grow geometrically, at most to 2 (f varies on the scale
     1), up to where the Gaussian at t_min has beaten the exp(sqrt(2) s)
-    growth of f by e^-40.
+    growth of f by e^-40.  The panels are counted in closed form first:
+    geometric up to the knee where a step reaches _RAY_PANEL, then
+    _RAY_PANEL long; past MAX_RAY_PANELS is a ValueError.
     """
     if not (0.0 < t_min <= t_max < math.inf):
         raise ValueError("need 0 < t_min <= t_max < inf")
     c = math.sqrt(2.0) / math.sqrt(t_min)
     top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
-    edges = [0.0, min(_RAY_START / math.sqrt(t_max), _RAY_PANEL, top)]
+    first = min(_RAY_START / math.sqrt(t_max), _RAY_PANEL, top)
+    knee = _RAY_PANEL / (_RAY_RATIO - 1.0)
+    panels = (1.0 + max(math.log(min(top, knee) / first, _RAY_RATIO), 0.0)
+              + max(top - knee, 0.0) / _RAY_PANEL)
+    if panels > MAX_RAY_PANELS:
+        raise ValueError(f"the rotated route at t = {t_min:g} a^2 needs "
+                         f"more than {MAX_RAY_PANELS} ray panels")
+    edges = [0.0, first]
     while edges[-1] < top:
         step = min(edges[-1] * (_RAY_RATIO - 1.0), _RAY_PANEL)
         edges.append(min(edges[-1] + step, top))

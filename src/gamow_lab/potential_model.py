@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,8 @@ _AUDIT_POINTS = 1024
 _WINDING_ROUNDS = 52
 #: most poles enumerate_poles will refine (one seed each)
 MAX_POLES = 1 << 20
+#: default pole cutoff (1/a), and the floor of pole_cutoff
+DEFAULT_KMAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -341,6 +344,7 @@ def _seeded_roots(w: WellParameters, k_max: float):
     return k, np.abs(quantization_residual(k, w))
 
 
+@lru_cache(maxsize=64)
 def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
     """All fourth-quadrant Gamow poles with Re k < k_max, sorted by Re k.
 
@@ -348,6 +352,8 @@ def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
     their count is audited with the argument principle over the enclosing
     rectangle and a CountMismatch is raised on disagreement.  A cutoff past
     MAX_POLES seeds raises ValueError before any array is allocated.
+    The table is memoized (a pure function of lam and k_max), so every
+    caller of one (w, k_max) shares the one read-only table.
     """
     if not (0.0 < k_max < math.inf):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
@@ -363,6 +369,26 @@ def enumerate_poles(w: WellParameters, k_max: float) -> Poles:
         raise CountMismatch(f"argument principle counts {wind} poles, "
                             f"found {len(found)}")
     return found
+
+
+def pole_cutoff(w: WellParameters, t: float) -> float:
+    """Pole cutoff so the poles above it have decayed below ~1e-15 of the
+    initial norm by time t; both routes drop them.
+
+    A pole at k decays like exp(-2 Re(k) |Im(k)| t).  From
+    e^{2ik} = 1 - 2ik/lam, |Im(k)| ~ ln(1 + (2k/lam)^2) / 4: about
+    (k/lam)^2 below k = lam and ln(2k/lam) / 2 above it.  Solve the
+    exponent = 35 for k, with a floor at DEFAULT_KMAX.
+    """
+    if not (t > 0.0):
+        raise ValueError("t must be positive")
+    k = DEFAULT_KMAX
+    for _ in range(60):
+        expo = k * math.log1p((2.0 * k / w.lam) ** 2) * t / 2.0
+        if expo >= 35.0:
+            break
+        k *= 1.3
+    return k
 
 
 def _audit_contour(k_max: float, im_max: float) -> np.ndarray:

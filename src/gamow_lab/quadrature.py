@@ -45,6 +45,9 @@ WELL_ORDER = 128
 _PHASE_BUDGET = 8.0
 #: phase_budget_edges' frequency at k = 0 (radians per unit k)
 _PHASE_BASE_RATE = 4.0
+#: most panels phase_budget_edges will lay: every t <= 1e4 at k_max = 40
+#: takes 2,000,020; past it ValueError before any array exists
+MAX_PHASE_PANELS = 1 << 22
 #: growth factor of spike_edges' panels away from the peak
 _SPIKE_RATIO = 1.35
 #: adaptive_gl: rule order (control at half of it), first panels, rounds
@@ -284,15 +287,19 @@ def panel_sine_transform(coef, x, ks):
 
 def phase_budget_edges(k_max: float, t: float) -> np.ndarray:
     """Panel edges on [0, k_max] so the integrand phase advance per panel,
-    at local frequency 2 k t + _PHASE_BASE_RATE, stays below _PHASE_BUDGET."""
+    at local frequency 2 k t + _PHASE_BASE_RATE, stays below _PHASE_BUDGET.
+    More than MAX_PHASE_PANELS panels is a ValueError."""
     if k_max <= 0.0:
         raise ValueError("k_max must be positive")
     t, base_rate = max(t, 0.0), _PHASE_BASE_RATE
     # cumulative phase N(k) = (t k^2 + base_rate k) / _PHASE_BUDGET
-    n_total = int(np.ceil((t * k_max ** 2 + base_rate * k_max) / _PHASE_BUDGET))
-    n_total = max(n_total, 4)
+    phase = t * k_max ** 2 + base_rate * k_max
+    if phase / _PHASE_BUDGET > MAX_PHASE_PANELS:
+        raise ValueError(f"t = {t:g} a^2 up to k_max a = {k_max:g} needs "
+                         f"more than {MAX_PHASE_PANELS} phase panels")
+    n_total = max(int(np.ceil(phase / _PHASE_BUDGET)), 4)
     i = np.arange(n_total + 1, dtype=float)
-    target = i * (t * k_max ** 2 + base_rate * k_max) / n_total
+    target = i * phase / n_total
     if t > 0.0:
         edges = (-base_rate + np.sqrt(base_rate ** 2 + 4.0 * t * target)) / (2.0 * t)
     else:

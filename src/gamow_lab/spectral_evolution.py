@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy import fft
@@ -40,10 +39,11 @@ from .exceptions import QuadratureNotConverged
 from .potential_model import (
     A_from_trig,
     B_from_trig,
-    Poles,
+    DEFAULT_KMAX,
     WellParameters,
     enumerate_poles,
     interior_weight,
+    pole_cutoff,
     real_trig,
     weight_from_trig,
 )
@@ -65,8 +65,6 @@ from .quadrature import (
     spike_edges,
 )
 
-#: default spectral cutoff
-DEFAULT_KMAX = 40.0
 #: cutoff used for the t = 0 completeness reconstruction, where there is no
 #: phase damping and the profile kink makes the tail decay only like 1/k^2
 T0_KMAX = 800.0
@@ -108,33 +106,6 @@ def well_rule():
     return panel_nodes(np.array([0.0, 1.0]), WELL_ORDER)
 
 
-@lru_cache(maxsize=64)
-def resonances(w: WellParameters, k_max: float) -> Poles:
-    """Memoized pole enumeration (pure function of lam and k_max); every
-    caller shares the one read-only table."""
-    return enumerate_poles(w, k_max)
-
-
-def pole_cutoff(w: WellParameters, t: float) -> float:
-    """Pole cutoff so the poles above it have decayed below ~1e-15 of the
-    initial norm by time t; both routes drop them.
-
-    A pole at k decays like exp(-2 Re(k) |Im(k)| t).  From
-    e^{2ik} = 1 - 2ik/lam, |Im(k)| ~ ln(1 + (2k/lam)^2) / 4: about
-    (k/lam)^2 below k = lam and ln(2k/lam) / 2 above it.  Solve the
-    exponent = 35 for k, with a floor at 40.
-    """
-    if not (t > 0.0):
-        raise ValueError("t must be positive")
-    k = DEFAULT_KMAX
-    for _ in range(60):
-        expo = k * math.log1p((2.0 * k / w.lam) ** 2) * t / 2.0
-        if expo >= 35.0:
-            break
-        k *= 1.3
-    return k
-
-
 def direct_cutoff(w: WellParameters, t: float) -> float:
     """Spectral cutoff for the real-axis route.
 
@@ -153,7 +124,7 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     """Panel edges on [0, k_max] resolving both the exp(-ik^2 t) phase and
     every resonance spike below the cutoff.  The poles come first, so a
     cutoff past enumerate_poles' bound fails before any panel exists."""
-    k = resonances(w, k_max).k
+    k = enumerate_poles(w, k_max).k
     base = phase_budget_edges(k_max, abs(t))
     spacing = math.pi * w.lam / (1.0 + w.lam)
     extra = spike_edges(k.real, np.maximum(-k.imag, 1e-9),
@@ -468,7 +439,7 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     if not (0.0 <= t < math.inf):
         raise ValueError("t must be finite and >= 0")
     k_max = audit_cutoff(p)
-    dk = float(np.min(-resonances(w, k_max).k.imag)) / 10.0
+    dk = float(np.min(-enumerate_poles(w, k_max).k.imag)) / 10.0
     if t > 0.0:
         dk = min(dk, math.pi / (2.2 * k_max * t))
     n = int(math.ceil(k_max / dk))

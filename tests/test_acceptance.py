@@ -29,14 +29,11 @@ from gamow_lab.gamow_expansion import (
 from gamow_lab.potential_model import (
     WellParameters,
     asymptotic_pole_seed,
+    enumerate_poles,
     quantization_residual,
 )
 from gamow_lab.profiles import box_mode, truncated_gaussian
-from gamow_lab.spectral_evolution import (
-    evolve_direct,
-    resonances,
-    unitarity_audit,
-)
+from gamow_lab.spectral_evolution import evolve_direct, unitarity_audit
 
 W10 = WellParameters(lam=10.0)
 W30 = WellParameters(lam=30.0)
@@ -51,7 +48,7 @@ def verdict(n, ok, detail):
 
 def test_criterion_01_pole_reproduction():
     t0 = time.perf_counter()
-    poles = resonances(W100, 16.0)  # enumeration audits the count internally
+    poles = enumerate_poles(W100, 16.0)  # enumeration audits the count internally
     worst_res = worst_re = worst_im = 0.0
     for n, k in enumerate(poles.k[:5].tolist(), start=1):
         worst_res = max(worst_res, abs(quantization_residual(k, W100)))
@@ -85,7 +82,7 @@ def test_criterion_02_lifetime_formula():
     details = []
     ok = True
     for w, tol, check_series in ((W100, 0.02, True), (W10, 0.10, False)):
-        poles = resonances(w, 8.0)
+        poles = enumerate_poles(w, 8.0)
         tau1 = float(poles.tau[0])
         tau_g = gamow_lifetime(float(poles.k.real[0]), w)
         rel_g = abs(tau1 - tau_g) / tau_g
@@ -110,7 +107,7 @@ def test_criterion_03_unitarity():
     worst = 0.0
     p = box_mode(1)
     for w in (W10, W100):
-        tau = resonances(w, 8.0).tau[0]
+        tau = enumerate_poles(w, 8.0).tau[0]
         for t in (0.0, tau / 10.0, tau, 5.0 * tau):
             audit = unitarity_audit(p, t, w)
             worst = max(worst, abs(audit["total"] - 1.0))
@@ -125,7 +122,7 @@ def test_criterion_04_representation_equivalence():
     p = box_mode(1)
     worst = 0.0
     for w in (W10, W100):
-        tau = resonances(w, 8.0).tau[0]
+        tau = enumerate_poles(w, 8.0).tau[0]
         grid = np.linspace(0.0, 1.0, 65)
         for frac in (0.05, 0.2, 1.0, 5.0):
             t = frac * tau
@@ -215,7 +212,7 @@ def test_criterion_09_residue_calculus():
     p = box_mode(1)
     worst = 0.0
     for w in (W10, W100):
-        for k in resonances(w, 40.0).k:
+        for k in enumerate_poles(w, 40.0).k:
             worst = max(worst, verify_residue(k, p, w))
     g = gram_matrix(p, W100)
     off = float(np.max(np.abs(g - np.diag(np.diag(g)))))
@@ -230,7 +227,7 @@ def test_criterion_10_finite_difference_oracle():
 
     t0 = time.perf_counter()
     w, p = W10, box_mode(1)
-    tau = resonances(w, 8.0).tau[0]
+    tau = enumerate_poles(w, 8.0).tau[0]
     checkpoints = [tau, 2.0 * tau, 3.0 * tau]
 
     def psi0(x):
@@ -252,7 +249,7 @@ def test_criterion_10_finite_difference_oracle():
 def test_criterion_11_n_cubed_rate_law():
     t0 = time.perf_counter()
     w = W100
-    taus = resonances(w, 12.0).tau
+    taus = enumerate_poles(w, 12.0).tau
     rates = []
     for n in (1, 2, 3):
         tau_n = taus[n - 1]

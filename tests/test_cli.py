@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tomllib
 from pathlib import Path
 
@@ -130,6 +131,9 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
     (["poles", "--lambda", "10", "--kmax", "1e12"], "needs more than"),
     (["survival", "--lambda", "10", "--profile", "box:1",
       "--times", "1e-8,1"], "needs more than"),
+    # 2e14 phase-budget panels on the direct route
+    (["evolve", "--lambda", "10", "--profile", "box:1", "--times", "1e12",
+      "--policy", "direct"], "phase panels"),
 ], ids=["poles-lambda-inf", "poles-kmax-inf", "poles-width-inf",
         "poles-width-zero", "evolve-width-negative", "survival-width-nan",
         "report-width-1e200", "survival-width-1e-200",
@@ -137,7 +141,8 @@ def test_non_finite_times_exit_usage(tmp_path, argv):
         "evolve-negative-time-spaced", "survival-negative-time-spaced",
         "evolve-times-share-a-name", "evolve-repeated-time",
         "survival-degenerate-profile",
-        "poles-kmax-past-pole-bound", "survival-t-past-pole-bound"])
+        "poles-kmax-past-pole-bound", "survival-t-past-pole-bound",
+        "evolve-t-past-phase-panel-bound"])
 def test_rejected_input_exits_usage_and_writes_nothing(tmp_path, argv,
                                                        reason):
     # a separate process, so a hang fails the test instead of stalling it
@@ -251,6 +256,19 @@ def test_extreme_widths_give_finite_outputs(tmp_path, width):
                    "--out", str(out)])
         assert rc == EXIT_OK
         assert all(math.isfinite(v) for v in numbers(written(out))), command
+
+
+def test_ray_panel_bound_refuses_at_once(tmp_path, capsys):
+    # about 0.707 / t_min ray panels: they are counted before any is laid
+    start = time.perf_counter()
+    with pytest.warns(RuntimeWarning, match="rotated background"):
+        rc = main(["survival", "--lambda", "10", "--profile", "box:1",
+                   "--times", "1e-300,1", "--policy", "rotated",
+                   "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_USAGE
+    assert "ray panels" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_past_double_range_exits_usage(tmp_path, capsys):

@@ -21,21 +21,17 @@ from gamow_lab.exceptions import (
     WindowBeforeCrossover,
     WindowTooSmall,
 )
-from gamow_lab.potential_model import WellParameters
+from gamow_lab.potential_model import WellParameters, enumerate_poles
 from gamow_lab.profiles import box_mode, truncated_gaussian
 from gamow_lab.gamow_expansion import TIME_BLOCK, evolve_rotated
-from gamow_lab.spectral_evolution import (
-    WaveState,
-    evolve_direct,
-    resonances,
-)
+from gamow_lab.spectral_evolution import WaveState, evolve_direct
 
 W100 = WellParameters(lam=100.0)
 W10 = WellParameters(lam=10.0)
 
 
 def tau1(w):
-    return resonances(w, 40.0).tau[0]
+    return enumerate_poles(w, 40.0).tau[0]
 
 
 class TestGeometricTimes:
@@ -178,7 +174,7 @@ class TestFluxDerivative:
 
     def test_matches_exponential_rate(self):
         w = W100
-        poles = resonances(w, 4.0)
+        poles = enumerate_poles(w, 4.0)
         t = poles.tau[0]
         ws = evolve_rotated(box_mode(1), t, np.linspace(0.0, 1.0, 1025), w)
         expect = -poles.gamma[0] * math.exp(-1.0)
@@ -247,7 +243,7 @@ class TestSyntheticFits:
 class TestPhysicalFits:
     def test_second_mode_decays_eight_times_faster(self):
         w = W100
-        poles = resonances(w, 8.0)
+        poles = enumerate_poles(w, 8.0)
         times = np.linspace(0.2, 1.0, 10) * poles.tau[1] * 5.0
         c2 = nonescape_curve(box_mode(2), times, w)
         rate, _, _ = fit_exponential(c2, (times[0], times[-1]))

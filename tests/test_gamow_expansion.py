@@ -12,6 +12,7 @@ import pytest
 from gamow_lab.exceptions import NoCrossing, QuadratureNotConverged
 from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
+    MAX_RAY_PANELS,
     TIME_BLOCK,
     RotatedExpansion,
     _ray_edges,
@@ -27,13 +28,13 @@ from gamow_lab.gamow_expansion import (
     residue_terms,
     verify_residue,
 )
-from gamow_lab.potential_model import WellParameters, coefficient_A
-from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
-from gamow_lab.spectral_evolution import (
-    evolve_direct,
-    resonances,
-    well_rule,
+from gamow_lab.potential_model import (
+    WellParameters,
+    coefficient_A,
+    enumerate_poles,
 )
+from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
+from gamow_lab.spectral_evolution import evolve_direct, well_rule
 
 W100 = WellParameters(lam=100.0)
 W10 = WellParameters(lam=10.0)
@@ -41,7 +42,7 @@ W30 = WellParameters(lam=30.0)
 
 
 def tau1(w):
-    return resonances(w, 40.0).tau[0]
+    return enumerate_poles(w, 40.0).tau[0]
 
 
 class TestIntegrandF:
@@ -68,12 +69,12 @@ class TestResidues:
         assert residues.modes([0.0])[0, 0] == 0.0
 
     def test_contour_self_check(self):
-        k1 = resonances(W100, 4.0).k[0]
+        k1 = enumerate_poles(W100, 4.0).k[0]
         assert verify_residue(k1, box_mode(1), W100) < 1e-8
 
     def test_all_poles_verify(self):
         for w in (W10, W100):
-            for k in resonances(w, 40.0).k:
+            for k in enumerate_poles(w, 40.0).k:
                 assert verify_residue(k, box_mode(1), w) < 1e-6
 
     def test_first_weight_near_unity(self):
@@ -126,6 +127,14 @@ class TestBackgroundIntegral:
     def test_ray_rejects_non_finite_times(self, t_min, t_max):
         with pytest.raises(ValueError):
             _ray_edges(t_min, t_max)
+
+    def test_ray_panel_bound(self):
+        # about 0.707 / t_min panels, counted before the first is laid
+        for t_max in (1.8e-4, 1.0, 1e4):
+            assert _ray_edges(1.8e-4, t_max).size - 1 <= MAX_RAY_PANELS
+        for t_min in (1e-4, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="ray panels"):
+                _ray_edges(t_min, 1.0)
 
     def test_small_time_warns(self):
         with pytest.warns(RuntimeWarning):

@@ -1,7 +1,9 @@
 """Static checks on the package source that need no external linter."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,25 +59,29 @@ def test_no_unused_parameters(path):
     assert unused_parameters(path) == []
 
 
+def top_level_names(path: Path) -> set[str]:
+    """Names a module defines at its top level (not the ones it imports)."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return found
+
+
 def unread_private_names() -> list[str]:
     """Top-level _names of the package's modules that no package source
     reads, as 'module.name'."""
     defined, read = [], set()
     for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined += [f"{path.stem}.{n}" for n in names
-                        if n.startswith("_") and not n.endswith("__")]
-        for node in ast.walk(tree):
+        defined += [f"{path.stem}.{n}" for n in top_level_names(path)
+                    if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -272,6 +278,47 @@ def test_route_switch_read_only_by_gamow_expansion():
             if p.name != "gamow_expansion.py" and route_reads(p)} == {}
 
 
+#: the pole table, its one entry point and its cutoffs
+POLE_NAMES = {"DEFAULT_KMAX", "MAX_POLES", "Poles", "enumerate_poles",
+              "pole_cutoff"}
+
+
+def pole_imports(path: Path) -> list[str]:
+    """Imports of a POLE_NAMES name from anywhere but .potential_model, as
+    'line module.name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{node.lineno} {'.' * node.level}{node.module}.{alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) != (1, "potential_model")
+            for alias in node.names if alias.name in POLE_NAMES]
+
+
+def test_pole_tables_come_from_potential_model():
+    # enumerate_poles memoizes the one table every route reads, and
+    # potential_model owns the cutoffs that pick its poles
+    assert {p.name: pole_imports(p) for p in SRC.glob("*.py")
+            if pole_imports(p)} == {}
+
+
+def test_readme_names_resolve():
+    # every `module.name` the README cites is defined in that module, and
+    # each further `.attr` resolves on it
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = []
+    for ref in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                                     readme))):
+        stem, name, *rest = ref.split(".")
+        path = SRC / f"{stem}.py"
+        if path not in MODULES:
+            continue
+        obj = importlib.import_module(f"gamow_lab.{stem}")
+        for part in [name, *rest]:
+            obj = getattr(obj, part, missing)
+        if name not in top_level_names(path) or obj is missing:
+            missing.append(ref)
+    assert missing == []
+
+
 #: every name gamow_lab/__init__.py re-exports; a new export needs an
 #: entry here
 EXPORTED = {
@@ -286,8 +333,7 @@ EXPORTED = {
     "InitialProfile", "box_mode", "custom_samples", "overlap_transform",
     "parse_profile", "truncated_gaussian",
     # spectral_evolution
-    "WaveState", "evolve_direct", "resonances", "spectral_tail_mass",
-    "unitarity_audit",
+    "WaveState", "evolve_direct", "spectral_tail_mass", "unitarity_audit",
     # gamow_expansion
     "Residues", "RotatedExpansion", "asymptotic_background",
     "background_integral", "crossover_time", "evolve_rotated",

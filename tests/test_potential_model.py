@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gamow_lab import potential_model
-from gamow_lab.spectral_evolution import resonances
 from gamow_lab.exceptions import (
     CountMismatch,
     SeedOutOfRegime,
@@ -99,7 +98,7 @@ def test_real_k_takes_real_arithmetic(w):
     # resonance peak Re k_n (measured <= 4.7e-15 relative); scalars stay
     # Python complex
     k = np.r_[0.0, 1e-9, 1e-7, np.linspace(1e-3, 60.0, 4001),
-              resonances(w, 60.0).k.real]
+              enumerate_poles(w, 60.0).k.real]
     for f in (coefficient_A, coefficient_B):
         real, cplx = f(k, w), f(k.astype(complex), w)
         assert real.dtype == complex
@@ -393,12 +392,12 @@ class TestPolesInvariants:
             Poles(k=k, residual=[0.0, 0.0])
 
     def test_cached_table_is_read_only(self):
-        poles = resonances(W100, 16.0)
+        poles = enumerate_poles(W100, 16.0)
         assert len(poles) == poles.k.size == 5
         for column in (poles.k, poles.residual):
             with pytest.raises(ValueError):
                 column[0] = 0.0
-        assert resonances(W100, 16.0) is poles
+        assert enumerate_poles(W100, 16.0) is poles
 
     def test_copies_its_input(self):
         k = np.array([3.0 - 0.01j])

@@ -16,12 +16,14 @@ from gamow_lab.quadrature import (
     _SPIKE_RATIO,
     CONTROL_ORDER,
     MAIN_ORDER,
+    MAX_PHASE_PANELS,
     adaptive_gl,
     complex_sin,
     merge_edges,
     panel_nodes,
     panel_sine_sum,
     panel_sine_transform,
+    phase_budget_edges,
     spike_edges,
 )
 from gamow_lab.spectral_evolution import direct_cutoff, evolve_direct
@@ -53,6 +55,15 @@ def one_spike_edges(center, width, reach):
         offs.append(offs[-1] * _SPIKE_RATIO)
     offs = np.asarray(offs)
     return np.concatenate([center - offs, [center], center + offs])
+
+
+def test_phase_budget_bound():
+    # every t <= 1e4 at the default cutoff fits (2,000,020 panels); past
+    # the bound, a finite or overflowing phase fails before any array
+    assert phase_budget_edges(40.0, 1e4).size == 2000021
+    for t in (MAX_PHASE_PANELS * 8.0 / 1600.0 * 1.001, 1e12, 1e308):
+        with pytest.raises(ValueError, match="phase panels"):
+            phase_budget_edges(40.0, t)
 
 
 def test_merge_edges_matches_np_unique():

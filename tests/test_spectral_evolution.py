@@ -15,6 +15,8 @@ from gamow_lab.potential_model import (
     WellParameters,
     coefficient_A,
     coefficient_B,
+    enumerate_poles,
+    pole_cutoff,
 )
 from gamow_lab.profiles import box_mode, overlap_transform, truncated_gaussian
 from gamow_lab.quadrature import MAIN_ORDER, panel_nodes
@@ -29,8 +31,6 @@ from gamow_lab.spectral_evolution import (
     _unit_phases,
     direct_cutoff,
     evolve_direct,
-    pole_cutoff,
-    resonances,
     audit_cutoff,
     spectral_tail_mass,
     unitarity_audit,
@@ -42,7 +42,7 @@ W10 = WellParameters(lam=10.0)
 
 
 def tau1(w):
-    return resonances(w, 40.0).tau[0]
+    return enumerate_poles(w, 40.0).tau[0]
 
 
 def norm_in_well(psi, w):
@@ -143,9 +143,9 @@ class TestEvolveDirect:
 
         def counting(w, k_max):
             calls.append(k_max)
-            return resonances(w, k_max)
+            return enumerate_poles(w, k_max)
 
-        monkeypatch.setattr(spectral_evolution, "resonances", counting)
+        monkeypatch.setattr(spectral_evolution, "enumerate_poles", counting)
         evolve_direct(box_mode(1), 0.5, np.linspace(0.0, 1.0, 65), W10)
         assert len(calls) == 1
 
@@ -226,7 +226,7 @@ class TestDirectChunks:
         x, _ = well_rule()
         peaks = []
         for t in (0.0186321, 0.3):
-            resonances(w, direct_cutoff(w, t))
+            enumerate_poles(w, direct_cutoff(w, t))
             tracemalloc.start()
             try:
                 evolve_direct(box_mode(2), t, x, w)
@@ -244,7 +244,7 @@ class TestPoleCutoff:
         w = WellParameters(lam=lam)
         for t in (0.02, 0.3, 3.26, 30.0):
             k_max = pole_cutoff(w, t)
-            k = resonances(w, 2.0 * k_max).k
+            k = enumerate_poles(w, 2.0 * k_max).k
             dropped = k[k.real >= k_max]
             assert dropped.size
             assert np.max(np.exp((dropped * dropped).imag * t)) < 1e-14
@@ -353,7 +353,7 @@ class TestUnitarity:
         # smallest 5-smooth multiple of 4 >= 4n, below 2**21); the peak is
         # one quarter pass: c, c B and the nf/2 + 1 modes, with the pass's
         # twiddles, input and FFT of nf/4 points each (measured 44.8 MiB)
-        resonances(W100, audit_cutoff(box_mode(1)))
+        enumerate_poles(W100, audit_cutoff(box_mode(1)))
         tracemalloc.start()
         try:
             unitarity_audit(box_mode(1), 0.0, W100)
