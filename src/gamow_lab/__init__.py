@@ -33,7 +33,6 @@ from .potential_model import (
 from .profiles import (
     InitialProfile,
     box_mode,
-    custom_samples,
     overlap_transform,
     parse_profile,
     truncated_gaussian,

@@ -36,7 +36,6 @@ from .potential_model import (
 )
 from .profiles import (
     InitialProfile,
-    overlap_panels,
     overlap_transform,
     sine_overlap,
 )
@@ -214,9 +213,8 @@ class RotatedExpansion:
     each time costs a few small matrix products.  With k = e^{-i pi/4} s
     the background is I(x, t) = sum_j exp(-s_j^2 t) F_j(x), where
     F_j(x) = w_j e^{-i pi/4} f(e^{-i pi/4} s_j, x); a control rule (lower
-    order, same panels) gives its error estimate.  phi at both rules' nodes
-    comes from one overlap_panels call, whose cells on the ray are set by
-    the nodes' radii, not by the ray's panels.
+    order, same panels) gives its error estimate.  phi at each rule's
+    nodes is one closed-form overlap_transform call.
     """
 
     def __init__(self, x, p: InitialProfile, w: WellParameters,
@@ -234,10 +232,9 @@ class RotatedExpansion:
         self.mode_values = self.residues.modes(x)
         rules = [panel_nodes(edges, order)
                  for order in (MAIN_ORDER, CONTROL_ORDER)]
-        # phi on both rules' ray nodes in one pass
-        phis = overlap_panels(p, [_ROT * s for s, _ in rules])
-        self._main, self._control = [_ray_rule(s, ws, phi, x, w)
-                                     for (s, ws), phi in zip(rules, phis)]
+        self._main, self._control = [
+            _ray_rule(s, ws, overlap_transform(p, _ROT * s), x, w)
+            for s, ws in rules]
 
     def background(self, times) -> tuple[np.ndarray, np.ndarray]:
         """I(x_j, t) with shape (n_t, n_x), and the error estimate per time

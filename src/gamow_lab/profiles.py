@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .quadrature import (
-    WELL_ORDER,
-    complex_sin,
-    panel_nodes,
-    panel_sine_transform,
-)
+from .quadrature import WELL_ORDER, complex_sin, panel_nodes
 
 _NORM_TOL = 1e-10
 _EDGE_TOL = 1e-8
+#: terms of _faddeeva's rational approximation
+_FADDEEVA_TERMS = 40
 #: pi = _PI_HI + _PI_MID + _PI_LO: the first two hold at most 27 bits, so
 #: n times either is exact for n < 2^26, and _PI_LO is pi - math.pi
 _PI_HI = math.pi - math.pi % 2.0 ** -24
@@ -36,17 +34,22 @@ _PI_LO = 1.2246467991473532e-16
 
 @dataclass(frozen=True)
 class InitialProfile:
-    """Initial wave function psi0 on [0, 1], built by :func:`box_mode`,
-    :func:`truncated_gaussian` or :func:`custom_samples`.
+    """Initial wave function psi0 on [0, 1], built by :func:`box_mode` or
+    :func:`truncated_gaussian`.
 
-    ``mode`` is the box index n of sqrt(2) sin(n pi x), or None;
-    ``nodes`` and ``coef`` (= weights * psi0) are the profile rule on
-    [0, 1] (see _profile_rule); ``barrier_slope`` is psi0'(1-).
+    ``mode`` is the box index n of sqrt(2) sin(n pi x), or None for a
+    Gaussian, whose ``center`` and ``width`` (None for a box mode) give
+    its closed-form phi (see overlap_transform); ``nodes`` and ``coef``
+    (= weights * psi0) are the profile rule on [0, 1] (see _profile_rule),
+    read only for first_moment and the constructor's norm check;
+    ``barrier_slope`` is psi0'(1-).
     """
 
     label: str
     amplitude: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     mode: int | None
+    center: float | None
+    width: float | None
     nodes: np.ndarray = field(repr=False)
     coef: np.ndarray = field(repr=False)
     barrier_slope: complex
@@ -62,7 +65,7 @@ class InitialProfile:
         return complex(np.sum(self.coef * self.nodes))
 
 
-def _checked(amplitude, label, mode) -> InitialProfile:
+def _checked(amplitude, label, mode, center, width) -> InitialProfile:
     """The one constructor: rejects a profile whose norm is not 1 or whose
     edge values are not 0 (NaN fails both), and takes psi0'(1-) from a
     one-sided second-order stencil."""
@@ -81,7 +84,8 @@ def _checked(amplitude, label, mode) -> InitialProfile:
     if not abs(edgea) <= _EDGE_TOL:
         raise ValueError(f"profile must vanish at the barrier, psi(a)={edgea}")
     return InitialProfile(label=label, amplitude=amplitude, mode=mode,
-                          nodes=xs, coef=wts * vals,
+                          center=center, width=width, nodes=xs,
+                          coef=wts * vals,
                           barrier_slope=(3 * edgea - 4 * near + far) / (2.0 * h))
 
 
@@ -90,11 +94,12 @@ def box_mode(n: int) -> InitialProfile:
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
     amp = lambda x: np.sqrt(2.0) * np.sin(n * np.pi * x)
-    return _checked(amp, f"box:{n}", n)
+    return _checked(amp, f"box:{n}", n, None, None)
 
 
 def truncated_gaussian(center: float, width: float) -> InitialProfile:
-    """Normalized Gaussian bump on [0, 1].
+    """Normalized Gaussian bump N exp(-(x - center)^2 / (2 width^2)) on
+    [0, 1], N from _gauss_norm.
 
     center and width must keep the tails below the boundary tolerance at
     x = 0 and x = 1, otherwise the constructor rejects the profile.
@@ -103,69 +108,133 @@ def truncated_gaussian(center: float, width: float) -> InitialProfile:
         raise ValueError("center must lie inside (0, a)")
     if width <= 0.0:
         raise ValueError("width must be positive")
-    shape = lambda x: np.exp(-0.5 * ((np.asarray(x) - center) / width) ** 2)
-    return _checked(_normalized(shape), f"gauss:{center:g},{width:g}", None)
+    norm = _gauss_norm(center, width)
+    amp = lambda x: norm * np.exp(-0.5 * ((np.asarray(x) - center)
+                                          / width) ** 2)
+    return _checked(amp, f"gauss:{center:g},{width:g}", None, center, width)
 
 
-def custom_samples(x: np.ndarray, values: np.ndarray) -> InitialProfile:
-    """Profile defined by samples on [0, 1], x[0] = 0 and x[-1] = 1,
-    cubic-interpolated and renormalized."""
-    from scipy.interpolate import CubicSpline
-
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if x[0] != 0.0 or x[-1] != 1.0:
-        raise ValueError("samples must span the well, from x = 0 to x = 1")
-    spline_re = CubicSpline(x, values.real)
-    spline_im = CubicSpline(x, values.imag)
-    shape = lambda t: spline_re(np.asarray(t)) + 1j * spline_im(np.asarray(t))
-    return _checked(_normalized(shape), "custom", None)
+def _gauss_norm(center: float, width: float) -> float:
+    """N with int_0^1 |N exp(-(x - c)^2 / (2 s^2))|^2 dx = 1, from
+    int_0^1 exp(-(x - c)^2 / s^2) dx = s sqrt(pi)/2 (erf((1 - c)/s)
+    + erf(c/s)); NaN for a NaN width, which the constructor rejects."""
+    mass = width * (0.5 * math.sqrt(math.pi)) * (
+        math.erf((1.0 - center) / width) + math.erf(center / width))
+    return 1.0 / math.sqrt(mass)
 
 
 def _profile_rule():
     """Gauss-Legendre nodes and weights for profile integrals: eight
     WELL_ORDER-point panels on [0, 1], 1024 nodes.  psi0 is smooth on
-    [0, 1], so the rule converges to machine precision.  It resolves
-    sin(kx) to k ~ 3200, the direct route's cutoff 60/t at t ~ 0.019;
-    four panels alias from k ~ 1600 and move the direct route's psi for
-    a Gaussian by ~1e-8 at t in [0.018, 0.03]."""
+    [0, 1], so the rule converges to machine precision; it gives the norm
+    check and first_moment, not phi, so its limit in k (it resolves
+    sin(kx) only to k ~ 3200) bounds nothing."""
     return panel_nodes(np.linspace(0.0, 1.0, 9), WELL_ORDER)
 
 
-def _normalized(shape):
-    """shape divided by its norm on the profile rule over [0, 1]."""
-    xs, wts = _profile_rule()
-    norm = math.sqrt(float(np.sum(wts * np.abs(shape(xs)) ** 2)))
-    return lambda x: shape(x) / norm
-
-
 def overlap_transform(p: InitialProfile, k):
-    """Sine transform phi(k) = int_0^1 psi0(x) sin(kx) dx at real or complex k.
-
-    Box modes use the closed form of box_overlap; other profiles use the
-    cached Gauss-Legendre rule (entire integrand, so the fixed rule is
-    superalgebraically accurate for |Im k| below ~40).  Both take real
-    sines when k is real, and sin u cosh v + i cos u sinh v when it is
-    not.  Many nodes are cheaper through overlap_panels.
+    """Sine transform phi(k) = int_0^1 psi0(x) sin(kx) dx at real or complex
+    k (any shape), in closed form for every profile: box modes by
+    box_overlap, Gaussians by _gauss_overlap.  Real k takes real sines
+    (and a Gaussian two Faddeeva values per node), complex k
+    sin u cosh v + i cos u sinh v (and four).
     """
     k = np.asarray(k, dtype=float if np.isrealobj(k) else complex)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
-    sin = np.sin if np.isrealobj(k) else complex_sin
     if p.mode is not None:
+        sin = np.sin if np.isrealobj(k) else complex_sin
         out = box_overlap(p, k, sin(k)).astype(complex)
     else:
-        # nodes: (m,), k chunked to bound the outer-product workspace (at
-        # complex k, complex_sin's real factors add half of it again);
-        # real k takes real sines, with the same sums
-        flat = k.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        step = 128
-        for i in range(0, flat.size, step):
-            blk = flat[i:i + step]
-            out[i:i + step] = sin(np.multiply.outer(blk, p.nodes)) @ p.coef
-        out = out.reshape(k.shape)
+        out = _gauss_overlap(p, k).astype(complex)
     return complex(out[0]) if scalar else out
+
+
+def _gauss_overlap(p: InitialProfile, k):
+    """A Gaussian's phi(k) = N (I(k) - I(-k)) / 2i, with N = _gauss_norm
+    and (Abramowitz & Stegun 7.1.3, 7.4.2)
+
+        I(k) = int_0^1 e^{-(x-c)^2/(2s^2)} e^{ikx} dx
+             = s sqrt(pi/2) [2 e^{-b^2 + ikc} - e^{-u0^2} w(-i u0 - b)
+                             - e^{-u1^2} e^{ik} w(i u1 + b)],
+
+    u0 = -c/(s sqrt 2) < 0, u1 = (1 - c)/(s sqrt 2) > 0, b = k s/sqrt 2.
+    The full-line terms of I(k) - I(-k) are paired into 4i e^{-b^2} sin kc,
+    so phi keeps its relative accuracy near k = 0.  At real k both w
+    arguments lie above the real axis and the edge terms of I(-k) are the
+    conjugates of those of I(k), so
+
+        phi = N s sqrt(pi/2) [2 e^{-b^2} sin kc - e^{-u0^2} Im W0
+                              - e^{-u1^2} Im(e^{ik} W1)]
+
+    takes two w per node, W0 = w(-i u0 - b) and W1 = w(i u1 + b); complex
+    k takes all four, by _scaled_faddeeva.
+    """
+    c, s = p.center, p.width
+    u0, u1 = -c / (s * math.sqrt(2.0)), (1.0 - c) / (s * math.sqrt(2.0))
+    b = k * (s / math.sqrt(2.0))
+    if np.isrealobj(k):
+        w0 = _faddeeva(1j * -u0 - b)
+        w1 = _faddeeva(1j * u1 + b)
+        out = 2.0 * np.exp(-b * b) * np.sin(k * c)
+        out -= math.exp(-u0 * u0) * w0.imag
+        out -= math.exp(-u1 * u1) * (np.sin(k) * w1.real + np.cos(k) * w1.imag)
+    else:
+        edges = (_scaled_faddeeva(-u0 * u0, 1j * -u0 - b)
+                 - _scaled_faddeeva(-u0 * u0, 1j * -u0 + b)
+                 + _scaled_faddeeva(1j * k - u1 * u1, 1j * u1 + b)
+                 - _scaled_faddeeva(-1j * k - u1 * u1, 1j * u1 - b))
+        out = 2.0 * np.exp(-b * b) * complex_sin(k * c) - edges / 2j
+    return (_gauss_norm(c, s) * s * math.sqrt(0.5 * math.pi)) * out
+
+
+def _scaled_faddeeva(a, z):
+    """e^a w(z) at any z: _faddeeva above the real axis and, below it,
+    w(z) = 2 e^{-z^2} - w(-z) with e^{-z^2} taken into the exponent,
+    2 e^{a - z^2}, where e^a e^{-z^2} alone would overflow."""
+    a = np.broadcast_to(a, z.shape)
+    below = z.imag < 0.0
+    out = np.exp(a) * _faddeeva(np.where(below, -z, z))
+    out[below] = 2.0 * np.exp(a[below] - z[below] ** 2) - out[below]
+    return out
+
+
+@lru_cache(maxsize=1)
+def _weideman():
+    """L and the coefficients (highest degree first) of Weideman's
+    rational approximation of w with _FADDEEVA_TERMS terms (SIAM J.
+    Numer. Anal. 31, 1497, 1994): the FFT of e^{-t^2} (L^2 + t^2) at
+    t = L tan(theta/2)."""
+    n = _FADDEEVA_TERMS
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(-m + 1, m) * (0.5 * math.pi / m))
+    f = np.r_[0.0, np.exp(-t * t) * (L * L + t * t)]
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return L, a[n:0:-1]
+
+
+def _faddeeva(z):
+    """The Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z >= 0,
+
+        w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),
+        Z = (L + iz) / (L - iz),
+
+    p by Horner's rule (Weideman's algorithm, numpy only); within 2.4e-14
+    relative of scipy.special.wofz there."""
+    L, coef = _weideman()
+    den = L - 1j * z
+    Z = (2.0 * L) / den
+    Z -= 1.0
+    p = np.full(Z.shape, coef[0], dtype=complex)
+    for a in coef[1:]:
+        p *= Z
+        p += a
+    p *= 2.0
+    p /= den
+    p += 1.0 / math.sqrt(math.pi)
+    p /= den
+    return p
 
 
 def box_overlap(p: InitialProfile, z, s):
@@ -183,16 +252,6 @@ def box_overlap(p: InitialProfile, z, s):
     lead = math.sqrt(2.0) * n * math.pi * (-1.0) ** n
     near = ((z - n * _PI_HI) - n * _PI_MID) - n * _PI_LO
     return lead * s / (near * (z + n * math.pi))
-
-
-def overlap_panels(p: InitialProfile, ks):
-    """overlap_transform at every node set in ks, real nodes or complex
-    ones on one ray from 0, as panel_sine_transform takes them.  Box modes
-    take the closed form; other profiles the cell expansion of their
-    profile rule.  One array per node set."""
-    if p.mode is not None:
-        return [overlap_transform(p, k) for k in ks]
-    return panel_sine_transform(p.coef, p.nodes, ks)
 
 
 def sine_overlap(p, q):

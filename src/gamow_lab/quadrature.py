@@ -1,7 +1,6 @@
 """Quadrature helpers: panelized Gauss-Legendre rules for oscillatory and
-resonance-spiked integrands on the half line, and the panel sine sums that
-turn spectral nodes into wave functions and profiles into their sine
-transforms.
+resonance-spiked integrands on the half line, and the panel sine sum that
+turns spectral nodes into wave functions.
 
 The spectral integrals this package evaluates have two hostile features:
 extremely narrow Lorentzian spikes at the resonance positions, and a phase
@@ -12,18 +11,19 @@ around each spike) rather than by blind global adaptivity.
 Every Gauss-Legendre rule in the package comes from panel_nodes, so each
 order is computed once per process.
 
-A sine matrix sin(k_j x_m) is summed by panel_sine_sum (over real nodes
-k_j: psi at x_m) or panel_sine_transform (over the points x_m: phi at real
-nodes k_j, or at the rotated route's complex ones), never formed.  Both
-take flat nodes and sort them into cells of a fixed k lattice of width
-2 / max|x| (dyadic cells near k = 0), whatever quadrature panels they came
-from, and expand each node about its cell's centre, k_j = K_c + delta_j.
-So sin and cos are taken once per cell and point, about k_max max|x| / 2
-cells rather than once per node or per panel, as in the low-rank panels
-of the nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004; Dutt &
-Rokhlin, SIAM J. Sci. Comput. 14, 1993); every product is a real matrix
-product.  Each call takes its nodes in one pass, so its workspace grows
-with them; a caller with many nodes passes them in chunks.
+A sine matrix sin(k_j x_m) over real nodes k_j >= 0 is summed by
+panel_sine_sum (psi at the points x_m), never formed.  It takes flat nodes
+and sorts them into cells of a fixed k lattice of width 2 / max|x|
+(dyadic cells near k = 0), whatever quadrature panels they came from, and
+expands each node about its cell's centre, k_j = K_c + delta_j.  So sin
+and cos are taken once per cell and point, about k_max max|x| / 2 cells
+rather than once per node or per panel, as in the low-rank panels of the
+nonuniform FFT (Greengard & Lee, SIAM Rev. 46, 2004; Dutt & Rokhlin,
+SIAM J. Sci. Comput. 14, 1993); every product is a real matrix product.
+Each call takes its nodes in one pass, so its workspace grows with them;
+a caller with many nodes passes them in chunks.  (A profile's sine
+transform phi needs no sum: profiles.overlap_transform has it in closed
+form.)
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ MAX_PHASE_PANELS = 1 << 22
 _SPIKE_RATIO = 1.35
 #: adaptive_gl: rule order (control at half of it), first panels, rounds
 _ADAPTIVE_ORDER, _ADAPTIVE_PANELS, _ADAPTIVE_DEPTH = 16, 8, 30
-#: how far past its cell's half-width a node may round before it counts as
-#: off one ray (relative; 1.000001^19 / 19! is still below 2^-56)
-_OFF_RAY = 1e-6
 
 
 @lru_cache(maxsize=32)
@@ -110,92 +107,64 @@ def _cell_floors(r, h):
 
 
 def _expansion(ks, x):
-    """The cells that every node set in ks (real nodes, or complex ones on
-    one ray from 0) shares, and each set's nodes in them.
+    """The cells that every node set in ks (real nodes k >= 0) shares, and
+    each set's nodes in them.
 
-    A node's cell depends on |k| alone (see _cell_floors, with h = 2 / X
-    and X = max |x|), and its centre K_c sits at the cell's mid-radius on
-    the nodes' ray, so every offset has |k - K_c| X <= r, the largest
-    half-width times X of the cells present: 1 with a lattice cell, less
-    with dyadic ones alone.  The dyadic cells keep the expansion exact to
-    rounding relative to phi near k = 0.
+    A node's cell depends on k alone (see _cell_floors, with h = 2 / X and
+    X = max |x|), and its centre K_c sits at the cell's midpoint, so every
+    offset has |k - K_c| X <= r, the largest half-width times X of the
+    cells present: 1 with a lattice cell, less with dyadic ones alone.
+    The dyadic cells keep the expansion exact to rounding relative to the
+    sum near k = 0.
 
-    Returns (centres, sets, X, r): the cell centres in increasing radius,
+    Returns (centres, sets, X, r): the cell centres in increasing order,
     per node set (idx, rows, u, at) -- the stable permutation that sorts
     its flat nodes by cell, each sorted node's cell, its scaled offset
     u = (k - K_c) X, and the first sorted node of each run of nodes in one
-    cell -- and X and r.  ValueError on nodes off one ray (|u| past r).
+    cell -- and X and r.  ValueError on a complex, negative or NaN node,
+    whose offset the expansion does not bound.
     """
     scale = float(np.max(np.abs(x), initial=0.0)) or 1.0
     h = 2.0 / scale
     ks = [np.ravel(k) for k in ks]
-    ray = 1.0
-    if any(np.iscomplexobj(k) for k in ks):
-        far = max((complex(k[np.argmax(np.abs(k))]) for k in ks if k.size),
-                  key=abs, default=0j)
-        ray = far / abs(far) if far else 1.0 + 0j
+    if not all(np.isrealobj(k) and np.all(k >= 0.0) for k in ks):
+        raise ValueError("the sine expansion takes real nodes k >= 0")
     runs = []
     for k in ks:
-        floors = _cell_floors(np.abs(k), h)
+        floors = _cell_floors(k, h)
         idx = np.argsort(floors, kind="stable")
         floors = floors[idx]
         runs.append((idx, floors, _run_starts(floors)))
     cells = np.sort(np.concatenate([f[at] for _, f, at in runs]))
     cells = cells[_run_starts(cells)]
     half = np.where(cells >= h, 0.5 * h, 0.5 * cells)
-    centres = (cells + half) * ray
+    centres = cells + half
     reach = float(np.max(half, initial=0.0)) * scale
     sets = []
     for k, (idx, floors, at) in zip(ks, runs):
         rows = np.repeat(np.searchsorted(cells, floors[at]),
                          np.diff(np.append(at, k.size)))
-        u = (k[idx] - centres[rows]) * scale
-        if not np.max(np.abs(u), initial=0.0) <= reach * (1.0 + _OFF_RAY):
-            raise ValueError("the sine expansion needs nodes on one ray "
-                             "from 0: real k >= 0, or complex k of one "
-                             "phase")
-        sets.append((idx, rows, u, at))
+        sets.append((idx, rows, (k[idx] - centres[rows]) * scale, at))
     return centres, sets, scale, reach
 
 
 def _cell_trig(centres, x):
-    """sin(K_c x) and cos(K_c x) at every cell centre and point, each as a
-    tuple of real parts: (value,) at real centres, (re, im) at complex
-    ones.
-
-    Complex centres take sin(u + iv) = sin u cosh v + i cos u sinh v and
-    cos(u + iv) = cos u cosh v - i sin u sinh v from real kernels, accurate
-    near v = 0 (unlike (e^{iz} - e^{-iz}) / 2i) and clear of numpy's
-    complex sin (see complex_sin)."""
+    """sin(K_c x) and cos(K_c x) at every cell centre and point."""
     kx = np.multiply.outer(centres, x)
-    if np.isrealobj(kx):
-        return (np.sin(kx),), (np.cos(kx),)
-    sin_u, cos_u = np.sin(kx.real), np.cos(kx.real)
-    cosh_v, sinh_v = np.cosh(kx.imag), np.sinh(kx.imag)
-    return ((sin_u * cosh_v, cos_u * sinh_v),
-            (cos_u * cosh_v, -sin_u * sinh_v))
+    return np.sin(kx), np.cos(kx)
 
 
 def complex_sin(z):
     """sin z at complex z from real kernels, sin u cosh v + i cos u sinh v,
-    as _cell_trig takes it: numpy's complex sin runs up to ten times
-    slower in a process that has done a complex matrix product.  At v = 0
-    it is sin u + 0i, the real sine."""
+    accurate near v = 0 (unlike (e^{iz} - e^{-iz}) / 2i): numpy's complex
+    sin runs up to ten times slower in a process that has done a complex
+    matrix product.  At v = 0 it is sin u + 0i, the real sine."""
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
     out.real = np.sin(z.real)
     out.real *= np.cosh(z.imag)
     out.imag = np.cos(z.real)
     out.imag *= np.sinh(z.imag)
-    return out
-
-
-def _trig_product(trig, pairs):
-    """trig @ z for a trig matrix in _cell_trig's real parts and z given
-    as _real_pairs(z): one real matrix product per part."""
-    out = (trig[0] @ pairs).view(complex)
-    if len(trig) > 1:
-        out = out + 1j * (trig[1] @ pairs).view(complex)
     return out
 
 
@@ -243,7 +212,7 @@ def panel_sine_sum(cs, ks, x):
         moments.append(mom)
     # by parity of n: (x.size, node sets, terms), summed over the cells
     acc = []
-    for p, (trig,) in enumerate(_cell_trig(centres, x)):
+    for p, trig in enumerate(_cell_trig(centres, x)):
         both = np.concatenate([m[:, p::2] for m in moments], axis=1)
         acc.append((trig.T @ _real_pairs(both)).view(complex).reshape(
             x.size, len(sets), -1))
@@ -251,38 +220,6 @@ def panel_sine_sum(cs, ks, x):
     return [np.einsum("mj,mj->m", acc[0][:, r], powers[:, 0::2])
             + np.einsum("mj,mj->m", acc[1][:, r], powers[:, 1::2])
             for r in range(len(sets))]
-
-
-def panel_sine_transform(coef, x, ks):
-    """sum_m coef_m sin(k x_m) at every node k of each node set in ks: real
-    nodes, or complex ones on one ray from 0, in any order and shape.
-    Returns one complex array shaped like each node set.
-
-    The expansion of panel_sine_sum, summed the other way: one matrix
-    product per trig matrix gives
-    g_n = sum_m coef_m x_m^n sin(K_c x_m + n pi/2) / n! at every cell, and
-    each node takes a Horner sum in its offset delta over its cell's g.
-    The products are real (two per trig matrix at complex centres), never
-    complex ones.
-    """
-    x = np.asarray(x, dtype=float)
-    centres, sets, scale, reach = _expansion(ks, x)
-    n = _taylor_terms(reach)
-    scaled = (np.asarray(coef, dtype=complex)[:, None]
-              * np.power.outer(x / scale, np.arange(n)) * _taylor_signs(n))
-    g = np.empty((n, centres.size), dtype=complex)
-    for p, trig in enumerate(_cell_trig(centres, x)):
-        g[p::2] = _trig_product(trig, _real_pairs(scaled[:, p::2])).T
-    outs = []
-    for k, (idx, rows, u, _) in zip(ks, sets):
-        acc = g[n - 1, rows]
-        for j in range(n - 2, -1, -1):
-            acc *= u
-            acc += g[j, rows]
-        out = np.empty(np.shape(k), dtype=complex)
-        out.reshape(-1)[idx] = acc
-        outs.append(out)
-    return outs
 
 
 def phase_budget_edges(k_max: float, t: float) -> np.ndarray:

@@ -10,10 +10,10 @@ phase oscillates ever faster in k as t grows; the quadrature panels resolve
 both features explicitly (see quadrature.py) and the truncated tail beyond
 k_max is restored with a two-term stationary-phase endpoint correction.
 
-Both sine sums on those panels, phi(k) at the nodes and psi(x) over them,
-go through the cell expansion of quadrature.panel_sine_sum and
-panel_sine_transform, which the main and control rules share; so does the
-interior sum of unitarity_audit, on its flat midpoint rule.
+The sine sum psi(x) over those panels goes through the cell expansion of
+quadrature.panel_sine_sum, which the main and control rules share; so does
+the interior sum of unitarity_audit, on its flat midpoint rule.  phi(k) at
+the nodes is closed-form for every profile (profiles.overlap_transform).
 
 The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
 so the direct sum walks the panels in chunks of at most _CHUNK_NODES =
@@ -50,7 +50,6 @@ from .potential_model import (
 from .profiles import (
     InitialProfile,
     box_overlap,
-    overlap_panels,
     overlap_transform,
 )
 from .quadrature import (
@@ -134,11 +133,11 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
 
 def _spectrum(p: InitialProfile, ks):
     """real_trig(k) and phi(k) for each real node set k in ks: a box
-    mode's phi reads the same sine (box_overlap); other profiles take one
-    overlap_panels call for all sets."""
+    mode's phi reads the same sine (box_overlap); a Gaussian takes one
+    overlap_transform call per set."""
     trigs = [real_trig(k) for k in ks]
     if p.mode is None:
-        return trigs, overlap_panels(p, ks)
+        return trigs, [overlap_transform(p, k) for k in ks]
     return trigs, [box_overlap(p, k, s) for k, s, _ in trigs]
 
 
@@ -420,7 +419,7 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
     series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
-    nodes by panel_sine_sum (phi by overlap_panels, both at the flat
+    nodes by panel_sine_sum (phi by overlap_transform, both at the flat
     midpoints k_j = (j + 1/2) dk, _CHUNK_NODES at a time) and integrated
     with its weights, and the exterior branch
     (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), whose |psi|^2

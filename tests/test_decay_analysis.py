@@ -97,8 +97,8 @@ class TestDecayPlan:
     RotatedExpansion for the rotated times, evolve_direct for the rest."""
 
     def test_setup_independent_of_point_count(self, monkeypatch):
-        # overlap_panels is the ray's phi pass
-        calls = {"overlap_panels": 0, "residue_prefactor": 0}
+        # overlap_transform is the ray's phi pass (and the residues')
+        calls = {"overlap_transform": 0, "residue_prefactor": 0}
 
         def counted(name):
             fn = getattr(gamow_expansion, name)
@@ -148,7 +148,7 @@ class TestDecayPlan:
         def forbidden(*args, **kwargs):
             raise AssertionError("rotated set-up on a direct-only call")
 
-        monkeypatch.setattr(gamow_expansion, "overlap_panels", forbidden)
+        monkeypatch.setattr(gamow_expansion, "overlap_transform", forbidden)
         monkeypatch.setattr(gamow_expansion, "residue_prefactor", forbidden)
         curve = nonescape_curve(box_mode(1), [0.0, 0.019], W10)
         assert curve.methods == ("direct", "direct")

@@ -248,6 +248,22 @@ def test_width_read_only_by_cli():
             if p.name != "cli.py" and width_reads(p)} == {}
 
 
+def profile_rule_reads(path: Path) -> list[str]:
+    """Reads of an attribute named ``coef`` or ``nodes`` (a profile's
+    rule), as 'line name'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{node.lineno} {node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("coef", "nodes")]
+
+
+def test_profile_rule_read_only_by_profiles():
+    # phi has one implementation, overlap_transform's closed forms; the
+    # profile rule serves first_moment and the norm check alone
+    assert {p.name: profile_rule_reads(p) for p in SRC.glob("*.py")
+            if p.name != "profiles.py" and profile_rule_reads(p)} == {}
+
+
 #: the route switch between direct and rotated times, and the rotated
 #: route's type and time blocks
 ROUTE_NAMES = {"DIRECT_TIME_LIMIT", "TIME_BLOCK", "RotatedExpansion"}
@@ -330,7 +346,7 @@ EXPORTED = {
     "Poles", "WellParameters", "coefficient_A", "coefficient_A_bar",
     "coefficient_B", "enumerate_poles", "refine_pole",
     # profiles
-    "InitialProfile", "box_mode", "custom_samples", "overlap_transform",
+    "InitialProfile", "box_mode", "overlap_transform",
     "parse_profile", "truncated_gaussian",
     # spectral_evolution
     "WaveState", "evolve_direct", "spectral_tail_mass", "unitarity_audit",
@@ -368,14 +384,15 @@ def heavy_modules_after(code: str) -> str:
 
 def test_cli_import_leaves_out_scipy():
     # scipy's import would be most of every command's start-up; only
-    # sici (direct psi at t = 0) and CubicSpline (custom_samples) load it,
-    # on first use
+    # sici (direct psi at t = 0) loads it, on first use
     assert heavy_modules_after("import gamow_lab.cli") == "[]"
 
 
 def test_job_paths_leave_out_scipy_and_numpy_ma():
     # one small job per route: regime analysis (both crossings), the
-    # direct route (merged panel edges) and the audit (its FFTs)
+    # direct route (merged panel edges) and the audit (its FFTs), for a
+    # box mode and for a Gaussian (its Faddeeva w is numpy's, not
+    # scipy.special.wofz)
     code = """
 import gamow_lab.cli
 import numpy as np
@@ -385,5 +402,8 @@ w, p = WellParameters(10.0), parse_profile("box:1")
 regime_report(p, w)
 evolve_direct(p, 0.05, np.linspace(0.0, 1.0, 65), w)
 unitarity_audit(p, 1.0, w)
+g = parse_profile("gauss:0.5,0.06")
+evolve_direct(g, 0.05, np.linspace(0.0, 1.0, 65), w)
+unitarity_audit(g, 1.0, w)
 """
     assert heavy_modules_after(code) == "[]"

@@ -8,16 +8,16 @@ import pytest
 from numpy.polynomial import legendre
 
 from gamow_lab import quadrature
+from gamow_lab.potential_model import WellParameters, enumerate_poles
 from gamow_lab.profiles import (
     box_mode,
     box_overlap,
-    custom_samples,
-    overlap_panels,
     overlap_transform,
     parse_profile,
     sine_overlap,
     truncated_gaussian,
 )
+from gamow_lab.spectral_evolution import _spectrum
 
 
 def mp_overlap_box(n, k):
@@ -70,28 +70,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             truncated_gaussian(0.5, 0.2)
 
-    def test_custom_samples_renormalized(self):
-        x = np.linspace(0.0, 1.0, 101)
-        vals = np.sin(np.pi * x) * (1.0 + 0.3 * np.sin(2 * np.pi * x))
-        p = custom_samples(x, vals)
-        xs = np.linspace(0, 1, 4001)
-        assert np.trapezoid(np.abs(p(xs)) ** 2, xs) == pytest.approx(1.0, abs=1e-6)
-
-    def test_custom_samples_width_is_last_sample(self):
-        # the last sample is the barrier, x = 1 in units of the well width
-        x = np.linspace(0.0, 2.0, 101)
-        with pytest.raises(ValueError, match="span the well"):
-            custom_samples(x, np.sin(np.pi * x / 2.0))
-        p = custom_samples(x / 2.0, np.sin(np.pi * x / 2.0))
-        # int_0^2 sin(pi x / 2) x dx = 4 / pi is a^(3/2) phi'(0) at a = 2
-        assert 2.0 ** 1.5 * p.first_moment() == pytest.approx(4.0 / math.pi,
-                                                               rel=1e-6)
-
     @pytest.mark.parametrize("make", [
-        lambda: custom_samples(np.linspace(0.0, 1.0, 11), np.zeros(11)),
         lambda: parse_profile("gauss:0.5,1e-10"),
         lambda: parse_profile("gauss:0.5,nan"),
-    ], ids=["zero-samples", "gauss-underflow", "gauss-nan"])
+    ], ids=["gauss-underflow", "gauss-nan"])
     def test_degenerate_profiles_rejected(self, make):
         # a NaN norm or edge value must fail the constructor's check
         with pytest.raises(ValueError):
@@ -151,24 +133,31 @@ class TestOverlapTransform:
 
     @pytest.mark.parametrize("n", [1, 127, 128, 5000])
     def test_midpoints_match_transform(self, n):
-        # the audit's rule: n midpoints on [0, 120]
+        # the audit's rule, n midpoints on [0, 120]: its phi pass
+        # (_spectrum) is overlap_transform bit for bit, a box mode's from
+        # the sine of |A|^2, and a Gaussian's closed form matches the
+        # profile rule's dense sum, which resolves sin(kx) there (measured
+        # <= 3.0e-15 absolute, on |phi| <= 0.5)
         k = (np.arange(n) + 0.5) * (120.0 / n)
-        for p in (truncated_gaussian(0.45, 0.06), custom_samples(
-                np.linspace(0.0, 1.0, 41),
-                np.sin(np.pi * np.linspace(0.0, 1.0, 41)) ** 3)):
-            phi, = overlap_panels(p, [k])
-            assert np.max(np.abs(phi - overlap_transform(p, k))) < 1e-14
-        # box modes take the closed form on the same nodes
-        phi, = overlap_panels(box_mode(2), [k])
-        assert np.array_equal(phi, overlap_transform(box_mode(2), k))
+        for p in (truncated_gaussian(0.45, 0.06), box_mode(2)):
+            (phi,) = _spectrum(p, [k])[1]
+            assert np.array_equal(phi, overlap_transform(p, k))
+        p = truncated_gaussian(0.45, 0.06)
+        dense = np.sin(np.multiply.outer(k, p.nodes)) @ p.coef
+        assert np.max(np.abs(overlap_transform(p, k) - dense)) < 3e-14
 
-    def test_real_k_takes_real_sines_bit_identically(self):
-        # the real-sine path sums the same products as the complex one
+    def test_real_k_matches_the_complex_form(self):
+        # the real path (two w per node, by conjugate symmetry) against
+        # the complex one (four w) at the same k (measured <= 6e-17
+        # absolute, on |phi| <= 0.5)
         p = truncated_gaussian(0.45, 0.06)
         k = np.random.default_rng(2).uniform(0.0, 800.0, 8192 + 100)
-        assert np.array_equal(overlap_transform(p, k),
-                              overlap_transform(p, k.astype(complex)))
-        assert overlap_transform(p, 3.0) == overlap_transform(p, 3.0 + 0j)
+        real = overlap_transform(p, k)
+        assert real.dtype == complex and np.all(real.imag == 0.0)
+        assert np.max(np.abs(real - overlap_transform(
+            p, k.astype(complex)))) < 1e-15
+        assert overlap_transform(p, 3.0) == pytest.approx(
+            overlap_transform(p, 3.0 + 0j), rel=1e-14)
 
     def test_box_mode_real_k_takes_real_sines(self):
         # the closed form at real k, k = 0 and k = n pi / a included,
@@ -217,6 +206,79 @@ class TestOverlapTransform:
         for n in (1, 3, 7):
             got = overlap_transform(box_mode(n), n * math.pi)
             assert got == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+
+def mp_overlap_gauss(c, s, k):
+    """truncated_gaussian(c, s)'s phi(k) = N (I(k) - I(-k)) / 2i in 40
+    digits, with I(k) = s sqrt(pi/2) e^{ikc - b^2} (erf(u1 - ib)
+    - erf(u0 - ib)), b = k s / sqrt 2, u0 = -c / (s sqrt 2) and
+    u1 = (1 - c) / (s sqrt 2): erf, not quadrature."""
+    with mpmath.workdps(40):
+        c, s, k = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpmathify(k)
+        r2 = mpmath.sqrt(2)
+        u0, u1 = -c / (s * r2), (1 - c) / (s * r2)
+        norm = 1 / mpmath.sqrt(s * mpmath.sqrt(mpmath.pi) / 2 * (
+            mpmath.erf((1 - c) / s) + mpmath.erf(c / s)))
+
+        def I(k):
+            b = k * s / r2
+            return (s * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(1j * k * c - b * b)
+                    * (mpmath.erf(u1 - 1j * b) - mpmath.erf(u0 - 1j * b)))
+
+        return complex(norm * (I(k) - I(-k)) / 2j)
+
+
+#: (center, width) of the closed-form checks, the last with edge values
+#: 8.7e-9, next to the constructor's 1e-8
+GAUSSIANS = {"gauss:0.5,0.06": (0.5, 0.06), "gauss:0.4,0.05": (0.4, 0.05),
+             "edge-near-tol": (0.5, 0.08)}
+
+
+def ray_points(c, s):
+    """e^{-i pi/4} s' for s' <= 300, and 1% either side of each s' = 2u/s
+    (u = -u0, u1) on it, where a w argument crosses the real axis and
+    _scaled_faddeeva's reflection takes over."""
+    turns = [f * 2.0 * u / s for u in (c / (s * math.sqrt(2.0)),
+                                       (1.0 - c) / (s * math.sqrt(2.0)))
+             for f in (0.99, 1.01)]
+    radii = np.r_[np.geomspace(1e-6, 300.0, 60), 177.0,
+                  [r for r in turns if r <= 300.0]]
+    return np.exp(-0.25j * math.pi) * radii
+
+
+class TestGaussianClosedForm:
+    """overlap_transform's erf/Faddeeva form against mp_overlap_gauss,
+    relative error.  Measured maxima over the three GAUSSIANS: 4.6e-14 on
+    the real axis (next to a zero of sin kc), 4.4e-14 on the ray and
+    5.9e-15 at the poles; each bar is ten times that.  k = 5000 and
+    s = 177 on the ray are where a 1024-node Gauss-Legendre rule for phi
+    is off by 8.3e-3 absolute and by 1.3e-6 relative (gauss:0.4,0.05)."""
+
+    @pytest.mark.parametrize("c,s", GAUSSIANS.values(), ids=GAUSSIANS)
+    def test_real_k(self, c, s):
+        # 1e-9 to 3000, past the rule's k ~ 3200, to the direct route's
+        # cutoffs at short times
+        k = np.r_[np.geomspace(1e-9, 3000.0, 80), 5000.0, 20000.0]
+        got = overlap_transform(truncated_gaussian(c, s), k)
+        ref = np.array([mp_overlap_gauss(c, s, kk) for kk in k])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 5e-13
+
+    @pytest.mark.parametrize("c,s", GAUSSIANS.values(), ids=GAUSSIANS)
+    def test_ray(self, c, s):
+        k = ray_points(c, s)
+        got = overlap_transform(truncated_gaussian(c, s), k)
+        ref = np.array([mp_overlap_gauss(c, s, kk) for kk in k])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 5e-13
+
+    @pytest.mark.parametrize("c,s", GAUSSIANS.values(), ids=GAUSSIANS)
+    def test_pole_wavenumbers(self, c, s):
+        # the first poles at lambda = 10 and 100, where residue_prefactor
+        # reads phi
+        k = np.concatenate([enumerate_poles(WellParameters(lam), 40.0).k
+                            for lam in (10.0, 100.0)])
+        got = overlap_transform(truncated_gaussian(c, s), k)
+        ref = np.array([mp_overlap_gauss(c, s, kk) for kk in k])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 6e-14
 
 
 class TestParseProfile:

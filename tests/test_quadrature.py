@@ -9,9 +9,8 @@ import pytest
 
 from gamow_lab import quadrature
 from gamow_lab.exceptions import QuadratureNotConverged
-from gamow_lab.gamow_expansion import _ray_edges
 from gamow_lab.potential_model import WellParameters
-from gamow_lab.profiles import truncated_gaussian
+from gamow_lab.profiles import overlap_transform, truncated_gaussian
 from gamow_lab.quadrature import (
     _SPIKE_RATIO,
     CONTROL_ORDER,
@@ -22,7 +21,6 @@ from gamow_lab.quadrature import (
     merge_edges,
     panel_nodes,
     panel_sine_sum,
-    panel_sine_transform,
     phase_budget_edges,
     spike_edges,
 )
@@ -99,18 +97,6 @@ def test_spike_edges_match_one_spike_at_a_time():
     assert np.array_equal(np.sort(spike_edges(centers, widths, reach)),
                           np.sort(ref))
     assert spike_edges(np.array([]), np.array([]), reach).size == 0
-
-
-def dense_transform(coef, x, k):
-    """The oracle: sum_m coef_m sin(k x_m) from the full sine matrix."""
-    return (np.sin(np.multiply.outer(np.ravel(k), x)) @ coef).reshape(k.shape)
-
-
-def profile_rule(a):
-    """A smooth profile-like rule on [0, a]: sum |coef| is 1."""
-    xm, wm = panel_nodes(np.array([0.0, a]), 64)
-    coef = wm * np.exp(-((xm - 0.5 * a) / (0.1 * a)) ** 2) * (1 + 0.5j)
-    return xm, coef / np.sum(np.abs(coef))
 
 
 def test_panel_sine_sum_matches_one_product_across_blocks():
@@ -190,10 +176,6 @@ def test_panel_sums_match_dense_oracle(case):
     for psi, c, k in zip(panel_sine_sum(cs, ks, x), cs, ks):
         assert psi.shape == x.shape
         assert np.max(np.abs(psi - dense_sum(c, k, x))) < 1e-13
-    xm, coef = profile_rule(a)
-    for phi, k in zip(panel_sine_transform(coef, xm, ks), ks):
-        assert phi.shape == k.shape
-        assert np.max(np.abs(phi - dense_transform(coef, xm, k))) < 1e-14
 
 
 def test_sparse_nodes_match_dense_oracle():
@@ -208,23 +190,21 @@ def test_sparse_nodes_match_dense_oracle():
     psi, = panel_sine_sum([c], [k], x)
     assert np.max(np.abs(psi - dense_sum(c, k, x))) < 1e-13 * np.max(
         np.sum(np.abs(c[:, None] * np.sin(np.multiply.outer(k, x))), axis=0))
-    xm, coef = profile_rule(a)
-    phi, = panel_sine_transform(coef, xm, [k])
-    assert np.max(np.abs(phi - dense_transform(coef, xm, k))) < 1e-13
 
 
 def test_transform_near_zero_is_relatively_exact():
-    # the dyadic cells: phi(k) ~ k int x psi0 near k = 0 keeps 1e-14
-    # relative accuracy down to k = 1e-9 / a, and phi(0) is 0
+    # phi(k) ~ k int x psi0 near k = 0: the closed form keeps 1e-14
+    # relative accuracy down to k = 1e-9 / a against the profile rule's
+    # dense sum (psi0 > 0, so the sum does not cancel), and phi(0) is 0
     a = 1.0
-    xm, coef = profile_rule(a)
-    coef = coef.real  # one sign, so the dense oracle does not cancel
+    p = truncated_gaussian(0.5, 0.08)
     k = np.r_[0.0, np.geomspace(1e-9, 1e-3, 61) / a, 0.5, 3.0]
-    phi, = panel_sine_transform(coef, xm, [k])
+    phi = overlap_transform(p, k)
     assert phi[0] == 0.0
-    ref = dense_transform(coef, xm, k[1:])
+    ref = np.sin(np.multiply.outer(k[1:], p.nodes)) @ p.coef.real
     assert np.max(np.abs(phi[1:] - ref) / np.abs(ref)) < 1e-14
-    # psi from nodes near 0, relative to sum |c sin(k x)|
+    # psi from nodes near 0 (the dyadic cells), relative to
+    # sum |c sin(k x)|
     rng = np.random.default_rng(17)
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, a, 17)
@@ -233,41 +213,27 @@ def test_transform_near_zero_is_relatively_exact():
     assert np.all(np.abs(psi - dense_sum(c, k, x)) <= 1e-14 * scale)
 
 
-@pytest.mark.parametrize("lam", [10.0, 100.0], ids=["lam10", "lam100"])
-@pytest.mark.parametrize("t_min", [0.02, 0.05])
-def test_panel_sine_transform_on_the_ray(lam, t_min):
-    # the rotated route's complex nodes e^{-i pi/4} s, both rules, for
-    # times up to ten leading-order lifetimes lam^2 / (4 pi^3), so each
-    # lam sets its own first panel [0, 0.5 / sqrt(t_max)];
-    # |sin(k x)| grows like e^{s x / sqrt 2}, so the bar is set on the
-    # largest sum_m |coef_m sin(k x_m)|
-    p = truncated_gaussian(0.5672, 0.0565)
-    edges = _ray_edges(t_min, 10.0 * lam**2 / (4.0 * math.pi**3))
-    ks = [ROT * gl_nodes(edges, order) for order in (MAIN_ORDER, CONTROL_ORDER)]
-    for phi, k in zip(panel_sine_transform(p.coef, p.nodes, ks), ks):
-        terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
-        bar = 1e-13 * np.max(np.sum(np.abs(terms), axis=1))
-        assert phi.shape == k.shape
-        assert np.max(np.abs(phi - terms.sum(axis=1))) < bar
-
-
 def test_ray_nodes_from_near_zero_to_far():
-    # e^{-i pi/4} s, s from 1e-6 to 300, in and out of the dyadic cells;
-    # the bar is set on each node's sum_m |coef_m sin(k x_m)|
+    # phi at e^{-i pi/4} s, s from 1e-6 to 300, against the profile rule's
+    # dense sum; |sin(k x)| grows like e^{s x / sqrt 2}, so the bar is set
+    # on each node's sum_m |coef_m sin(k x_m)|
     p = truncated_gaussian(0.5, 0.08)
     k = ROT * np.geomspace(1e-6, 300.0, 400)
-    phi, = panel_sine_transform(p.coef, p.nodes, [k])
+    phi = overlap_transform(p, k)
     terms = np.sin(np.multiply.outer(k, p.nodes)) * p.coef
     assert np.all(np.abs(phi - terms.sum(axis=1))
                   <= 1e-13 * np.sum(np.abs(terms), axis=1))
 
 
 def test_nodes_off_one_ray_refused():
-    # complex nodes of two phases share no cell centre
+    # the expansion takes real nodes k >= 0: complex nodes (here on the
+    # rotated route's ray), negative and NaN ones leave their offsets
+    # unbounded
     x = np.linspace(0.0, 1.0, 5)
-    k = np.r_[ROT * np.linspace(1.0, 5.0, 8), np.linspace(1.0, 5.0, 8)]
-    with pytest.raises(ValueError, match="one ray"):
-        panel_sine_transform(np.ones(x.size), x, [k])
+    for k in (ROT * np.linspace(1.0, 5.0, 8), np.linspace(-1.0, 5.0, 8),
+              np.r_[1.0, math.nan]):
+        with pytest.raises(ValueError, match="real nodes"):
+            panel_sine_sum([np.ones(k.size)], [k], x)
 
 
 def test_complex_sin_from_real_kernels():
@@ -293,39 +259,36 @@ def test_trig_rows_follow_the_cutoff_not_the_panels(monkeypatch):
     t = 0.0548
     p = truncated_gaussian(0.5, 0.06)
     grid = np.linspace(0.0, 1.0, 33)
-    rows = {}  # kernel (by its points: the profile rule or the grid) -> rows
+    rows = {}  # kernel (by its points) -> rows
     cell_trig = quadrature._cell_trig
 
     def counted(centres, x):
         trig = cell_trig(centres, x)
-        rows[x.size] = rows.get(x.size, 0) + trig[0][0].shape[0]
+        rows[x.size] = rows.get(x.size, 0) + trig[0].shape[0]
         return trig
 
     monkeypatch.setattr(quadrature, "_cell_trig", counted)
     evolve_direct(p, t, grid, w)
-    assert sorted(rows) == sorted([p.nodes.size, grid.size])
+    # one kernel, psi on the grid: a Gaussian's phi is closed-form
+    assert list(rows) == [grid.size]
     assert max(rows.values()) <= math.ceil(direct_cutoff(w, t) / 2.0) + 64
 
 
 def test_workspace_stays_below_one_dense_block():
-    # 50k nodes on 257 points: the panel sums peak below one dense sine
+    # 50k nodes on 257 points: the panel sum peaks below one dense sine
     # block of 32,768 x 257 doubles
     rng = np.random.default_rng(5)
     edges = np.cumsum(np.r_[0.0, rng.uniform(0.1, 2.0, 50_000 // MAIN_ORDER)])
     k = gl_nodes(edges, MAIN_ORDER)
     c = random_coefficients(rng, k.shape)
     x = np.linspace(0.0, 1.0, 257)
-    coef = random_coefficients(rng, x.shape)
-    bound = 32768 * x.size * 8
-    for call in (lambda: panel_sine_sum([c], [k], x),
-                 lambda: panel_sine_transform(coef, x, [k])):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    tracemalloc.start()
+    try:
+        panel_sine_sum([c], [k], x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32768 * x.size * 8
 
 
 def test_adaptive_gl_raises_when_rounds_run_out():
