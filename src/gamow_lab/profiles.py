@@ -135,9 +135,9 @@ def _profile_rule():
 def overlap_transform(p: InitialProfile, k):
     """Sine transform phi(k) = int_0^1 psi0(x) sin(kx) dx at real or complex
     k (any shape), in closed form for every profile: box modes by
-    box_overlap, Gaussians by _gauss_overlap.  Real k takes real sines
-    (and a Gaussian two Faddeeva values per node), complex k
-    sin u cosh v + i cos u sinh v (and four).
+    box_overlap, Gaussians by gauss_overlap at real k and _gauss_overlap
+    at complex k.  Real k takes real sines (and a Gaussian two Faddeeva
+    values per node), complex k sin u cosh v + i cos u sinh v (and four).
     """
     k = np.asarray(k, dtype=float if np.isrealobj(k) else complex)
     scalar = k.ndim == 0
@@ -145,14 +145,16 @@ def overlap_transform(p: InitialProfile, k):
     if p.mode is not None:
         sin = np.sin if np.isrealobj(k) else complex_sin
         out = box_overlap(p, k, sin(k)).astype(complex)
+    elif np.isrealobj(k):
+        out = gauss_overlap(p, k, np.sin(k), np.cos(k)).astype(complex)
     else:
-        out = _gauss_overlap(p, k).astype(complex)
+        out = _gauss_overlap(p, k)
     return complex(out[0]) if scalar else out
 
 
 def _gauss_overlap(p: InitialProfile, k):
-    """A Gaussian's phi(k) = N (I(k) - I(-k)) / 2i, with N = _gauss_norm
-    and (Abramowitz & Stegun 7.1.3, 7.4.2)
+    """A Gaussian's phi(k) = N (I(k) - I(-k)) / 2i at complex k, with
+    N = _gauss_norm and (Abramowitz & Stegun 7.1.3, 7.4.2)
 
         I(k) = int_0^1 e^{-(x-c)^2/(2s^2)} e^{ikx} dx
              = s sqrt(pi/2) [2 e^{-b^2 + ikc} - e^{-u0^2} w(-i u0 - b)
@@ -160,32 +162,46 @@ def _gauss_overlap(p: InitialProfile, k):
 
     u0 = -c/(s sqrt 2) < 0, u1 = (1 - c)/(s sqrt 2) > 0, b = k s/sqrt 2.
     The full-line terms of I(k) - I(-k) are paired into 4i e^{-b^2} sin kc,
-    so phi keeps its relative accuracy near k = 0.  At real k both w
-    arguments lie above the real axis and the edge terms of I(-k) are the
-    conjugates of those of I(k), so
+    so phi keeps its relative accuracy near k = 0.  Complex k takes all
+    four w, by _scaled_faddeeva; real k takes two (gauss_overlap).
+    """
+    u0, u1, b, scale = _gauss_terms(p, k)
+    edges = (_scaled_faddeeva(-u0 * u0, 1j * -u0 - b)
+             - _scaled_faddeeva(-u0 * u0, 1j * -u0 + b)
+             + _scaled_faddeeva(1j * k - u1 * u1, 1j * u1 + b)
+             - _scaled_faddeeva(-1j * k - u1 * u1, 1j * u1 - b))
+    out = 2.0 * np.exp(-b * b) * complex_sin(k * p.center) - edges / 2j
+    return scale * out
+
+
+def gauss_overlap(p: InitialProfile, k, sin_k, cos_k):
+    """A Gaussian's phi at real k from sin_k = sin k and cos_k = cos k, so
+    that the direct route and the audit share the sine and cosine of
+    |A|^2 (potential_model.real_trig).  At real k both w arguments of
+    _gauss_overlap lie above the real axis and the edge terms of I(-k)
+    are the conjugates of those of I(k), so
 
         phi = N s sqrt(pi/2) [2 e^{-b^2} sin kc - e^{-u0^2} Im W0
                               - e^{-u1^2} Im(e^{ik} W1)]
 
-    takes two w per node, W0 = w(-i u0 - b) and W1 = w(i u1 + b); complex
-    k takes all four, by _scaled_faddeeva.
+    takes two w per node, W0 = w(-i u0 - b) and W1 = w(i u1 + b).
     """
+    u0, u1, b, scale = _gauss_terms(p, k)
+    w0 = _faddeeva(1j * -u0 - b)
+    w1 = _faddeeva(1j * u1 + b)
+    out = 2.0 * np.exp(-b * b) * np.sin(k * p.center)
+    out -= math.exp(-u0 * u0) * w0.imag
+    out -= math.exp(-u1 * u1) * (sin_k * w1.real + cos_k * w1.imag)
+    return scale * out
+
+
+def _gauss_terms(p: InitialProfile, k):
+    """u0, u1 and b of _gauss_overlap's form at k, and phi's factor
+    N s sqrt(pi/2)."""
     c, s = p.center, p.width
     u0, u1 = -c / (s * math.sqrt(2.0)), (1.0 - c) / (s * math.sqrt(2.0))
-    b = k * (s / math.sqrt(2.0))
-    if np.isrealobj(k):
-        w0 = _faddeeva(1j * -u0 - b)
-        w1 = _faddeeva(1j * u1 + b)
-        out = 2.0 * np.exp(-b * b) * np.sin(k * c)
-        out -= math.exp(-u0 * u0) * w0.imag
-        out -= math.exp(-u1 * u1) * (np.sin(k) * w1.real + np.cos(k) * w1.imag)
-    else:
-        edges = (_scaled_faddeeva(-u0 * u0, 1j * -u0 - b)
-                 - _scaled_faddeeva(-u0 * u0, 1j * -u0 + b)
-                 + _scaled_faddeeva(1j * k - u1 * u1, 1j * u1 + b)
-                 - _scaled_faddeeva(-1j * k - u1 * u1, 1j * u1 - b))
-        out = 2.0 * np.exp(-b * b) * complex_sin(k * c) - edges / 2j
-    return (_gauss_norm(c, s) * s * math.sqrt(0.5 * math.pi)) * out
+    return (u0, u1, k * (s / math.sqrt(2.0)),
+            _gauss_norm(c, s) * s * math.sqrt(0.5 * math.pi))
 
 
 def _scaled_faddeeva(a, z):

@@ -13,22 +13,31 @@ k_max is restored with a two-term stationary-phase endpoint correction.
 The sine sum psi(x) over those panels goes through the cell expansion of
 quadrature.panel_sine_sum, which the main and control rules share; so does
 the interior sum of unitarity_audit, on its flat midpoint rule.  phi(k) at
-the nodes is closed-form for every profile (profiles.overlap_transform).
+the nodes is closed-form for every profile (profiles.overlap_transform;
+at real nodes box_overlap and gauss_overlap).
 
 The node count grows like 1/t (the phase panels like k_max^2 t = 3600/t),
 so the direct sum walks the panels in chunks of at most _CHUNK_NODES =
-32,768 nodes of both rules, one panel sine sum each, and adds each chunk's
-sums into the result: its memory is flat in t, and only its time grows.  A
-chunk's coefficients take real arithmetic, one sine and cosine of k per
-node for |A|^2 and a box mode's phi.  unitarity_audit walks its midpoints
-in chunks of the same bound, and takes its exterior as four FFTs of a
-quarter of the padded length each, so its longest arrays, the exterior's
-modes and window phases, hold about half that length.
+32,768 nodes of both rules, one panel sine sum each, and adds the chunks'
+sums into the result in chunk order: its memory is flat in t, and only its
+time grows.  A chunk's coefficients take real arithmetic, one sine and
+cosine of k per node for |A|^2 and phi.  unitarity_audit walks its
+midpoints in chunks of the same bound, and takes its exterior as four
+branches of one FFT of a quarter of the padded length each, every branch
+reducing its own modes to its share of the window integral, so no array
+is longer than that quarter.
+
+The direct chunks, the audit's chunks and its four branches are
+independent tasks that _ordered_map runs on up to _MAX_WORKERS threads
+(the caller's included); their results are added in task order, so every
+output is the same bits for any thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +59,7 @@ from .potential_model import (
 from .profiles import (
     InitialProfile,
     box_overlap,
+    gauss_overlap,
     overlap_transform,
 )
 from .quadrature import (
@@ -79,8 +89,15 @@ _CHUNK_PANELS = _CHUNK_NODES // (MAIN_ORDER + CONTROL_ORDER)
 #: zero padding of unitarity_audit's exterior: any even length nf >= 4n
 #: samples the 4n-1 modes of |psi_out|^2 without aliasing, and _fft_length
 #: takes the smallest multiple of 4 with no prime factor above 5, which
-#: _exterior_modes splits into four FFTs of length nf/4 >= n
+#: _exterior_share splits into four FFTs of length nf/4 >= n
 _FFT_PAD = 4
+#: most threads _ordered_map runs, its caller's included.  Every task in
+#: flight adds its workspace to the peak memory: about 2.5 MiB per direct
+#: chunk (test_peak_memory_flat_in_t holds the direct route below 8 MiB)
+#: and 1.5 nf/4-point arrays per exterior branch (9.6 MiB at lambda = 100
+#: on top of the audit's 12.8 MiB of coefficients), so the cap, not the
+#: core count, bounds the memory
+_MAX_WORKERS = 2
 #: |phi|^2 that a smooth profile's spectrum stays below beyond
 #: unitarity_audit's cutoff
 _PHI_FLOOR = 1e-14
@@ -131,14 +148,72 @@ def _spectral_edges(w: WellParameters, t: float, k_max: float) -> np.ndarray:
     return merge_edges(base, extra, 0.0, k_max)
 
 
-def _spectrum(p: InitialProfile, ks):
-    """real_trig(k) and phi(k) for each real node set k in ks: a box
-    mode's phi reads the same sine (box_overlap); a Gaussian takes one
-    overlap_transform call per set."""
-    trigs = [real_trig(k) for k in ks]
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(f, items) -> list:
+    """[f(item) for item in items], the tasks shared out among the caller
+    and up to _MAX_WORKERS - 1 threads (no more threads than usable CPUs
+    or tasks; one task runs in the caller alone).
+
+    Each result lands at its item's index, so a caller that adds the
+    results in that order gets the same bits for every thread count.
+    After a task raises, in a thread or in the caller (a KeyboardInterrupt
+    included), no new task starts; every thread is joined before the call
+    returns, and the first exception is re-raised.
+    """
+    items = list(items)
+    workers = min(_usable_cpus(), len(items), _MAX_WORKERS)
+    if workers <= 1:
+        return [f(item) for item in items]
+    results = [None] * len(items)
+    errors = []
+    lock = threading.Lock()
+    todo = iter(range(len(items)))
+
+    def run():
+        try:
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = f(items[i])
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        run()
+    except BaseException as exc:  # a failed start, or an interrupt
+        errors.append(exc)
+    finally:
+        for thread in threads:
+            while thread.is_alive():
+                try:
+                    thread.join()
+                except BaseException as exc:  # an interrupt while joining
+                    errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _spectrum(p: InitialProfile, k):
+    """real_trig(k) and phi(k) at real nodes k, phi from the same sine (a
+    box mode, box_overlap) or sine and cosine (a Gaussian,
+    gauss_overlap)."""
+    trig = real_trig(k)
     if p.mode is None:
-        return trigs, [overlap_transform(p, k) for k in ks]
-    return trigs, [box_overlap(p, k, s) for k, s, _ in trigs]
+        return trig, gauss_overlap(p, *trig)
+    return trig, box_overlap(p, k, trig[1])
 
 
 def _chirped(z, k, t):
@@ -240,23 +315,31 @@ def _direct_sum(p, t, grid, w, edges):
     by the main and by the control rule.
 
     The panels are walked in chunks of _CHUNK_PANELS, whose nodes of both
-    rules make one panel sine sum call; each chunk's sums are added
-    into the two results, so no array grows with the node count and the
-    memory is flat in t (the node count grows like 1/t).  A chunk's
-    coefficients w phi |A|^2 / 2pi e^{-ik^2 t} take real arithmetic: one
-    sine and cosine of k per node for |A|^2 and a box mode's phi, and one
-    of k^2 t for the phase.
+    rules make one panel sine sum call, on _ordered_map's threads; the
+    chunks' sums are added into the two results in chunk order, so the
+    bits do not depend on the thread count, no array grows with the
+    node count and the memory is flat in t (the node count grows like
+    1/t).  A chunk's coefficients w phi |A|^2 / 2pi e^{-ik^2 t} take real
+    arithmetic: one sine and cosine of k per node for |A|^2 and phi, and
+    one of k^2 t for the phase.
     """
+    def chunk(i):
+        # one rule at a time, so that only the nodes and coefficients of
+        # both stay for the sine sum: a chunk in flight holds little
+        # beyond the sum's workspace
+        ks, cs = [], []
+        for order in (MAIN_ORDER, CONTROL_ORDER):
+            k, weights = panel_nodes(edges[i:i + _CHUNK_PANELS + 1], order)
+            trig, phi = _spectrum(p, k)
+            ks.append(k)
+            cs.append(_chirped(phi * (weights * weight_from_trig(trig, w)
+                                      / (2.0 * math.pi)), k, t))
+        return panel_sine_sum(cs, ks, grid)
+
     psi = [np.zeros(grid.shape, dtype=complex) for _ in range(2)]
-    for i in range(0, edges.size - 1, _CHUNK_PANELS):
-        rules = [panel_nodes(edges[i:i + _CHUNK_PANELS + 1], order)
-                 for order in (MAIN_ORDER, CONTROL_ORDER)]
-        ks = [k for k, _ in rules]
-        trigs, phis = _spectrum(p, ks)
-        cs = [_chirped(phi * (weights * weight_from_trig(trig, w)
-                              / (2.0 * math.pi)), k, t)
-              for (k, weights), trig, phi in zip(rules, trigs, phis)]
-        for acc, part in zip(psi, panel_sine_sum(cs, ks, grid)):
+    for parts in _ordered_map(chunk, range(0, edges.size - 1,
+                                           _CHUNK_PANELS)):
+        for acc, part in zip(psi, parts):
             acc += part
     return psi
 
@@ -323,95 +406,160 @@ def _audit_series(p: InitialProfile, t: float, w: WellParameters,
                   dk: float, n: int, x_in: np.ndarray):
     """unitarity_audit's midpoint series at k_j = (j + 1/2) dk, j < n:
     the interior psi on x_in and the exterior coefficients
-    c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B, with A, B (and a box
-    mode's phi) from one sine and cosine of k per midpoint.
+    c = (dk/2pi) e^{-ik^2 t} conj(A) phi and c B, with A, B and phi from
+    one sine and cosine of k per midpoint.
 
     The midpoints are walked in chunks of _CHUNK_NODES, the direct
-    route's node bound: each chunk's interior sum is added into psi, and
-    its c and c B are written into two n-arrays, so only those two grow
-    with n.  B is named so that c B is always taken in that order: numpy
+    route's node bound, on _ordered_map's threads: each chunk writes its
+    c and c B into its slice of two n-arrays, so only those two grow
+    with n, and the chunks' interior sums are added into psi in chunk
+    order.  B is named so that c B is always taken in that order: numpy
     may reuse a temporary right operand and swap the factors, which
     moves the last bit of a complex product."""
-    psi_in = np.zeros(x_in.shape, dtype=complex)
     c = np.empty(n, dtype=complex)
     c_b = np.empty(n, dtype=complex)
-    for s in range(0, n, _CHUNK_NODES):
+
+    def chunk(s):
         k = (np.arange(s, min(s + _CHUNK_NODES, n)) + 0.5) * dk
-        (trig,), (phi,) = _spectrum(p, [k])
+        trig, phi = _spectrum(p, k)
         A = A_from_trig(trig, w)
         part = _chirped(np.conj(A) * (dk / (2.0 * math.pi)) * phi, k, t)
-        psi_in += panel_sine_sum([A * part], [k], x_in)[0]
         B = B_from_trig(trig, w)
         c[s:s + k.size] = part
         c_b[s:s + k.size] = part * B
+        return panel_sine_sum([A * part], [k], x_in)[0]
+
+    psi_in = np.zeros(x_in.shape, dtype=complex)
+    for part in _ordered_map(chunk, range(0, n, _CHUNK_NODES)):
+        psi_in += part
     return psi_in, c, c_b
 
 
-def _unit_phases(theta: float, m: int) -> np.ndarray:
-    """e^{i nu theta} for nu = 1 .. m, as the products of two tables of
-    about sqrt(m) exponentials each, e^{i q b theta} e^{i r theta} with
-    nu = q b + r: one complex product per mode instead of a sine and a
-    cosine."""
-    b = math.isqrt(m) + 1
-    r = theta * np.arange(b)
-    q = (b * theta) * np.arange(m // b + 1)
-    small = np.cos(r) + 1j * np.sin(r)
-    big = np.cos(q) + 1j * np.sin(q)
-    return np.multiply.outer(big, small).ravel()[1:m + 1]
+def _row_length(m: int) -> int:
+    """The largest divisor of m at most sqrt(m): m modes laid out as
+    m // _row_length(m) rows of _row_length(m) take the fewest phases in
+    _phase_tables (m is 5-smooth here, so its divisors lie close)."""
+    return max(d for d in range(1, math.isqrt(m) + 1) if m % d == 0)
 
 
-def _exterior_modes(c: np.ndarray, c_b: np.ndarray) -> np.ndarray:
-    """Fourier modes nu = 0 .. nf/2 of |psi_out|^2 on x_j = 2pi j / (nf dk),
-    nf = _fft_length(4n), for psi_out = sum_m c_m e^{-ik_m x}
-    + (c B)_m e^{ik_m x} at k_m = (m + 1/2) dk, m < n.
+def _phase_tables(alpha: float, rows: int, cols: int):
+    """e^{i nu alpha} for nu = q cols + s as big[q] small[s], with
+    big = e^{i q cols alpha} (q < rows) and small = e^{i s alpha}
+    (s < cols): rows + cols exponentials give rows cols phases, one
+    complex product each, in place of a sine and a cosine of a large
+    argument per phase."""
+    big = np.exp(1j * (alpha * (cols * np.arange(rows))))
+    small = np.exp(1j * (alpha * np.arange(cols)))
+    return big, small
 
+
+def _window_weights(half, rows: slice, dk: float) -> np.ndarray:
+    """W_nu = 4 Im(z_nu) / (nu dk) on the given rows of modes
+    nu = q cols + s (0 at nu = 0), with z_nu = e^{i nu dk h} = big[q]
+    small[s] from the tables half, h = (x_hi - 1)/2, so that for
+    0 < nu < 2M
+
+        2 int_1^x_hi e^{i nu dk x} dx = W_nu z_nu e^{i nu dk}
+
+    (the modes nu and -nu of a real function pair up).  z 2 Im z =
+    z^2 - |z|^2 takes the difference of the two window ends with no
+    cancellation at low nu, and rounding in the large arguments of z
+    moves only the upper end x_hi, where psi_out has no support; the
+    lower end x = 1 comes from e^{i nu dk} alone."""
+    big, small = half[0][rows], half[1]
+    weight = np.multiply.outer(big.imag, small.real)
+    weight += np.multiply.outer(big.real, small.imag)
+    scale = 0.25 * dk
+    quarter_nu_dk = np.add.outer(
+        (scale * small.size) * np.arange(rows.start, rows.stop),
+        scale * np.arange(small.size))
+    if rows.start == 0:
+        quarter_nu_dk[0, 0] = math.inf
+    weight /= quarter_nu_dk
+    return weight
+
+
+def _exterior_share(c: np.ndarray, c_b: np.ndarray, r: int, nf: int,
+                    dk: float, x_hi: float) -> complex:
+    """Branch r of unitarity_audit's exterior, T_r, with the window
+    integral outside = Re(T_0 + T_1 + T_2 + T_3) / nf.
+
+    |psi_out|^2 for psi_out = sum_m c_m e^{-ik_m x} + (c B)_m e^{ik_m x}
+    at k_m = (m + 1/2) dk, m < n, is sampled on x_j = 2pi j / (nf dk):
     e^{-ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j m/nf} and
     e^{+ik_m x_j} = e^{-i pi j/nf} e^{-2pi i j (nf-1-m)/nf}, so
     |psi_out(x_j)|^2 = |F_j|^2 with F the nf-point FFT of d: c at the
-    bottom, c B reversed at the top.  nf = 4M (M = quarter) with M >= n,
-    so c lies in d's first quarter, reversed c B in its last, and the
-    middle two are zero.  With j = 4i + r (Bailey's four-step split) that
-    is four FFTs of length M,
+    bottom, c B reversed at the top.  nf = 4M with M >= n, so c lies in
+    d's first quarter, reversed c B in its last, and the middle two are
+    zero.  With j = 4i + r (Bailey's four-step split), branch r is one
+    FFT of length M,
 
         F_{4i+r} = fft_M(e^{-2pi i r m/nf} (c + i^r rev(c B)))_i,
 
-    and with G_r the full M-point FFT of |F_{4i+r}|^2 (a real FFT and its
-    conjugate mirror), the modes nu = aM + b are
+    and G_r is the full M-point FFT of |F_{4i+r}|^2 (a real FFT and its
+    conjugate mirror).  The modes of |psi_out|^2 are
+    g_nu = (1/nf) sum_r e^{-2pi i r nu/nf} G_r[nu mod M], band-limited
+    below nf/2 (nf >= 4n), so the window integral of the sampled series
+    over [1, x_hi] is exact mode by mode, and branch r adds
 
-        g_hat_nu = (1/nf) sum_r (-i)^{ra} e^{-2pi i r b/nf} G_r[b]:
+        T_r = (x_hi - 1) G_r[0] + W_2M z_2M e^{2iM b_r} G_r[0] / 2
+              + sum_{0<nu<2M} W_nu z_nu e^{i nu b_r} G_r[nu mod M],
 
-    a = 0, 1 for b < M, and nu = 2M at a = 2, b = 0.  No array is longer
-    than nf/2 + 1, and no FFT longer than M.
+    b_r = dk - 2pi r/nf, W and z from _window_weights, in blocks of
+    _CHUNK_NODES modes with the phases from _phase_tables.  No array is
+    longer than M and no FFT longer than M.
     """
     n = c.size
-    nf = _fft_length(_FFT_PAD * n)
     quarter = nf // 4
-    g_hat = np.zeros(2 * quarter + 1, dtype=complex)
-    for r in range(4):
-        # e^{-2pi i r b/nf}, b < M, for the input and for G_r
-        twiddle = np.r_[1.0, _unit_phases(-2.0 * math.pi * r / nf,
-                                          quarter - 1)]
-        u = np.zeros(quarter, dtype=complex)
-        u[quarter - n:] = c_b[::-1]
-        u[quarter - n:] *= 1j ** r
-        u[:n] += c
-        u *= twiddle
-        f = fft.fft(u)
-        del u
-        g = np.abs(f)
-        del f
-        g *= g
-        half = fft.rfft(g)
-        del g
-        G = np.concatenate([half, np.conj(half[(quarter - 1) // 2:0:-1])])
-        G *= twiddle
-        g_hat[:quarter] += G
-        G *= (-1j) ** r
-        g_hat[quarter:2 * quarter] += G
-        g_hat[2 * quarter] += (-1j) ** r * G[0]
-        del twiddle, half, G
-    g_hat /= nf
-    return g_hat
+    cols = _row_length(quarter)
+    rows = quarter // cols
+    shift = -2.0 * math.pi * r / nf
+    u = np.zeros(quarter, dtype=complex)
+    u[quarter - n:] = c_b[::-1]
+    u[quarter - n:] *= 1j ** r
+    u[:n] += c
+    big, small = _phase_tables(shift, rows, cols)
+    grid = u.reshape(rows, cols)
+    grid *= small
+    grid *= big[:, None]
+    fft.fft(u, out=u)
+    g = np.abs(u)
+    del u, grid
+    g *= g
+    spectrum = fft.rfft(g)
+    del g
+    G = np.empty(quarter, dtype=complex)
+    G[:spectrum.size] = spectrum
+    np.conjugate(spectrum[(quarter - 1) // 2:0:-1], out=G[spectrum.size:])
+    del spectrum
+
+    # e^{i nu dk h} and e^{i nu b_r} z_nu, nu <= 2M
+    half = _phase_tables(0.5 * dk * (x_hi - 1.0), 2 * rows + 1, cols)
+    big, small = _phase_tables(dk + shift, 2 * rows + 1, cols)
+    big *= half[0]
+    small *= half[1]
+    # nu = 0 and nu = 2M, which have no -nu partner
+    top = _window_weights(half, slice(2 * rows, 2 * rows + 1), dk)[0, 0]
+    share = G[0] * ((x_hi - 1.0) + 0.5 * top * big[2 * rows] * small[0])
+    grid = G.reshape(rows, cols)
+    step = max(1, _CHUNK_NODES // cols)
+    for q in range(0, 2 * rows, step):
+        block = slice(q, min(q + step, 2 * rows))
+        part = grid[np.arange(block.start, block.stop) % rows]
+        part *= _window_weights(half, block, dk)
+        share += big[block] @ (part @ small)
+    return share
+
+
+def _exterior(c: np.ndarray, c_b: np.ndarray, dk: float,
+              x_hi: float) -> float:
+    """int_1^x_hi |psi_out|^2 dx for psi_out's midpoint coefficients c
+    and c B: the four branches of _exterior_share on _ordered_map's
+    threads, their shares added in branch order."""
+    nf = _fft_length(_FFT_PAD * c.size)
+    shares = _ordered_map(
+        lambda r: _exterior_share(c, c_b, r, nf, dk, x_hi), range(4))
+    return (shares[0] + shares[1] + shares[2] + shares[3]).real / nf
 
 
 def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
@@ -419,13 +567,16 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
 
     One shared midpoint rule on [0, k_max] feeds both regions: the interior
     series (1/2pi) e^{-ik^2 t} |A|^2 phi sin(kx), summed on well_rule's
-    nodes by panel_sine_sum (phi by overlap_transform, both at the flat
+    nodes by panel_sine_sum (phi by _spectrum, both at the flat
     midpoints k_j = (j + 1/2) dk, _CHUNK_NODES at a time) and integrated
     with its weights, and the exterior branch
     (1/2pi) e^{-ik^2 t} conj(A) phi (e^{-ikx} + B e^{ikx}), whose |psi|^2
-    _exterior_modes takes to Fourier modes on a grid of nf >= 4n points (a
-    5-smooth multiple of 4) by four complex and four real FFTs of nf/4
-    points, and which is integrated over the window mode by mode.
+    on a grid of nf >= 4n points (a 5-smooth multiple of 4) is integrated
+    over the window mode by mode, exactly for its sampled Fourier series:
+    four branches of one complex and one real FFT of nf/4 points each,
+    each of which reduces its modes to its share of the window integral
+    (_exterior_share).  The midpoint chunks and the branches run on
+    _ordered_map's threads; the results do not depend on their count.
     The step resolves both the narrowest resonance spike (10 points per
     width) and the chirp e^{-ik^2 t} (the wrap length 2pi/dk exceeds 2.2x
     the ballistic range 2 k_max t, so nothing aliases back); the exterior integral stops at the wavefront
@@ -447,24 +598,9 @@ def unitarity_audit(p: InitialProfile, t: float, w: WellParameters) -> dict:
     psi_in, c, c_b = _audit_series(p, t, w, dk, n, x_in)
     inside = float(wx @ np.abs(psi_in) ** 2)
 
-    g_hat = _exterior_modes(c, c_b)
-    del c, c_b
     x_hi = 2.2 * k_max * t + 50.0
-    # |psi_out|^2 has modes |nu| <= 2n-1 < nf/2 (nf >= 4n): its sampled
-    # Fourier series is exact and the window integral over [1, x_hi] is
-    # taken in closed form per mode, Re(g_hat_nu int_a^x_hi e^{i nu dk x}
-    # dx) -- no endpoint error.  |psi_out|^2 is real and nf even, so the
-    # modes nu and -nu pair up and those in 1 .. nf/2-1 count twice.
-    # e^{i nu dk x} at both window ends from _unit_phases' tables
-    m = g_hat.size - 1
-    ends = _unit_phases(dk * x_hi, m)
-    ends -= _unit_phases(dk, m)
-    terms = g_hat.real[1:] * ends.imag
-    terms += g_hat.imag[1:] * ends.real
-    del ends
-    terms /= dk * np.arange(1, m + 1)
-    terms[:-1] *= 2.0
-    outside = float(g_hat[0].real * (x_hi - 1.0) + np.sum(terms))
+    outside = _exterior(c, c_b, dk, x_hi)
+    del c, c_b
 
     tail = spectral_tail_mass(p, w, k_max)
     return {

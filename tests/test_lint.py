@@ -294,6 +294,36 @@ def test_route_switch_read_only_by_gamow_expansion():
             if p.name != "gamow_expansion.py" and route_reads(p)} == {}
 
 
+#: standard-library packages that start threads or processes
+CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(path: Path) -> list[str]:
+    """Imports of a CONCURRENCY package or module, as 'line module'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{node.lineno} {n}" for n in names
+                  if n.split(".")[0] in CONCURRENCY]
+    return found
+
+
+def test_threads_start_only_in_spectral_evolution():
+    # spectral_evolution._ordered_map is the one place that starts
+    # threads, and it uses plain threading
+    assert {p.name: concurrency_imports(p) for p in MODULES
+            if p.name != "spectral_evolution.py"
+            and concurrency_imports(p)} == {}
+    assert [line.split()[1] for line in concurrency_imports(
+        SRC / "spectral_evolution.py")] == ["threading"]
+
+
 #: the pole table, its one entry point and its cutoffs
 POLE_NAMES = {"DEFAULT_KMAX", "MAX_POLES", "Poles", "enumerate_poles",
               "pole_cutoff"}

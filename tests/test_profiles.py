@@ -140,7 +140,7 @@ class TestOverlapTransform:
         # <= 3.0e-15 absolute, on |phi| <= 0.5)
         k = (np.arange(n) + 0.5) * (120.0 / n)
         for p in (truncated_gaussian(0.45, 0.06), box_mode(2)):
-            (phi,) = _spectrum(p, [k])[1]
+            phi = _spectrum(p, k)[1]
             assert np.array_equal(phi, overlap_transform(p, k))
         p = truncated_gaussian(0.45, 0.06)
         dense = np.sin(np.multiply.outer(k, p.nodes)) @ p.coef

@@ -3,6 +3,9 @@ inside/outside/tail unitarity decomposition."""
 
 import cmath
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import types
 
@@ -26,9 +29,11 @@ from gamow_lab.spectral_evolution import (
     _evolve_direct_raw,
     _fft_length,
     _kink_tail_t0,
+    _ordered_map,
+    _phase_tables,
+    _row_length,
     _spectral_edges,
     _tail_correction,
-    _unit_phases,
     direct_cutoff,
     evolve_direct,
     audit_cutoff,
@@ -217,24 +222,133 @@ class TestDirectChunks:
             for g, d in zip(got, default):
                 assert np.max(np.abs(g - d)) <= 1e-14 * np.max(np.abs(d))
 
-    def test_peak_memory_flat_in_t(self):
-        # the direct route holds one chunk of nodes at a time: at
-        # t = 0.0186 a^2 (885,584 nodes; 57 MiB when every node was held
-        # at once) its traced peak stays below 8 MiB and within 1 MiB of
-        # the peak at t = 0.3 (measured 4.1 and 3.6 MiB)
+    def test_peak_memory_flat_in_t(self, monkeypatch):
+        # the direct route holds one chunk of nodes per worker at a time:
+        # at t = 0.0186 a^2 (885,584 nodes; 57 MiB when every node was
+        # held at once) its traced peak stays below 8 MiB and within 1 MiB
+        # of the peak at t = 0.3, on two workers and on one.  How far two
+        # chunks in flight overlap varies from call to call, so on two
+        # workers each time takes the highest of five calls (measured
+        # 5.3-5.6 and 4.8-5.0 MiB on two workers, 2.9 and 2.5 MiB on one)
         w = WellParameters(26.2033)
         x, _ = well_rule()
-        peaks = []
-        for t in (0.0186321, 0.3):
-            enumerate_poles(w, direct_cutoff(w, t))
-            tracemalloc.start()
-            try:
-                evolve_direct(box_mode(2), t, x, w)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 8 * 2 ** 20
-        assert abs(peaks[0] - peaks[1]) <= 2 ** 20
+        peaks = {}
+        for cpus, calls in ((2, 5), (1, 1)):
+            monkeypatch.setattr(spectral_evolution, "_usable_cpus",
+                                lambda: cpus)
+            for t in (0.0186321, 0.3):
+                enumerate_poles(w, direct_cutoff(w, t))
+                for _ in range(calls):
+                    tracemalloc.start()
+                    try:
+                        evolve_direct(box_mode(2), t, x, w)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    peaks[cpus, t] = max(peaks.get((cpus, t), 0), peak)
+        for cpus in (2, 1):
+            assert peaks[cpus, 0.0186321] <= 8 * 2 ** 20
+            assert abs(peaks[cpus, 0.0186321] - peaks[cpus, 0.3]) <= 2 ** 20
+
+
+class TestOrderedMap:
+    """_ordered_map's order and failure semantics, and the direct sum and
+    the audit at one and at two workers; the tests substitute the usable
+    CPU count."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(spectral_evolution, "_usable_cpus", lambda: n)
+
+    def test_results_in_item_order(self, monkeypatch):
+        # later items finish first
+        self.cpus(monkeypatch, 2)
+
+        def task(i):
+            time.sleep(0.002 * (6 - i))
+            return i * i
+
+        assert _ordered_map(task, range(7)) == [i * i for i in range(7)]
+
+    def test_every_task_runs_once_under_contention(self, monkeypatch):
+        # four threads on small tasks, switching every microsecond (more
+        # workers than this machine's cores): a lost or repeated claim of
+        # an item breaks the call record or the results
+        self.cpus(monkeypatch, 4)
+        monkeypatch.setattr(spectral_evolution, "_MAX_WORKERS", 4)
+        calls = []
+
+        def task(i):
+            calls.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _ordered_map(task, range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_raising_task_stops_the_map(self, monkeypatch, error):
+        # the 3rd of 5 tasks raises (a KeyboardInterrupt in the caller's
+        # thread, which runs tasks too): it reaches the caller once every
+        # thread is joined, and no task after it starts
+        self.cpus(monkeypatch, 2)
+        started = []
+        before = threading.active_count()
+
+        def task(i):
+            started.append(i)
+            if i == 2:
+                if error is KeyboardInterrupt:
+                    assert threading.current_thread() is threading.main_thread()
+                raise error("task 2")
+            time.sleep(0.05)
+            return i
+
+        items = [0, 1, 2, 3, 4]
+        if error is KeyboardInterrupt:
+            # the caller's first task is the one that raises
+            def task_in_caller(i):
+                if threading.current_thread() is threading.main_thread():
+                    return task(2)
+                return task(i)
+
+            run = task_in_caller
+        else:
+            run = task
+        with pytest.raises(error, match="task 2"):
+            _ordered_map(run, items)
+        assert threading.active_count() == before
+        assert 4 not in started
+
+    @pytest.mark.parametrize("profile", [box_mode(2),
+                                         truncated_gaussian(0.5, 0.06)],
+                             ids=["box2", "gauss"])
+    def test_direct_sum_bits_leave_out_the_workers(self, monkeypatch,
+                                                   profile):
+        w, t = WellParameters(26.2), 0.0186
+        x, _ = well_rule()
+        edges = _spectral_edges(w, t, direct_cutoff(w, t))
+        assert math.ceil((edges.size - 1)
+                         / spectral_evolution._CHUNK_PANELS) == 28
+        sums = []
+        for n in (1, 2):
+            self.cpus(monkeypatch, n)
+            sums.append(_direct_sum(profile, t, x, w, edges))
+        assert all(np.array_equal(a, b) for a, b in zip(*sums))
+
+    def test_audit_leaves_out_the_workers(self, monkeypatch):
+        # all six fields, outside included, agree exactly: the branches'
+        # shares are added in branch order
+        audits = []
+        for n in (1, 2):
+            self.cpus(monkeypatch, n)
+            audits.append(unitarity_audit(box_mode(1), 0.530171, W100))
+        assert len(audits[0]) == 6 and audits[0] == audits[1]
 
 
 class TestPoleCutoff:
@@ -333,26 +447,36 @@ class TestUnitarity:
         B = coefficient_B(k, W10)
         assert np.array_equal(c_b, c * B)
 
-    def test_unit_phases_match_exp(self):
+    def test_phase_tables_match_exp(self):
         # the audit's window phases from two tables against e^{i nu theta}
         # in 30 digits, at the lambda = 100 audit's mode count and a window
         # end where nu theta reaches 1.2e6: within a few roundings of the
         # argument nu theta, as one exp per mode is
         m, theta = 839_808, 0.02868 * 50.0
-        got = _unit_phases(theta, m)
+        cols = _row_length(m)
+        big, small = _phase_tables(theta, m // cols + 1, cols)
         nu = np.r_[1:40, np.random.default_rng(4).integers(1, m, 200),
                    m - 40:m + 1]
+        got = big[nu // cols] * small[nu % cols]
         with mpmath.workdps(30):
             ref = np.array([complex(mpmath.expj(mpmath.mpf(theta) * int(v)))
                             for v in nu])
-        assert np.all(np.abs(got[nu - 1] - ref)
+        assert np.all(np.abs(got - ref)
                       <= 8 * 2.0 ** -53 * theta * nu + 1e-15)
+
+    def test_row_length_is_the_largest_divisor_below_the_root(self):
+        for m in (1, 2, 4, 12, 419_904, 5 ** 7, 2 ** 20, 839_808):
+            cols = _row_length(m)
+            assert m % cols == 0 and cols * cols <= m
+            assert not any(m % d == 0
+                           for d in range(cols + 1, math.isqrt(m) + 1))
 
     def test_exterior_peak_memory(self):
         # lambda = 100, box:1: n = 418,347 midpoints, nf = 1,679,616 (the
         # smallest 5-smooth multiple of 4 >= 4n, below 2**21); the peak is
-        # one quarter pass: c, c B and the nf/2 + 1 modes, with the pass's
-        # twiddles, input and FFT of nf/4 points each (measured 44.8 MiB)
+        # c and c B with two branches in flight, each at its FFT of nf/4
+        # points and that FFT's |.|^2 (measured 29.0-32.1 MiB; 44.8 MiB
+        # when the branches were added into the nf/2 + 1 modes)
         enumerate_poles(W100, audit_cutoff(box_mode(1)))
         tracemalloc.start()
         try:
@@ -360,7 +484,7 @@ class TestUnitarity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 49.3 * 2 ** 20
+        assert peak < 35.3 * 2 ** 20
 
     def test_exterior_ffts_are_quarter_length(self, monkeypatch):
         # the lambda = 100, box:1 audit (nf = 1,679,616) takes no FFT
@@ -368,9 +492,9 @@ class TestUnitarity:
         lengths = []
 
         def recorded(name):
-            def call(a):
+            def call(a, **kwargs):
                 lengths.append(len(a))
-                return getattr(np.fft, name)(a)
+                return getattr(np.fft, name)(a, **kwargs)
             return call
 
         monkeypatch.setattr(spectral_evolution, "fft", types.SimpleNamespace(
@@ -386,7 +510,11 @@ class TestUnitarity:
     ], ids=["lam100", "quarter-full"])
     def test_exterior_matches_single_fft(self, w, t, n, gap):
         # outside against the one nf-point FFT of c and reversed c B,
-        # |.|^2, its real FFT and the same window sum
+        # |.|^2, its real FFT and the window sum
+        # int_1^x_hi e^{i nu dk x} dx = e^{i nu dk (x_hi + 1)/2} 2 sin(nu dk h)
+        # / (nu dk), h = (x_hi - 1)/2, one exp and one sine per mode (the
+        # same sum from the phase difference at the two ends is 6.0e-16
+        # off an 80-bit sum in the quarter-full case; this one 6.7e-17)
         p = box_mode(1)
         audit = unitarity_audit(p, t, w)
         dk, x_hi = audit["dk"], audit["x_hi"]
@@ -399,9 +527,10 @@ class TestUnitarity:
         d[nf - n:] = c_b[::-1]
         g_hat = np.fft.rfft(np.abs(np.fft.fft(d)) ** 2) / nf
         m = g_hat.size - 1
-        ends = _unit_phases(dk * x_hi, m) - _unit_phases(dk, m)
-        terms = ((g_hat.real[1:] * ends.imag + g_hat.imag[1:] * ends.real)
-                 / (dk * np.arange(1, m + 1)))
+        nu = np.arange(1, m + 1)
+        h = 0.5 * (x_hi - 1.0)
+        terms = (g_hat[1:] * np.exp(1j * (dk * (1.0 + h)) * nu)).real * (
+            2.0 * np.sin((dk * h) * nu) / (dk * nu))
         terms[:-1] *= 2.0
         outside = g_hat[0].real * (x_hi - 1.0) + np.sum(terms)
         assert abs(audit["outside"] - outside) <= 1e-15
