@@ -13,11 +13,12 @@ a Gaussian's centre and width by a) and scales outputs in _in_width_units.
 Exit codes:
   0  success
   1  usage error (bad arguments, profile, time grid, policy or width, a
-     non-finite well or cutoff, a pole cutoff past MAX_POLES, a direct
-     time past MAX_PHASE_PANELS phase panels (t > about 2.1e4 a^2 at the
-     default cutoff), a rotated t_min past MAX_RAY_PANELS ray panels
-     (below about 1.7e-4 a^2), a well outside a command's range, or an
-     output that is not finite in the units of a)
+     non-finite well or cutoff, a pole cutoff past MAX_POLES (a rotated
+     t_min below about 8.3e-7 a^2 at lam = 10 included), a direct time
+     past MAX_PHASE_PANELS phase panels (t > about 2.1e4 a^2 at the
+     default cutoff), a rotated ray that would end past the largest
+     double, a well outside a command's range, or an output that is not
+     finite in the units of a)
   2  pole enumeration failure (CountMismatch, WrongQuadrant)
   3  quadrature failure (QuadratureNotConverged)
   4  any other numerical failure (a GamowLabError, e.g. NoCrossing)

@@ -130,18 +130,21 @@ def residue_terms(p: InitialProfile, w: WellParameters,
     return Residues(poles=poles, prefactors=prefactors, weights=weights)
 
 
-#: ray panels: the first is [0, _RAY_START / sqrt(t_max)], then each edge
-#: is _RAY_RATIO times the one before, until panels are _RAY_PANEL long
+#: ray panels: the first is [0, _RAY_START / sqrt(t_max)], at most
+#: _RAY_PANEL long; from an edge s in [1, _RAY_FAR) the next panel is
+#: min(s/2, _RAY_PANEL) long, and from any other edge s it is s long
 _RAY_START = 0.5
-_RAY_RATIO = 1.5
 _RAY_PANEL = 2.0
-#: most panels _ray_edges will lay, about 0.707/t_min of them: every t_min
-#: down to about 1.7e-4; past it ValueError before any edge exists
-MAX_RAY_PANELS = 1 << 12
+_RAY_FAR = 8.0
+#: the ray's top is where e^{-s^2 t_min} max(s, 1) falls to e^{-_RAY_DECAY}
+_RAY_DECAY = 40.0
 #: f is evaluated on this many ray nodes at a time (bounds the workspace)
 _RAY_BLOCK = 128
-#: below this time the rotated route is dear (the ray rule's
-#: node count grows like 1/t_min), so shorter times take the direct route
+#: below this time the direct route takes over.  The rotated route's ray
+#: ends near sqrt(40 / t_min), so its rule stays cheap below it too (3-12
+#: ms a call at t in [0.0016, 0.02), lam = 10), but its residues need the
+#: poles below pole_cutoff(w, t_min), whose audit fails once that passes
+#: about 3600/a (t below about 0.0016 a^2 at lam = 10, 0.004 at lam = 100)
 DIRECT_TIME_LIMIT = 0.02
 #: rotated-route times evaluated together (bounds the workspace)
 TIME_BLOCK = 64
@@ -152,29 +155,42 @@ BACKGROUND_TOLERANCE = 1e-10
 def _ray_edges(t_min: float, t_max: float) -> np.ndarray:
     """Panel edges in s on the ray k = e^{-i pi/4} s for t in [t_min, t_max].
 
-    On the ray exp(-i k^2 t) = exp(-s^2 t).  The first panel is
-    [0, 0.5/sqrt(t_max)], on which exp(-s^2 t_max) is a smooth bump; the
-    panels then grow geometrically, at most to 2 (f varies on the scale
-    1), up to where the Gaussian at t_min has beaten the exp(sqrt(2) s)
-    growth of f by e^-40.  The panels are counted in closed form first:
-    geometric up to the knee where a step reaches _RAY_PANEL, then
-    _RAY_PANEL long; past MAX_RAY_PANELS is a ValueError.
+    On the ray exp(-i k^2 t) = exp(-s^2 t), and f grows no faster than
+    s: with kappa = e^{-i pi/4} and x in [0, 1],
+      - |sin(kappa s x)| <= cosh(s x/sqrt 2) <= e^{s x/sqrt 2};
+      - so |phi(kappa s)| <= e^{s/sqrt 2} ||psi_0||_1;
+      - A Abar = 4k^2 / (D Dbar) with |D(kappa s)| ~ lam e^{sqrt 2 s}/2
+        and |Dbar(kappa s)| >~ s/sqrt 2, so
+        |A Abar(kappa s)| <~ 8 sqrt 2 s e^{-sqrt 2 s} / lam;
+    the exponentials cancel and |f(kappa s, x)| <~ C s (measured below
+    0.32 max(s, 1) for lam >= 0.5).  The ray stops at the smallest s with
+    s^2 t_min >= 40 + ln max(s, 1), where exp(-s^2 t_min) |f| has fallen
+    by e^-40; a t_min whose top is not a finite double is a ValueError.
+
+    The first panel is [0, 0.5/sqrt(t_max)], at most 2 long, on which
+    exp(-s^2 t_max) is a smooth bump.  Below s = 1 (no Gamow pole has
+    |k| < pi/2) and from s = 8 on, no pole comes near the ray, so there
+    each edge doubles the one before.  On [1, 8] the first pole lies
+    within 0.30 |k| of the ray at lam = 0.5, so there each edge is 1.5
+    times the one before and panels are at most 2 long (f varies on the
+    scale 1).
     """
     if not (0.0 < t_min <= t_max < math.inf):
         raise ValueError("need 0 < t_min <= t_max < inf")
-    c = math.sqrt(2.0) / math.sqrt(t_min)
-    top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
-    first = min(_RAY_START / math.sqrt(t_max), _RAY_PANEL, top)
-    knee = _RAY_PANEL / (_RAY_RATIO - 1.0)
-    panels = (1.0 + max(math.log(min(top, knee) / first, _RAY_RATIO), 0.0)
-              + max(top - knee, 0.0) / _RAY_PANEL)
-    if panels > MAX_RAY_PANELS:
-        raise ValueError(f"the rotated route at t = {t_min:g} a^2 needs "
-                         f"more than {MAX_RAY_PANELS} ray panels")
-    edges = [0.0, first]
+    top = 0.0
+    for _ in range(64):
+        new = math.sqrt((_RAY_DECAY + math.log(max(top, 1.0))) / t_min)
+        if not new > top:
+            break
+        top = new
+    if not top < math.inf:
+        raise ValueError(f"the rotated route at t = {t_min:g} a^2 needs a "
+                         "ray past the largest double")
+    edges = [0.0, min(_RAY_START / math.sqrt(t_max), _RAY_PANEL, top)]
     while edges[-1] < top:
-        step = min(edges[-1] * (_RAY_RATIO - 1.0), _RAY_PANEL)
-        edges.append(min(edges[-1] + step, top))
+        e = edges[-1]
+        step = min(0.5 * e, _RAY_PANEL) if 1.0 <= e < _RAY_FAR else e
+        edges.append(min(e + step, top))
     return np.asarray(edges)
 
 
@@ -222,9 +238,10 @@ class RotatedExpansion:
         if t_min < DIRECT_TIME_LIMIT:
             warnings.warn(
                 f"rotated background at t < {DIRECT_TIME_LIMIT:g} a^2: the "
-                "transform grows like exp(k a / sqrt(2)) before the Gaussian "
-                "damping wins, so the quadrature cost rises sharply; prefer "
-                "the direct route here", RuntimeWarning, stacklevel=2)
+                "residues need the poles below pole_cutoff(w, t_min), whose "
+                "audit fails once that passes about 3600/a (t below about "
+                "0.0016 a^2 at lam = 10); prefer the direct route here",
+                RuntimeWarning, stacklevel=2)
         x = np.asarray(x, dtype=float).ravel()
         edges = _ray_edges(t_min, t_max)
         self.residues = residue_terms(p, w, pole_cutoff(w, t_min))

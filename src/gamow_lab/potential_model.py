@@ -316,18 +316,21 @@ def refine_pole(seed: complex, w: WellParameters) -> Poles:
 
 
 def _winding_adaptive(path: np.ndarray, w: WellParameters) -> int:
-    """Adaptive phase-tracking winding number along a closed polyline."""
+    """Adaptive phase-tracking winding number along a closed polyline.
+    F is evaluated once on the path, then only at the midpoints each round
+    inserts."""
     path = np.asarray(path, dtype=complex)
+    vals = quantization_residual(path, w)
     for _ in range(_WINDING_ROUNDS):
-        vals = quantization_residual(path, w)
         if np.any(np.abs(vals) == 0.0):
             raise CountMismatch("F vanishes on the audit contour")
         dphi = np.angle(vals[1:] / vals[:-1])
-        bad = np.abs(dphi) > np.pi / 2
-        if not np.any(bad):
+        bad = np.flatnonzero(np.abs(dphi) > np.pi / 2)
+        if bad.size == 0:
             return int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
-        mids = 0.5 * (path[:-1] + path[1:])
-        path = np.insert(path, np.flatnonzero(bad) + 1, mids[bad])
+        mids = 0.5 * (path[bad] + path[bad + 1])
+        path = np.insert(path, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, quantization_residual(mids, w))
     raise CountMismatch("winding-number phase tracking did not converge")
 
 

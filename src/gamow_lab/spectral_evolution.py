@@ -518,13 +518,15 @@ def _exterior_share(c: np.ndarray, c_b: np.ndarray, r: int, nf: int,
     u[quarter - n:] = c_b[::-1]
     u[quarter - n:] *= 1j ** r
     u[:n] += c
-    big, small = _phase_tables(shift, rows, cols)
-    grid = u.reshape(rows, cols)
-    grid *= small
-    grid *= big[:, None]
+    if r:  # branch 0's twiddles are exactly 1
+        big, small = _phase_tables(shift, rows, cols)
+        grid = u.reshape(rows, cols)
+        grid *= small
+        grid *= big[:, None]
+        del grid
     fft.fft(u, out=u)
     g = np.abs(u)
-    del u, grid
+    del u
     g *= g
     spectrum = fft.rfft(g)
     del g

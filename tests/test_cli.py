@@ -259,7 +259,8 @@ def test_extreme_widths_give_finite_outputs(tmp_path, width):
 
 
 def test_ray_panel_bound_refuses_at_once(tmp_path, capsys):
-    # about 0.707 / t_min ray panels: they are counted before any is laid
+    # t_min = 1e-300 lays about 500 ray panels; its pole cutoff then needs
+    # more than MAX_POLES poles, refused before any pole is refined
     start = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="rotated background"):
         rc = main(["survival", "--lambda", "10", "--profile", "box:1",
@@ -267,7 +268,7 @@ def test_ray_panel_bound_refuses_at_once(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert time.perf_counter() - start < 1.0
     assert rc == EXIT_USAGE
-    assert "ray panels" in capsys.readouterr().err
+    assert "poles" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -449,6 +450,21 @@ class TestSurvival:
         assert rep["gamma_fit"] == pytest.approx(rep["gamma1_exact"],
                                                  rel=0.02)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_short_rotated_times(self, tmp_path):
+        # the ray ends before D(k) overflows (s ~ 501.5) for every
+        # t_min >~ 1.8e-4, so the rotated route runs below 0.003 a^2 too
+        rc = main(["survival", "--lambda", "10", "--profile", "box:1",
+                   "--times", "0.0025,0.004,0.0063,0.01", "--policy",
+                   "rotated", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        _, header, rows = read_csv(tmp_path / "survival.csv")
+        Ps = [float(r[header.index("P")]) for r in rows]
+        assert all(math.isfinite(P) and 0.0 <= P <= 1.0 for P in Ps)
+        assert Ps == sorted(Ps, reverse=True)
+        # the direct route's 5 digits at t = 0.01
+        assert 1.0 - Ps[-1] == pytest.approx(3.3752e-3, abs=5e-8)
+
 
 class TestExitCodes:
     def test_short_time_pole_audit_failure(self, tmp_path):
@@ -458,14 +474,22 @@ class TestExitCodes:
         assert rc == EXIT_POLE_AUDIT
         assert not out.exists() or os.listdir(out) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--times", "0.0025"],
-        ["survival", "--times", "0.0025,1"],
+        ["evolve", "--times", "0.5"],
+        ["survival", "--times", "0.5,1"],
     ], ids=["evolve", "survival"])
-    def test_nan_background_is_a_quadrature_failure(self, tmp_path, argv):
-        # below ~0.003 a^2 the ray integrand's factors overflow to NaN;
-        # the background's gate must refuse it, not pass it on
+    def test_nan_background_is_a_quadrature_failure(self, tmp_path,
+                                                    monkeypatch, argv):
+        # a NaN on the ray makes the estimate NaN; the background's gate
+        # must refuse it, not pass it on
+        integrand = gamow_expansion._integrand
+
+        def poisoned(k, phi, x, w):
+            out = integrand(k, phi, x, w)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(gamow_expansion, "_integrand", poisoned)
         rc = main([argv[0], "--lambda", "10", "--profile", "box:1",
                    *argv[1:], "--policy", "rotated", "--out", str(tmp_path)])
         assert rc == EXIT_QUADRATURE

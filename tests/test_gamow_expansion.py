@@ -12,7 +12,6 @@ import pytest
 from gamow_lab.exceptions import NoCrossing, QuadratureNotConverged
 from gamow_lab import gamow_expansion
 from gamow_lab.gamow_expansion import (
-    MAX_RAY_PANELS,
     TIME_BLOCK,
     RotatedExpansion,
     _ray_edges,
@@ -129,12 +128,17 @@ class TestBackgroundIntegral:
             _ray_edges(t_min, t_max)
 
     def test_ray_panel_bound(self):
-        # about 0.707 / t_min panels, counted before the first is laid
-        for t_max in (1.8e-4, 1.0, 1e4):
-            assert _ray_edges(1.8e-4, t_max).size - 1 <= MAX_RAY_PANELS
-        for t_min in (1e-4, 1e-300, 5e-324):
-            with pytest.raises(ValueError, match="ray panels"):
-                _ray_edges(t_min, 1.0)
+        # the ray ends near sqrt(40 / t_min) and its far panels double, so
+        # t_min = 1e-300 needs about 500 panels; a top past the largest
+        # double is refused before any edge exists
+        for t_min in (1.8e-4, 1e-4, 1e-300):
+            for t_max in (t_min, 1.0, 1e4):
+                edges = _ray_edges(t_min, t_max)
+                assert edges.size - 1 <= 600
+                assert np.all(np.isfinite(edges))
+                assert np.all(np.diff(edges) > 0)
+        with pytest.raises(ValueError, match="largest double"):
+            _ray_edges(5e-324, 1.0)
 
     def test_small_time_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -172,6 +176,61 @@ class TestBackgroundIntegral:
         blocks = [rot.psi(times[i:i + TIME_BLOCK])
                   for i in range(0, times.size, TIME_BLOCK)]
         assert np.array_equal(rot.psi(times), np.concatenate(blocks))
+
+
+def old_ray_edges(t_min, t_max):
+    """The ray layout before the rule was sized by its integrand: run out
+    to where exp(-s^2 t_min) beats an assumed exp(sqrt(2) s) growth of f
+    by e^-40, each edge 1.5 times the one before, panels at most 2 long."""
+    c = math.sqrt(2.0) / math.sqrt(t_min)
+    top = 0.5 * (c + math.sqrt(c * c + 160.0)) / math.sqrt(t_min)
+    edges = [0.0, min(0.5 / math.sqrt(t_max), 2.0, top)]
+    while edges[-1] < top:
+        edges.append(min(edges[-1] + min(0.5 * edges[-1], 2.0), top))
+    return np.asarray(edges)
+
+
+RAY_PROFILES = {"box1": box_mode(1), "box3": box_mode(3),
+                "gauss1": truncated_gaussian(0.5, 0.06),
+                "gauss2": truncated_gaussian(0.6, 0.05)}
+
+
+class TestRaySizing:
+    @pytest.mark.parametrize("name", RAY_PROFILES)
+    def test_integrand_grows_at_most_linearly(self, name):
+        # the premise of the ray's top: A Abar's e^{-sqrt 2 s} cancels
+        # phi's and sin's e^{s/sqrt 2} each (measured worst ratio 0.32)
+        s = np.linspace(0.0, 450.0, 4501)
+        for lam in (0.5, 1.0, 10.0, 100.0, 1000.0):
+            f = integrand_f(cmath.exp(-0.25j * math.pi) * s, [0.0, 0.5, 1.0],
+                            RAY_PROFILES[name], WellParameters(lam))
+            assert np.all(np.abs(f) <= np.maximum(s, 1.0)[:, None]), lam
+
+    @pytest.mark.parametrize("t_min,t_max", [(0.02, 0.02), (0.0218, 457366.0),
+                                             (1.3, 4e5)])
+    def test_matches_old_layout(self, monkeypatch, t_min, t_max):
+        x = well_rule()[0]
+        times = np.geomspace(t_min, t_max, 7)
+        for p in (box_mode(1), truncated_gaussian(0.4, 0.05)):
+            for lam in (0.5, 10.0, 1000.0):
+                w = WellParameters(lam)
+                rot = RotatedExpansion(x, p, w, t_min, t_max)
+                new, err = rot.background(times)
+                with monkeypatch.context() as m:
+                    m.setattr(gamow_expansion, "_ray_edges", old_ray_edges)
+                    old = RotatedExpansion(x, p, w, t_min,
+                                           t_max).background(times)[0]
+                scale = np.max(np.abs(new + rot.residue_sum(times)), axis=1,
+                               keepdims=True)
+                assert np.all(np.abs(new - old) <= 1e-14 * scale), lam
+                assert np.all(err <= 1e-11), lam
+
+    @pytest.mark.parametrize("t_min,t_max", [(0.0218, 457366.0),
+                                             (0.055, 0.055)])
+    def test_a_third_of_old_rows(self, t_min, t_max):
+        # both rules put the same 16 + 12 rows of f on every panel
+        panels = _ray_edges(t_min, t_max).size - 1
+        assert panels <= (old_ray_edges(t_min, t_max).size - 1) / 3
 
 
 class TestEvolveRotated:

@@ -288,6 +288,24 @@ class TestEnumeratePoles:
         count = {1000.0: 318, 3000.0: 955}[k_max]
         assert len(enumerate_poles(w, k_max)) == count
 
+    def test_audit_evaluates_only_new_midpoints(self, monkeypatch):
+        # F on the contour's 4,160 points once, then only at the midpoints
+        # each round inserts: about 8.4k evaluations here, where one pass
+        # over the whole path per round took 60.8k
+        evaluated = []
+        residual = potential_model.quantization_residual
+
+        def counted(k, w):
+            evaluated.append(np.size(k))
+            return residual(k, w)
+
+        monkeypatch.setattr(potential_model, "quantization_residual", counted)
+        w, k_max = WellParameters(lam=26.2033), 3220.0
+        im_max = math.log1p(2.0 * k_max / w.lam) / 2.0 + 0.5
+        path = potential_model._audit_contour(k_max, im_max)
+        assert potential_model._winding_adaptive(path, w) == -1025
+        assert evaluated[0] == path.size and sum(evaluated) < 10_000
+
     def test_pole_bound_checked_before_refinement(self, monkeypatch):
         class Reached(Exception):
             pass
